@@ -6,9 +6,11 @@ The package provides:
 - ``divergences``: the g-Bregman engine (duality, reversal) and a catalog of
   closed-form divergences plus counterexample losses;
 - ``centroids``: central labels/predictions in closed form, under linear
-  equality constraints, and by a brute-force minimization oracle;
+  equality constraints, and by a brute-force minimization oracle, with one
+  dispatcher (``central_label`` / ``central_prediction``) that picks the
+  cheapest exact solver;
 - ``decomposition``: expected loss = intrinsic noise + bias + variance
-  reports, with the additivity gap as a first-class output;
+  reports (``decompose``), with the additivity gap as a first-class output;
 - ``uniqueness``: numerical separability tests of the mixed second
   derivative and an empirical classifier for black-box losses;
 - ``cli``: the ``bvd`` batch front end.
@@ -23,7 +25,6 @@ from .core import (
     InfeasibleMeanError,
     LossFunction,
     WeightedEnsemble,
-    expectation,
     make_ensemble,
 )
 from .divergences import (
@@ -32,15 +33,13 @@ from .divergences import (
     Mapping,
     catalog,
     catalog_from_json,
-    dual_pair,
-    eval_concise,
-    gbregman_eval,
     identity_mapping,
-    reverse,
 )
 from .centroids import (
     CentroidResult,
     brute_force_centroid,
+    central_label,
+    central_prediction,
     constrained_central_label,
     constrained_central_prediction,
     f_mean_prediction,
@@ -49,6 +48,7 @@ from .centroids import (
 )
 from .decomposition import (
     DecompositionReport,
+    decompose,
     decompose_constrained_bregman,
     decompose_gbregman,
     decompose_generic,
@@ -86,24 +86,22 @@ __all__ = [
     "brute_force_centroid",
     "catalog",
     "catalog_from_json",
+    "central_label",
+    "central_prediction",
     "classify_loss",
     "constrained_central_label",
     "constrained_central_prediction",
+    "decompose",
     "decompose_constrained_bregman",
     "decompose_gbregman",
     "decompose_generic",
-    "dual_pair",
-    "eval_concise",
     "exp_family_loglik_decompose",
-    "expectation",
     "f_mean_prediction",
     "g_mean_label",
-    "gbregman_eval",
     "identity_mapping",
     "make_ensemble",
     "mixed_hessian_fd",
     "ordering_violation_gap",
     "power_mean_centroids",
-    "reverse",
     "separability_rank_test",
 ]

@@ -7,6 +7,8 @@ against a prediction distribution. For g-Bregman divergences these are the
 g-mean and f-mean; with linear equality constraints they follow from a
 Newton solve on the Lagrange multipliers. A grid + multi-start Nelder-Mead
 oracle provides an independent check and handles arbitrary losses.
+:func:`central_label` and :func:`central_prediction` pick the cheapest of
+these that is exact for a given loss.
 """
 
 from __future__ import annotations
@@ -147,19 +149,25 @@ def _lagrange_solve(
     )
 
 
-def _check_box(point: np.ndarray, domain: Domain, what: str):
-    box = domain.without_equalities()
-    if not box.contains(point):
+def _constrained_f_mean(
+    div: GBregmanDivergence, ens: WeightedEnsemble
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve f(x) = mean f(P) + W^T lam, W x = b for the dual map f of ``div``."""
+    _, f = div.dual_pair()
+    mean_f = np.einsum(
+        "k,kd->d", ens.weights, np.asarray(f.forward(ens.points), dtype=float)
+    )
+    point, lam = _lagrange_solve(mean_f, f, div.domain)
+    if not div.domain.without_equalities().contains(point):
         raise ValueError(
-            f"{what} {point} violates the box bounds; active-set handling "
-            "of inequality constraints is not supported"
+            f"constrained centroid {point} violates the box bounds; active-set "
+            "handling of inequality constraints is not supported"
         )
+    return point, lam
 
 
 def constrained_central_prediction(
-    div: GBregmanDivergence,
-    preds: WeightedEnsemble,
-    domain: Domain | None = None,
+    div: GBregmanDivergence, preds: WeightedEnsemble
 ) -> CentroidResult:
     """Central prediction under linear equality constraints W y = b.
 
@@ -171,40 +179,58 @@ def constrained_central_prediction(
             "constrained central predictions need an identity coordinate map; "
             "for other divergences fall back to brute_force_centroid"
         )
-    domain = domain or div.domain
-    _, f = div.dual_pair()
-    mean_f = np.einsum(
-        "k,kd->d", preds.weights, np.asarray(f.forward(preds.points), dtype=float)
-    )
-    point, lam = _lagrange_solve(mean_f, f, domain)
-    _check_box(point, domain, "constrained central prediction")
+    point, lam = _constrained_f_mean(div, preds)
     objective = side_expectation(div, point, preds, point_side="first_arg")
     return CentroidResult(point, lam, objective, "lagrange")
 
 
 def constrained_central_label(
-    div: GBregmanDivergence,
-    labels: WeightedEnsemble,
-    domain: Domain | None = None,
+    div: GBregmanDivergence, labels: WeightedEnsemble
 ) -> CentroidResult:
     """Central label under linear equality constraints W t = b.
 
-    Mirror of :func:`constrained_central_prediction` for reverse Bregman
-    divergences (identity dual map): g(t*) = mean g(T) + W^T lam, W t* = b.
+    By duality this is the constrained central prediction of
+    ``div.reverse()``, which needs an identity dual map:
+    g(t*) = mean g(T) + W^T lam, W t* = b. The objective is evaluated on
+    ``div`` itself: the reversed divergence evaluates its defining form,
+    which is not finite where labels vanish (0 log 0).
     """
     if not div.dual_map_is_identity:
         raise ValueError(
             "constrained central labels need an identity dual map; "
             "for other divergences fall back to brute_force_centroid"
         )
-    domain = domain or div.domain
-    mean_g = np.einsum(
-        "k,kd->d", labels.weights, np.asarray(div.map.forward(labels.points), dtype=float)
-    )
-    point, lam = _lagrange_solve(mean_g, div.map, domain)
-    _check_box(point, domain, "constrained central label")
+    point, lam = _constrained_f_mean(div.reverse(), labels)
     objective = side_expectation(div, point, labels, point_side="second_arg")
     return CentroidResult(point, lam, objective, "lagrange")
+
+
+def central_label(loss: LossFunction, labels: WeightedEnsemble) -> CentroidResult:
+    """Central label from the cheapest exact solver.
+
+    The g-mean when the domain has no equality constraints or the map is
+    the identity (the arithmetic mean of feasible points stays feasible
+    under linear equalities), the Lagrange solve when the dual map is the
+    identity, and the brute-force oracle otherwise or for losses that are
+    not g-Bregman.
+    """
+    if isinstance(loss, GBregmanDivergence):
+        if loss.domain.n_constraints == 0 or loss.map_is_identity:
+            return g_mean_label(loss, labels)
+        if loss.dual_map_is_identity:
+            return constrained_central_label(loss, labels)
+    return brute_force_centroid(loss, labels, "second_arg")
+
+
+def central_prediction(loss: LossFunction, preds: WeightedEnsemble) -> CentroidResult:
+    """Central prediction from the cheapest exact solver; the mirror of
+    :func:`central_label` with the roles of the two maps swapped."""
+    if isinstance(loss, GBregmanDivergence):
+        if loss.domain.n_constraints == 0 or loss.dual_map_is_identity:
+            return f_mean_prediction(loss, preds)
+        if loss.map_is_identity:
+            return constrained_central_prediction(loss, preds)
+    return brute_force_centroid(loss, preds, "first_arg")
 
 
 def brute_force_centroid(

@@ -10,10 +10,8 @@ offending field or operation named on stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,19 +25,9 @@ from .core import (
     InfeasibleMeanError,
     WeightedEnsemble,
 )
-from .divergences import GBregmanDivergence, catalog_from_json
-from .centroids import (
-    brute_force_centroid,
-    constrained_central_label,
-    constrained_central_prediction,
-    f_mean_prediction,
-    g_mean_label,
-)
-from .decomposition import (
-    decompose_constrained_bregman,
-    decompose_gbregman,
-    decompose_generic,
-)
+from .divergences import catalog_from_json
+from .centroids import central_label, central_prediction
+from .decomposition import decompose
 from .uniqueness import ClassifierConfig, classify_loss
 
 CSV_HEADER = "divergence,d,n_labels,n_preds,expected,noise,bias,variance,gap"
@@ -106,14 +94,6 @@ def _build_ensemble(spec: dict, key: str, domain: Domain) -> WeightedEnsemble:
     return ens
 
 
-def _decompose_once(loss, labels, preds):
-    if isinstance(loss, GBregmanDivergence):
-        if loss.domain.n_constraints:
-            return decompose_constrained_bregman(loss, labels, preds)
-        return decompose_gbregman(loss, labels, preds)
-    return decompose_generic(loss, labels, preds)
-
-
 def _csv_row(name: str, labels, preds, report) -> str:
     return ",".join(
         [
@@ -150,7 +130,7 @@ def cmd_decompose(spec: dict, out_dir: Path) -> list[Path]:
     loss = _build_loss(spec)
     labels = _build_ensemble(spec, "labels", loss.domain)
     preds = _build_ensemble(spec, "preds", loss.domain)
-    report = _decompose_once(loss, labels, preds)
+    report = decompose(loss, labels, preds)
     fmt = (spec.get("output") or {}).get("format", "csv")
     if fmt == "json":
         path = _out_path(spec, out_dir, "decompose", "json")
@@ -169,28 +149,10 @@ def cmd_centroid(spec: dict, out_dir: Path) -> list[Path]:
     results = {}
     if "labels" in spec:
         labels = _build_ensemble(spec, "labels", loss.domain)
-        if isinstance(loss, GBregmanDivergence):
-            if loss.domain.n_constraints and loss.dual_map_is_identity:
-                res = constrained_central_label(loss, labels)
-            elif loss.domain.n_constraints == 0:
-                res = g_mean_label(loss, labels)
-            else:
-                res = brute_force_centroid(loss, labels, "second_arg")
-        else:
-            res = brute_force_centroid(loss, labels, "second_arg")
-        results["central_label"] = res.to_json()
+        results["central_label"] = central_label(loss, labels).to_json()
     if "preds" in spec:
         preds = _build_ensemble(spec, "preds", loss.domain)
-        if isinstance(loss, GBregmanDivergence):
-            if loss.domain.n_constraints and loss.map_is_identity:
-                res = constrained_central_prediction(loss, preds)
-            elif loss.domain.n_constraints == 0:
-                res = f_mean_prediction(loss, preds)
-            else:
-                res = brute_force_centroid(loss, preds, "first_arg")
-        else:
-            res = brute_force_centroid(loss, preds, "first_arg")
-        results["central_prediction"] = res.to_json()
+        results["central_prediction"] = central_prediction(loss, preds).to_json()
     if not results:
         raise SpecError("centroid spec needs 'labels' and/or 'preds'")
     path = _out_path(spec, out_dir, "centroid", "json")
@@ -218,29 +180,22 @@ def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
     if not isinstance(values, list) or not values:
         raise SpecError("field 'sweep.values' must be a non-empty list")
 
-    def one(value):
+    rows, gaps = [], []
+    for value in values:
         sub = copy.deepcopy(spec)
         sub["divergence"].setdefault("params", {})[param] = value
         loss = _build_loss(sub)
         labels = _build_ensemble(sub, "labels", loss.domain)
         preds = _build_ensemble(sub, "preds", loss.domain)
-        report = _decompose_once(loss, labels, preds)
-        return _csv_row(f"{loss.name}[{param}={value!r}]", labels, preds, report), report
+        report = decompose(loss, labels, preds)
+        rows.append(_csv_row(f"{loss.name}[{param}={value!r}]", labels, preds, report))
+        gaps.append(abs(report.gap))
 
-    max_workers = int(os.environ.get("BVD_THREADS", "1") or "1")
-    if max_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(one, values))
-    else:
-        outcomes = [one(v) for v in values]
-
-    rows = [row for row, _ in outcomes]
     path = _out_path(spec, out_dir, "sweep", "csv")
     _write_text(path, CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     written = [path]
 
     if (spec.get("output") or {}).get("format") == "svg" or spec.get("plot"):
-        gaps = [abs(rep.gap) for _, rep in outcomes]
         svg_path = path.with_suffix(".svg")
         _write_text(svg_path, _gap_svg(param, [float(v) for v in values], gaps))
         written.append(svg_path)

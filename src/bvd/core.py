@@ -9,7 +9,6 @@ machinery is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -210,9 +209,6 @@ class WeightedEnsemble:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def expect(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return expectation(self, fn)
-
     def to_json(self) -> dict:
         return {"points": self.points.tolist(), "weights": self.weights.tolist()}
 
@@ -247,26 +243,6 @@ def make_ensemble(points, weights) -> WeightedEnsemble:
     if abs(total - 1.0) > WEIGHT_TOL:
         w = w / total
     return WeightedEnsemble(np.stack(pts), w)
-
-
-def expectation(ens: WeightedEnsemble, fn: Callable[[np.ndarray], np.ndarray]):
-    """Weighted mean of ``fn`` over the ensemble's support.
-
-    ``fn`` maps a single point to a scalar or vector; it must be finite at
-    every support point. Summation runs in support order so results are
-    bit-reproducible.
-    """
-    with np.errstate(all="ignore"):
-        values = [np.asarray(fn(p), dtype=float) for p in ens.points]
-    for p, v in zip(ens.points, values):
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"fn is non-finite at support point {p}")
-    acc = ens.weights[0] * values[0]
-    for w, v in zip(ens.weights[1:], values[1:]):
-        acc = acc + w * v
-    if acc.ndim == 0:
-        return float(acc)
-    return acc
 
 
 class LossFunction:

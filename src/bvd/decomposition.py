@@ -14,18 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Domain,
-    LossFunction,
-    WeightedEnsemble,
-    pair_expectation,
-    side_expectation,
+from .core import LossFunction, WeightedEnsemble, pair_expectation, side_expectation
+from .divergences import (  # noqa: F401 (gaussian_log_partition is re-exported)
+    GBregmanDivergence,
+    Generator,
+    gaussian_log_partition,
 )
-from .divergences import GBregmanDivergence, Generator
 from .centroids import (
+    CentroidResult,
     brute_force_centroid,
-    constrained_central_label,
-    constrained_central_prediction,
+    central_label,
+    central_prediction,
     f_mean_prediction,
     g_mean_label,
 )
@@ -71,151 +70,99 @@ def _check_terms(**terms: float):
             raise ArithmeticError(f"{name} = {value:.3e} is significantly negative")
 
 
-def decompose_generic(
+# Centroid solvers from cheapest to costliest; a report names the costliest.
+_SOLVER_COST = {"closed_form": 0, "lagrange": 1, "brute_force": 2}
+
+
+def _report(
     loss: LossFunction,
     labels: WeightedEnsemble,
     preds: WeightedEnsemble,
-    domain: Domain | None = None,
+    t_star: CentroidResult,
+    y_star: CentroidResult,
+) -> DecompositionReport:
+    """The decomposition at the given central label and prediction.
+
+    Intrinsic noise and variance are the centroids' objectives,
+    E D(T, t*) and E D(y*, Y): means of non-negative values that need no
+    cancellation of potentials. Under linear equality constraints they
+    equal the potential differences with the lam . b correction by the
+    generalized Pythagorean identity (Banerjee et al., JMLR 2005).
+    """
+    expected = pair_expectation(loss, labels, preds)
+    noise = t_star.objective
+    bias = loss.eval(t_star.point, y_star.point)
+    variance = y_star.objective
+    _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
+    lagrange = [r.multipliers for r in (t_star, y_star) if r.method == "lagrange"]
+    return DecompositionReport(
+        expected_loss=expected,
+        intrinsic_noise=noise,
+        bias=bias,
+        variance=variance,
+        gap=_gap(expected, noise, bias, variance),
+        central_label=t_star.point,
+        central_prediction=y_star.point,
+        multipliers=lagrange[0] if lagrange else None,
+        method=max(t_star.method, y_star.method, key=_SOLVER_COST.__getitem__),
+    )
+
+
+def decompose(
+    loss: LossFunction, labels: WeightedEnsemble, preds: WeightedEnsemble
+) -> DecompositionReport:
+    """Decompose any loss at the centroids of :func:`central_label` and
+    :func:`central_prediction` (closed form, Lagrange, or the oracle)."""
+    return _report(
+        loss, labels, preds, central_label(loss, labels), central_prediction(loss, preds)
+    )
+
+
+def decompose_generic(
+    loss: LossFunction, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> DecompositionReport:
     """Decompose any loss using brute-force centroids.
 
     Works for arbitrary losses; the gap is reported as-is and is nonzero in
     general (that is the point for non-divergence losses such as L1).
     """
-    domain = domain or loss.domain
-    t_star = brute_force_centroid(loss, labels, "second_arg", domain)
-    y_star = brute_force_centroid(loss, preds, "first_arg", domain)
-    expected = pair_expectation(loss, labels, preds)
-    noise = t_star.objective
-    bias = loss.eval(t_star.point, y_star.point)
-    variance = y_star.objective
-    _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
-    return DecompositionReport(
-        expected_loss=expected,
-        intrinsic_noise=noise,
-        bias=bias,
-        variance=variance,
-        gap=_gap(expected, noise, bias, variance),
-        central_label=t_star.point,
-        central_prediction=y_star.point,
-        multipliers=None,
-        method="brute_force",
-    )
+    t_star = brute_force_centroid(loss, labels, "second_arg")
+    y_star = brute_force_centroid(loss, preds, "first_arg")
+    return _report(loss, labels, preds, t_star, y_star)
 
 
 def decompose_gbregman(
-    div: GBregmanDivergence,
-    labels: WeightedEnsemble,
-    preds: WeightedEnsemble,
+    div: GBregmanDivergence, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> DecompositionReport:
     """Closed-form decomposition for a g-Bregman divergence without
-    equality constraints.
-
-    Intrinsic noise and variance come from the potentials directly:
-    noise = E A(g(T)) - A(g(t*)), variance = E B(f(Y)) - B(f(y*)), with the
-    g-mean label t* and f-mean prediction y*.
-    """
+    equality constraints, at the g-mean label and f-mean prediction."""
     if div.domain.n_constraints:
         raise ValueError(
             "domain has equality constraints; use decompose_constrained_bregman"
         )
-    B, f = div.dual_pair()
-    t_star = g_mean_label(div, labels)
-    y_star = f_mean_prediction(div, preds)
-
-    a_vals = div.gen.value(div.map.forward(labels.points))
-    noise = float(labels.weights @ a_vals - div.gen.value(div.map.forward(t_star.point)))
-    b_vals = B.value(f.forward(preds.points))
-    variance = float(preds.weights @ b_vals - B.value(f.forward(y_star.point)))
-    bias = div.eval(t_star.point, y_star.point)
-    expected = pair_expectation(div, labels, preds)
-    _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
-    return DecompositionReport(
-        expected_loss=expected,
-        intrinsic_noise=noise,
-        bias=bias,
-        variance=variance,
-        gap=_gap(expected, noise, bias, variance),
-        central_label=t_star.point,
-        central_prediction=y_star.point,
-        multipliers=None,
-        method="closed_form",
-    )
+    return decompose(div, labels, preds)
 
 
 def decompose_constrained_bregman(
-    div: GBregmanDivergence,
-    labels: WeightedEnsemble,
-    preds: WeightedEnsemble,
-    domain: Domain | None = None,
+    div: GBregmanDivergence, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> DecompositionReport:
     """Decomposition under linear equality constraints W y = b.
 
     Standard Bregman divergences (identity map) keep the label mean
-    feasible automatically; the central prediction picks up Lagrange
-    multipliers and the variance a lam . b correction. Reverse Bregman
-    divergences (identity dual map) mirror the roles. Anything else falls
-    back to the brute-force oracle with a warning, since the transformed
-    feasible set need not be convex.
+    feasible automatically and find the central prediction with Lagrange
+    multipliers; reverse Bregman divergences (identity dual map) mirror the
+    roles. Anything else falls back to the brute-force oracle with a
+    warning, since the transformed feasible set need not be convex.
     """
-    domain = domain or div.domain
-    if domain.n_constraints == 0:
+    if div.domain.n_constraints == 0:
         raise ValueError("domain has no equality constraints; use decompose_gbregman")
-    B, f = div.dual_pair()
-
-    if div.map_is_identity:
-        y_star = constrained_central_prediction(div, preds, domain)
-        lam = y_star.multipliers
-        t_bar = np.einsum("k,kd->d", labels.weights, labels.points)
-        if not domain.contains(t_bar):
-            raise ValueError(f"label mean {t_bar} is infeasible for the domain")
-        a_vals = div.gen.value(labels.points)
-        noise = float(labels.weights @ a_vals - div.gen.value(t_bar))
-        b_vals = B.value(f.forward(preds.points))
-        variance = float(
-            lam @ domain.eq_rhs
-            + preds.weights @ b_vals
-            - B.value(f.forward(y_star.point))
-        )
-        bias = div.eval(t_bar, y_star.point)
-        central_label, central_pred = t_bar, y_star.point
-    elif div.dual_map_is_identity:
-        t_star = constrained_central_label(div, labels, domain)
-        lam = t_star.multipliers
-        y_bar = np.einsum("k,kd->d", preds.weights, preds.points)
-        if not domain.contains(y_bar):
-            raise ValueError(f"prediction mean {y_bar} is infeasible for the domain")
-        a_vals = div.gen.value(div.map.forward(labels.points))
-        noise = float(
-            labels.weights @ a_vals
-            - div.gen.value(div.map.forward(t_star.point))
-            + lam @ domain.eq_rhs
-        )
-        b_vals = B.value(preds.points)
-        variance = float(preds.weights @ b_vals - B.value(y_bar))
-        bias = div.eval(t_star.point, y_bar)
-        central_label, central_pred = t_star.point, y_bar
-    else:
+    if not (div.map_is_identity or div.dual_map_is_identity):
         warnings.warn(
             "neither coordinate map is the identity; the constrained problem "
             "may be nonconvex -- falling back to brute-force centroids",
             stacklevel=2,
         )
-        return decompose_generic(div, labels, preds, domain)
-
-    expected = pair_expectation(div, labels, preds)
-    _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
-    return DecompositionReport(
-        expected_loss=expected,
-        intrinsic_noise=noise,
-        bias=bias,
-        variance=variance,
-        gap=_gap(expected, noise, bias, variance),
-        central_label=central_label,
-        central_prediction=central_pred,
-        multipliers=lam,
-        method="lagrange",
-    )
+    return decompose(div, labels, preds)
 
 
 def ordering_violation_gap(
@@ -247,37 +194,6 @@ def ordering_violation_gap(
     else:
         variance = side_expectation(div, y_star, preds, point_side="first_arg")
     return _gap(expected, noise, bias, variance)
-
-
-def gaussian_log_partition() -> Generator:
-    """Log-partition of the univariate Gaussian in natural parameters.
-
-    Natural parameters are (m/s, -1/(2s)) for mean m and variance s; the
-    value includes all additive constants so that
-    -log density = -theta . (z, z^2) + value(theta) exactly.
-    """
-
-    def value(u):
-        u = np.asarray(u, dtype=float)
-        u1, u2 = u[..., 0], u[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -(u1**2) / (4.0 * u2) - 0.5 * np.log(-u2 / np.pi)
-
-    def gradient(u):
-        u = np.asarray(u, dtype=float)
-        u1, u2 = u[..., 0], u[..., 1]
-        return np.stack([-u1 / (2.0 * u2), u1**2 / (4.0 * u2**2) - 0.5 / u2], axis=-1)
-
-    def hessian(u):
-        u1, u2 = float(u[0]), float(u[1])
-        return np.array(
-            [
-                [-0.5 / u2, 0.5 * u1 / u2**2],
-                [0.5 * u1 / u2**2, -0.5 * u1**2 / u2**3 + 0.5 / u2**2],
-            ]
-        )
-
-    return Generator(value=value, gradient=gradient, hessian=hessian)
 
 
 def gaussian_sufficient_stat(z: float) -> np.ndarray:

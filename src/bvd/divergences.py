@@ -387,25 +387,6 @@ def _clamp(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals) & (vals < 0), 0.0, vals)
 
 
-# -- module-level operation aliases ------------------------------------
-
-
-def gbregman_eval(div: GBregmanDivergence, t, y) -> float:
-    return div.eval(t, y)
-
-
-def eval_concise(div: GBregmanDivergence, t, y) -> float:
-    return div.eval_concise(t, y)
-
-
-def dual_pair(div: GBregmanDivergence) -> tuple[Generator, Mapping]:
-    return div.dual_pair()
-
-
-def reverse(div: GBregmanDivergence) -> GBregmanDivergence:
-    return div.reverse()
-
-
 # -- boundary validators ------------------------------------------------
 
 
@@ -700,14 +681,46 @@ def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDiverge
     )
 
 
+def gaussian_log_partition() -> Generator:
+    """Log-partition of the univariate Gaussian in natural parameters.
+
+    Natural parameters are (m/s, -1/(2s)) for mean m and variance s; the
+    value includes all additive constants so that
+    -log density = -theta . (z, z^2) + value(theta) exactly.
+    """
+
+    def value(u):
+        u = np.asarray(u, dtype=float)
+        u1, u2 = u[..., 0], u[..., 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -(u1**2) / (4.0 * u2) - 0.5 * np.log(-u2 / np.pi)
+
+    def gradient(u):
+        u = np.asarray(u, dtype=float)
+        u1, u2 = u[..., 0], u[..., 1]
+        return np.stack([-u1 / (2.0 * u2), u1**2 / (4.0 * u2**2) - 0.5 / u2], axis=-1)
+
+    def hessian(u):
+        u1, u2 = float(u[0]), float(u[1])
+        return np.array(
+            [
+                [-0.5 / u2, 0.5 * u1 / u2**2],
+                [0.5 * u1 / u2**2, -0.5 * u1**2 / u2**3 + 0.5 / u2**2],
+            ]
+        )
+
+    return Generator(value=value, gradient=gradient, hessian=hessian)
+
+
 def make_gaussian_canonical(
     mean_bound: float = 5.0, var_min: float = 0.05, var_max: float = 5.0
 ) -> GBregmanDivergence:
     """KL between univariate Gaussians, as a divergence on (mean, variance).
 
     Points are (m, s) with s the variance. The coordinate map sends (m, s)
-    to the natural parameters (m/s, -1/(2s)); the dual map sends it to the
-    moments (m, m^2 + s). Central labels average natural parameters, central
+    to the natural parameters (m/s, -1/(2s)), where the generator is the
+    :func:`gaussian_log_partition`; the dual map sends it to the moments
+    (m, m^2 + s). Central labels average natural parameters, central
     predictions average moments.
     """
 
@@ -724,28 +737,6 @@ def make_gaussian_canonical(
     def g_jacobian(y):
         m, s = float(y[0]), float(y[1])
         return np.array([[1.0 / s, -m / s**2], [0.0, 0.5 / s**2]])
-
-    def a_value(u):
-        u = np.asarray(u, dtype=float)
-        u1, u2 = u[..., 0], u[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -(u1**2) / (4.0 * u2) - 0.5 * np.log(-u2 / np.pi)
-
-    def a_gradient(u):
-        u = np.asarray(u, dtype=float)
-        u1, u2 = u[..., 0], u[..., 1]
-        return np.stack(
-            [-u1 / (2.0 * u2), u1**2 / (4.0 * u2**2) - 0.5 / u2], axis=-1
-        )
-
-    def a_hessian(u):
-        u1, u2 = float(u[0]), float(u[1])
-        return np.array(
-            [
-                [-0.5 / u2, 0.5 * u1 / u2**2],
-                [0.5 * u1 / u2**2, -0.5 * u1**2 / u2**3 + 0.5 / u2**2],
-            ]
-        )
 
     def f_forward(y):
         y = np.asarray(y, dtype=float)
@@ -799,7 +790,7 @@ def make_gaussian_canonical(
         np.array([-mean_bound, var_min]), np.array([mean_bound, var_max])
     )
     return GBregmanDivergence(
-        gen=Generator(value=a_value, gradient=a_gradient, hessian=a_hessian),
+        gen=gaussian_log_partition(),
         mapping=Mapping(forward=g_forward, inverse=g_inverse, jacobian=g_jacobian),
         domain=domain,
         dual_gen=Generator(value=b_value, gradient=b_gradient, hessian=b_hessian),

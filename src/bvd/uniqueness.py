@@ -242,7 +242,6 @@ class ClassifierConfig:
     gap_threshold: float = 1e-3
     rank_threshold: float = RANK_THRESHOLD
     interior_margin: float = 0.08
-    grid_resolution: int = 21
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ import pytest
 from bvd import Domain, InfeasibleMeanError, catalog, make_ensemble
 from bvd.centroids import (
     brute_force_centroid,
+    central_label,
+    central_prediction,
     constrained_central_label,
     constrained_central_prediction,
     f_mean_prediction,
@@ -117,6 +119,16 @@ class TestConstrainedCentroids:
         res = constrained_central_label(div, labels)
         np.testing.assert_allclose(res.point, [1 / 3, 2 / 3], atol=1e-10)
 
+    def test_reverse_kl_label_with_shared_zero_coordinate(self):
+        # 0 log 0 = 0: labels that all vanish in one coordinate keep a
+        # finite objective, with the label at zero there.
+        div = catalog("reverse_kl", dim=3, simplex=True)
+        labels = make_ensemble([[0.0, 0.5, 0.5], [0.0, 0.2, 0.8]], [1, 1])
+        res = constrained_central_label(div, labels)
+        np.testing.assert_allclose(res.point, [0.0, 1 / 3, 2 / 3], atol=1e-12)
+        # Normalized geometric mean: the objective is -log(sqrt(0.1) + sqrt(0.4)).
+        assert res.objective == pytest.approx(-np.log(np.sqrt(0.1) + np.sqrt(0.4)), rel=1e-9)
+
     def test_single_label_fixed_point(self):
         div = catalog("reverse_kl", dim=2, simplex=True)
         labels = make_ensemble([[0.4, 0.6]], [1])
@@ -153,6 +165,35 @@ class TestConstrainedCentroids:
             constrained_central_prediction(div, preds)
         with pytest.raises(ValueError, match="identity"):
             constrained_central_label(div, preds)
+
+
+class TestDispatcher:
+    LABELS = ([[0.5, 0.5], [0.3, 0.7]], [1, 1])
+    PREDS = ([[0.2, 0.8], [0.5, 0.5]], [1, 1])
+
+    def test_reverse_kl_simplex_prediction_is_closed_form_mean(self):
+        # Identity dual map: the arithmetic mean is feasible on the simplex.
+        div = catalog("reverse_kl", dim=2, simplex=True)
+        res = central_prediction(div, make_ensemble(*self.PREDS))
+        assert res.method == "closed_form"
+        np.testing.assert_allclose(res.point, [0.35, 0.65], rtol=0, atol=1e-15)
+
+    def test_lagrange_sides_on_the_simplex(self):
+        kl = catalog("kl", dim=2, simplex=True)
+        rkl = catalog("reverse_kl", dim=2, simplex=True)
+        pred = central_prediction(kl, make_ensemble(*self.PREDS))
+        label = central_label(rkl, make_ensemble(*self.PREDS))
+        assert pred.method == label.method == "lagrange"
+        # Duality: both are the normalized geometric mean of the same points.
+        np.testing.assert_allclose(label.point, pred.point, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(label.multipliers, pred.multipliers, atol=1e-15)
+
+    def test_oracle_for_general_maps_and_plain_losses(self):
+        alpha = catalog("alpha", alpha=0.5, dim=2, simplex=True)
+        l1 = catalog("l1", dim=1)
+        assert central_label(alpha, make_ensemble(*self.LABELS)).method == "brute_force"
+        assert central_prediction(l1, make_ensemble([[0.0], [1.0]], [1, 2])).method \
+            == "brute_force"
 
 
 class TestBruteForce:

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bvd import cli
 from bvd.cli import main
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "demos" / "specs"
+GOLDEN_DIR = SPEC_DIR.parent / "output"
 SHIPPED_SPECS = sorted(SPEC_DIR.glob("*.json"))
 
 
@@ -18,6 +20,51 @@ def run_cli(args):
     return subprocess.run(
         [sys.executable, "-m", "bvd.cli", *args], capture_output=True, text=True
     )
+
+
+def assert_numbers_close(fresh, golden, where, expected=0.0):
+    """Numbers agree at rel 1e-9 (pytest's 1e-12 absolute floor covers exact
+    zeros); a ``gap`` at abs 1e-9 * (1 + expected), since it is float noise
+    for clean decompositions. ``expected`` is the sibling expected loss."""
+    if where.endswith("gap"):
+        assert fresh == pytest.approx(golden, rel=0, abs=1e-9 * (1 + abs(expected))), where
+    else:
+        assert fresh == pytest.approx(golden, rel=1e-9), where
+
+
+def assert_json_close(fresh, golden, where="$"):
+    assert type(fresh) is type(golden), where
+    if isinstance(fresh, dict):
+        assert sorted(fresh) == sorted(golden), where
+        expected = fresh.get("expected_loss", 0.0)
+        for key in fresh:
+            if key == "gap":
+                assert_numbers_close(fresh[key], golden[key], f"{where}.gap", expected)
+            else:
+                assert_json_close(fresh[key], golden[key], f"{where}.{key}")
+    elif isinstance(fresh, list):
+        assert len(fresh) == len(golden), where
+        for i, (a, b) in enumerate(zip(fresh, golden)):
+            assert_json_close(a, b, f"{where}[{i}]")
+    elif isinstance(fresh, float):
+        assert_numbers_close(fresh, golden, where)
+    else:
+        assert fresh == golden, where
+
+
+def assert_csv_close(fresh, golden, name):
+    fresh_lines, golden_lines = fresh.splitlines(), golden.splitlines()
+    assert fresh_lines[0] == golden_lines[0] == cli.CSV_HEADER, name
+    assert len(fresh_lines) == len(golden_lines), name
+    keys = cli.CSV_HEADER.split(",")
+    for fresh_row, golden_row in zip(fresh_lines[1:], golden_lines[1:]):
+        row = dict(zip(keys, fresh_row.split(",")))
+        ref = dict(zip(keys, golden_row.split(",")))
+        for key in keys[:4]:  # divergence name and sizes
+            assert row[key] == ref[key], (name, key)
+        for key in keys[4:]:
+            assert_numbers_close(float(row[key]), float(ref[key]),
+                                 f"{name}:{row['divergence']}.{key}", float(row["expected"]))
 
 
 def write_spec(tmp_path, obj, name="spec.json"):
@@ -78,6 +125,19 @@ class TestClassifyCommand:
         assert report.gap == pytest.approx(entry["gap"], rel=1e-12)
 
 
+    def test_unknown_classifier_field_rejected(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            {
+                "command": "classify",
+                "divergence": {"name": "l1", "params": {"dim": 1}},
+                "classifier": {"grid_resolution": 21},
+            },
+        )
+        assert main(["classify", "--spec", str(spec), "--out", str(tmp_path)]) == 1
+        assert "classifier" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_alpha_sweep_gaps_stay_at_noise_level(self, tmp_path):
         rc = main(
@@ -93,14 +153,6 @@ class TestSweepCommand:
         svg = (tmp_path / "alpha_sweep.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
-    def test_respects_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BVD_THREADS", "4")
-        rc = main(
-            ["sweep", "--spec", str(SPEC_DIR / "alpha_sweep.json"),
-             "--out", str(tmp_path)]
-        )
-        assert rc == 0
-
 
 class TestCentroidCommand:
     def test_constrained_centroids_json(self, tmp_path):
@@ -114,6 +166,10 @@ class TestCentroidCommand:
         assert "central_prediction" in payload["results"]
         y_star = payload["results"]["central_prediction"]["point"]
         assert sum(y_star) == pytest.approx(1.0, abs=1e-9)
+        # KL has an identity map, so the label mean is exact and feasible.
+        label = payload["results"]["central_label"]
+        assert label["method"] == "closed_form"
+        np.testing.assert_allclose(label["point"], [0.4, 0.6], rtol=0, atol=1e-12)
 
 
 class TestDeterminism:
@@ -128,6 +184,14 @@ class TestDeterminism:
         assert files_a == files_b
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        # The fresh outputs match the committed ones in demos/output/. SVGs
+        # plot the float-noise gaps, so they are left out.
+        for name in files_a:
+            fresh, golden = (out_a / name).read_text(), (GOLDEN_DIR / name).read_text()
+            if name.endswith(".json"):
+                assert_json_close(json.loads(fresh), json.loads(golden), name)
+            elif name.endswith(".csv"):
+                assert_csv_close(fresh, golden, name)
 
 
 class TestErrorHandling:

@@ -1,11 +1,11 @@
-"""Tests for ensembles, domains, and the expectation operator."""
+"""Tests for ensembles, domains, and pair/side expectations."""
 
 import json
 
 import numpy as np
 import pytest
 
-from bvd import Domain, WeightedEnsemble, expectation, make_ensemble
+from bvd import Domain, WeightedEnsemble, make_ensemble
 from bvd.core import pair_expectation, side_expectation
 from bvd.divergences import catalog
 
@@ -55,38 +55,6 @@ class TestMakeEnsemble:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             make_ensemble([[0.0]], [1, 1])
-
-
-class TestExpectation:
-    def test_identity_is_mean(self):
-        ens = make_ensemble([[0.0], [2.0]], [1, 1])
-        np.testing.assert_allclose(expectation(ens, lambda p: p), [1.0])
-
-    def test_single_point_log(self):
-        ens = make_ensemble([[0.2, 0.8]], [1])
-        np.testing.assert_allclose(
-            expectation(ens, np.log), np.log([0.2, 0.8]), rtol=1e-15
-        )
-
-    def test_weighted_square(self):
-        ens = make_ensemble([[1.0], [4.0]], [1, 2])
-        np.testing.assert_allclose(expectation(ens, lambda p: p**2), [11.0])
-
-    def test_linearity(self, rng):
-        for _ in range(20):
-            n = rng.integers(2, 6)
-            ens = make_ensemble(rng.normal(size=(n, 3)), rng.random(n) + 0.1)
-            a = rng.normal()
-            f = lambda p: np.sin(p)
-            g = lambda p: p**2 - p
-            lhs = expectation(ens, lambda p: a * f(p) + g(p))
-            rhs = a * expectation(ens, f) + expectation(ens, g)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-    def test_non_finite_value_raises(self):
-        ens = make_ensemble([[0.0]], [1])
-        with pytest.raises(ValueError, match="non-finite"):
-            expectation(ens, lambda p: np.log(p))
 
 
 class TestDomain:

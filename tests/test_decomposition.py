@@ -7,6 +7,7 @@ from bvd import catalog, make_ensemble
 from bvd.core import pair_expectation
 from bvd.centroids import power_mean_centroids
 from bvd.decomposition import (
+    decompose,
     decompose_constrained_bregman,
     decompose_gbregman,
     decompose_generic,
@@ -16,7 +17,12 @@ from bvd.decomposition import (
     ordering_violation_gap,
 )
 
-from conftest import make_entry, sample_ensemble, sample_simplex_ensemble
+from conftest import (
+    GBREGMAN_FAMILIES,
+    make_entry,
+    sample_ensemble,
+    sample_simplex_ensemble,
+)
 
 # Frozen witness: alpha(0.5) on the simplex with power-mean centroids
 # leaves a gap of about -8.7e-3. Found by seeded random search
@@ -211,6 +217,52 @@ class TestAdditivityProperties:
                 preds = sample_simplex_ensemble(rng, int(rng.integers(1, 6)), 3)
                 r = decompose_constrained_bregman(div, labels, preds)
                 assert abs(r.gap) <= 1e-9 * (1 + abs(r.expected_loss)), name
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_large_scale_tight_ensembles(self, scale):
+        # Mahalanobis K = scale * I with ensembles 1e-8 wide: the potentials
+        # are ~1e7 times the terms, so differences of potentials cancel
+        # catastrophically, while the centroid objectives do not.
+        div = catalog("mahalanobis", K=scale * np.eye(3))
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            c = rng.uniform(-5.0, 5.0, 3)
+            n, m = int(rng.integers(1, 9)), int(rng.integers(2, 17))
+            labels = make_ensemble(c + 1e-8 * rng.standard_normal((n, 3)), rng.random(n) + 0.1)
+            preds = make_ensemble(c + 1e-8 * rng.standard_normal((m, 3)), rng.random(m) + 0.1)
+            r = decompose_gbregman(div, labels, preds)
+            assert abs(r.gap) <= 1e-9 * (1 + abs(r.expected_loss))
+
+    def test_terms_equal_potential_differences(self, rng):
+        # Noise and variance are the centroid objectives E D(T, t*) and
+        # E D(y*, Y); at moderate scale they equal E A(g(T)) - A(g(t*)) and
+        # E B(f(Y)) - B(f(y*)), plus lam . b on the side that ran Lagrange.
+        cases = [(name, d, make_entry(name, d, rng)) for name, dims in GBREGMAN_FAMILIES
+                 for d in dims]
+        cases += [(name, 3, catalog(name, dim=3, simplex=True)) for name in ("kl", "reverse_kl")]
+        for name, d, div in cases:
+            B, f = div.dual_pair()
+            for _ in range(10):
+                n, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+                if div.domain.n_constraints:
+                    labels = sample_simplex_ensemble(rng, n, d)
+                    preds = sample_simplex_ensemble(rng, m, d)
+                else:
+                    labels = sample_ensemble(name, rng, n, d)
+                    preds = sample_ensemble(name, rng, m, d)
+                r = decompose(div, labels, preds)
+                noise = labels.weights @ div.gen.value(div.map.forward(labels.points)) \
+                    - div.gen.value(div.map.forward(r.central_label))
+                variance = preds.weights @ B.value(f.forward(preds.points)) \
+                    - B.value(f.forward(r.central_prediction))
+                if r.multipliers is not None:
+                    correction = r.multipliers @ div.domain.eq_rhs
+                    if div.map_is_identity:
+                        variance += correction
+                    else:
+                        noise += correction
+                assert r.intrinsic_noise == pytest.approx(noise, rel=1e-9), (name, d)
+                assert r.variance == pytest.approx(variance, rel=1e-9), (name, d)
 
     def test_noise_lower_bounds_expected_loss(self, rng):
         # With a single prediction placed at the central label, expected
