@@ -123,7 +123,14 @@ def _json_dumps(obj) -> str:
 def _out_path(spec: dict, out_dir: Path, default_stem: str, ext: str) -> Path:
     output = spec.get("output") or {}
     name = output.get("path", f"{default_stem}.{ext}")
-    return out_dir / name
+    if not isinstance(name, str):
+        raise SpecError("field 'output.path' must be a string")
+    path = out_dir / name
+    if out_dir.resolve() not in path.resolve().parents:
+        raise SpecError(
+            f"field 'output.path': {name!r} is not a file inside the output directory"
+        )
+    return path
 
 
 def cmd_decompose(spec: dict, out_dir: Path) -> list[Path]:

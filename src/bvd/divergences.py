@@ -68,20 +68,17 @@ class Generator:
 
 @dataclass(frozen=True)
 class Mapping:
-    """Invertible coordinate map with forward/inverse and optional Jacobian."""
+    """Invertible coordinate map with forward and inverse."""
 
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     is_identity: bool = False
 
 
-def identity_mapping(dim: int) -> Mapping:
-    eye = np.eye(dim)
+def identity_mapping() -> Mapping:
     return Mapping(
         forward=lambda y: np.asarray(y, dtype=float),
         inverse=lambda u: np.asarray(u, dtype=float),
-        jacobian=lambda y: eye,
         is_identity=True,
     )
 
@@ -293,13 +290,6 @@ class GBregmanDivergence(LossFunction):
         def f_inverse(v):
             return mapping.inverse(grad_a_inverse(np.asarray(v, dtype=float)))
 
-        def f_jacobian(y):
-            y = as_point(y)
-            u = mapping.forward(y)
-            Jg = mapping.jacobian(y) if mapping.jacobian else fd_jacobian(mapping.forward, y)
-            Ha = gen.hessian(u) if gen.hessian else fd_jacobian(gen.gradient, u)
-            return Ha @ Jg
-
         def b_value(v):
             v = np.asarray(v, dtype=float)
             if v.ndim == 1:
@@ -323,7 +313,7 @@ class GBregmanDivergence(LossFunction):
             return np.linalg.inv(Ha)
 
         dual_gen = Generator(value=b_value, gradient=b_gradient, hessian=b_hessian)
-        dual_map = Mapping(forward=f_forward, inverse=f_inverse, jacobian=f_jacobian)
+        dual_map = Mapping(forward=f_forward, inverse=f_inverse)
         return dual_gen, dual_map
 
     def _newton_start(self) -> np.ndarray:
@@ -414,60 +404,64 @@ def _require_interior_unit(p: np.ndarray, other: np.ndarray, which: str, name: s
 # -- catalog entries ----------------------------------------------------
 
 
-def _quadratic_pair(K: np.ndarray):
-    """Generator u.K.u and its conjugate v.K^-1.v/4."""
+def _quadratic_pair(K):
+    """Generator u.K.u, its conjugate v.K^-1.v/4 and the dual map y -> 2 K y.
+
+    Returns K as a float matrix with the three. K must be symmetric positive
+    definite; the identity skips that O(d^3) check, is its own inverse, and
+    its forms need no matrix product: sums of squares and scalings.
+    """
     K = np.asarray(K, dtype=float)
-    Kinv = np.linalg.inv(K)
+    identity = K.ndim == 2 and np.array_equal(K, np.eye(K.shape[0]))
+    if not identity:
+        _check_positive_definite(K)
+    Kinv = K if identity else np.linalg.inv(K)
 
     def quad(M):
         def value(u):
             u = np.asarray(u, dtype=float)
-            return np.einsum("...i,ij,...j->...", u, M, u)
+            return np.einsum("...i,...i->...", u if identity else u @ M, u)
 
         return value
 
-    gen = Generator(
-        value=quad(K),
-        gradient=lambda u: 2.0 * np.asarray(u, float) @ K.T,
-        hessian=lambda u: 2.0 * K,
-    )
+    def linear(M, c):
+        def apply(x):
+            x = np.asarray(x, dtype=float)
+            return c * x if identity else c * x @ M.T
+
+        return apply
+
+    gen = Generator(value=quad(K), gradient=linear(K, 2.0), hessian=lambda u: 2.0 * K)
+    dual_value = quad(Kinv)
     dual_gen = Generator(
-        value=lambda v: 0.25 * np.einsum("...i,ij,...j->...", v, Kinv, v),
-        gradient=lambda v: 0.5 * np.asarray(v, float) @ Kinv.T,
+        value=lambda v: 0.25 * dual_value(v),
+        gradient=linear(Kinv, 0.5),
         hessian=lambda v: 0.5 * Kinv,
     )
-    dual_map = Mapping(
-        forward=lambda y: 2.0 * np.asarray(y, float) @ K.T,
-        inverse=lambda v: 0.5 * np.asarray(v, float) @ Kinv.T,
-        jacobian=lambda y: 2.0 * K,
-    )
-    return gen, dual_gen, dual_map
+    dual_map = Mapping(forward=linear(K, 2.0), inverse=linear(Kinv, 0.5))
+    return K, gen, dual_gen, dual_map
 
 
 def _check_positive_definite(K: np.ndarray):
-    K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError("K must be a square matrix")
     if not np.allclose(K, K.T, atol=1e-12):
         raise ValueError("K must be symmetric")
     if np.any(np.linalg.eigvalsh(K) <= 0):
         raise ValueError("K must be positive definite")
-    return K
 
 
 def make_mahalanobis(K, bound: float = 10.0, name: str = "mahalanobis") -> GBregmanDivergence:
-    K = _check_positive_definite(K)
+    K, gen, dual_gen, dual_map = _quadratic_pair(K)
     d = K.shape[0]
-    gen, dual_gen, dual_map = _quadratic_pair(K)
     domain = Domain.box(-bound * np.ones(d), bound * np.ones(d))
 
     def direct(T, Y):
-        diff = np.asarray(T, float) - np.asarray(Y, float)
-        return np.einsum("...i,ij,...j->...", diff, K, diff)
+        return gen.value(np.asarray(T, float) - np.asarray(Y, float))
 
     return GBregmanDivergence(
         gen=gen,
-        mapping=identity_mapping(d),
+        mapping=identity_mapping(),
         domain=domain,
         dual_gen=dual_gen,
         dual_map=dual_map,
@@ -487,31 +481,25 @@ def make_g_mahalanobis(
     mapping: Mapping, K, domain: Domain, name: str = "g_mahalanobis"
 ) -> GBregmanDivergence:
     """Squared Mahalanobis distance after an invertible change of variables."""
-    K = _check_positive_definite(K)
-    gen, quad_dual_gen, _ = _quadratic_pair(K)
-    Kinv = np.linalg.inv(K)
+    K, gen, quad_dual_gen, quad_dual_map = _quadratic_pair(K)
 
     def f_forward(y):
-        return 2.0 * mapping.forward(np.asarray(y, float)) @ K.T
+        return quad_dual_map.forward(mapping.forward(np.asarray(y, float)))
 
     def f_inverse(v):
-        return mapping.inverse(0.5 * np.asarray(v, float) @ Kinv.T)
-
-    def f_jacobian(y):
-        y = as_point(y)
-        Jg = mapping.jacobian(y) if mapping.jacobian else fd_jacobian(mapping.forward, y)
-        return 2.0 * K @ Jg
+        return mapping.inverse(quad_dual_map.inverse(v))
 
     def direct(T, Y):
-        diff = mapping.forward(np.asarray(T, float)) - mapping.forward(np.asarray(Y, float))
-        return np.einsum("...i,ij,...j->...", diff, K, diff)
+        return gen.value(
+            mapping.forward(np.asarray(T, float)) - mapping.forward(np.asarray(Y, float))
+        )
 
     return GBregmanDivergence(
         gen=gen,
         mapping=mapping,
         domain=domain,
         dual_gen=quad_dual_gen,
-        dual_map=Mapping(forward=f_forward, inverse=f_inverse, jacobian=f_jacobian),
+        dual_map=Mapping(forward=f_forward, inverse=f_inverse),
         name=name,
         params={"K": K},
         direct_eval=direct,
@@ -556,7 +544,6 @@ def _log_mapping() -> Mapping:
     return Mapping(
         forward=forward,
         inverse=lambda u: np.exp(np.asarray(u, dtype=float)),
-        jacobian=lambda y: np.diag(1.0 / np.asarray(y, dtype=float)),
     )
 
 
@@ -583,7 +570,7 @@ def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
 
     return GBregmanDivergence(
         gen=_neg_entropy_generator(),
-        mapping=identity_mapping(dim),
+        mapping=identity_mapping(),
         domain=_prob_domain(dim, simplex),
         dual_gen=_sum_exp_generator(),
         dual_map=_log_mapping(),
@@ -612,7 +599,7 @@ def make_reverse_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
         mapping=_log_mapping(),
         domain=_prob_domain(dim, simplex),
         dual_gen=_neg_entropy_generator(),
-        dual_map=identity_mapping(dim),
+        dual_map=identity_mapping(),
         name="reverse_kl",
         params={"dim": dim, "simplex": simplex},
         direct_eval=direct,
@@ -643,7 +630,6 @@ def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDiverge
     mapping = Mapping(
         forward=lambda y: np.asarray(y, float) ** a / (1.0 - a),
         inverse=lambda u: ((1.0 - a) * np.asarray(u, float)) ** (1.0 / a),
-        jacobian=lambda y: np.diag(a * np.asarray(y, float) ** (a - 1.0) / (1.0 - a)),
     )
     dual_gen = Generator(
         value=lambda v: c_dual * np.sum(np.asarray(v, float) ** (1.0 / (1.0 - a)), axis=-1),
@@ -656,7 +642,6 @@ def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDiverge
     dual_map = Mapping(
         forward=lambda y: np.asarray(y, float) ** (1.0 - a) / a,
         inverse=lambda v: (a * np.asarray(v, float)) ** (1.0 / (1.0 - a)),
-        jacobian=lambda y: np.diag((1.0 - a) * np.asarray(y, float) ** (-a) / a),
     )
 
     def direct(T, Y):
@@ -734,10 +719,6 @@ def make_gaussian_canonical(
         s = -0.5 / u[..., 1]
         return np.stack([u[..., 0] * s, s], axis=-1)
 
-    def g_jacobian(y):
-        m, s = float(y[0]), float(y[1])
-        return np.array([[1.0 / s, -m / s**2], [0.0, 0.5 / s**2]])
-
     def f_forward(y):
         y = np.asarray(y, dtype=float)
         m, s = y[..., 0], y[..., 1]
@@ -746,10 +727,6 @@ def make_gaussian_canonical(
     def f_inverse(v):
         v = np.asarray(v, dtype=float)
         return np.stack([v[..., 0], v[..., 1] - v[..., 0] ** 2], axis=-1)
-
-    def f_jacobian(y):
-        m = float(y[0])
-        return np.array([[1.0, 0.0], [2.0 * m, 1.0]])
 
     def b_value(v):
         v = np.asarray(v, dtype=float)
@@ -791,10 +768,10 @@ def make_gaussian_canonical(
     )
     return GBregmanDivergence(
         gen=gaussian_log_partition(),
-        mapping=Mapping(forward=g_forward, inverse=g_inverse, jacobian=g_jacobian),
+        mapping=Mapping(forward=g_forward, inverse=g_inverse),
         domain=domain,
         dual_gen=Generator(value=b_value, gradient=b_gradient, hessian=b_hessian),
-        dual_map=Mapping(forward=f_forward, inverse=f_inverse, jacobian=f_jacobian),
+        dual_map=Mapping(forward=f_forward, inverse=f_inverse),
         name="gaussian_canonical",
         params={"mean_bound": mean_bound, "var_min": var_min, "var_max": var_max},
         direct_eval=direct,
@@ -850,12 +827,10 @@ def make_bernoulli_kl() -> GBregmanDivergence:
 
     return GBregmanDivergence(
         gen=Generator(value=value, gradient=gradient, hessian=hessian),
-        mapping=identity_mapping(1),
+        mapping=identity_mapping(),
         domain=Domain.unit_box(1),
         dual_gen=Generator(value=b_value, gradient=lambda v: expit(v), hessian=b_hessian),
-        dual_map=Mapping(
-            forward=gradient, inverse=lambda v: expit(v), jacobian=lambda y: hessian(y)
-        ),
+        dual_map=Mapping(forward=gradient, inverse=lambda v: expit(v)),
         name="bernoulli_kl",
         params={},
         direct_eval=direct,
@@ -956,7 +931,7 @@ def catalog_from_json(obj: dict) -> LossFunction:
         if gname == "log":
             mapping = _log_mapping()
         elif gname == "identity":
-            mapping = identity_mapping(domain.dim)
+            mapping = identity_mapping()
         else:
             raise ValueError(f"unknown g_mahalanobis map {gname!r}")
         return make_g_mahalanobis(mapping, params["K"], domain)

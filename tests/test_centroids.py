@@ -14,6 +14,7 @@ from bvd.centroids import (
     g_mean_label,
     power_mean_centroids,
 )
+from bvd.divergences import GBregmanDivergence
 
 from conftest import make_entry, sample_ensemble, sample_simplex_ensemble
 
@@ -157,6 +158,34 @@ class TestConstrainedCentroids:
             # Closed form: normalized geometric means.
             gm = np.exp(preds.weights @ np.log(preds.points))
             np.testing.assert_allclose(res.point, gm / gm.sum(), atol=1e-9)
+
+    def test_wide_simplex_normalized_geometric_mean(self, rng):
+        # KL central prediction and reverse KL central label on the
+        # 1000-class simplex are both the normalized geometric mean.
+        d = 1000
+        points = rng.dirichlet(np.ones(d), size=8)
+        ens = make_ensemble(points, rng.random(8) + 0.1)
+        gm = np.exp(ens.weights @ np.log(points))
+        expected = gm / gm.sum()
+        pred = central_prediction(catalog("kl", dim=d, simplex=True), ens)
+        label = central_label(catalog("reverse_kl", dim=d, simplex=True), ens)
+        for res in (pred, label):
+            assert res.method == "lagrange"
+            np.testing.assert_allclose(res.point, expected, rtol=1e-9, atol=0)
+
+    def test_newton_derived_dual_map(self, rng):
+        # Without a closed-form dual, the Lagrange solve runs on the dual map
+        # that Newton inversion derives, and must find the same centroid.
+        kl = catalog("kl", dim=3, simplex=True)
+        stripped = GBregmanDivergence(
+            gen=kl.gen, mapping=kl.map, domain=kl.domain, name="kl_stripped"
+        )
+        for _ in range(3):
+            preds = sample_simplex_ensemble(rng, 4, 3)
+            res = central_prediction(stripped, preds)
+            ref = central_prediction(kl, preds)
+            assert res.method == ref.method == "lagrange"
+            np.testing.assert_allclose(res.point, ref.point, rtol=1e-9, atol=0)
 
     def test_non_identity_map_rejected(self):
         div = catalog("alpha", alpha=0.5, dim=2, simplex=True)

@@ -249,6 +249,27 @@ class TestErrorHandling:
         proc = run_cli(["explode", "--spec", str(spec)])
         assert proc.returncode == 2  # argparse usage error
 
+    @pytest.mark.parametrize("out_name", ["absolute", "../x.csv", ".", 5])
+    def test_output_path_outside_out_dir_rejected(self, tmp_path, capsys, out_name):
+        # "absolute" stands for tmp_path / "x.csv", which "../x.csv" also
+        # names: both lie outside --out. "." is --out itself.
+        out_dir = tmp_path / "out"
+        if out_name == "absolute":
+            out_name = str(tmp_path / "x.csv")
+        spec = write_spec(
+            tmp_path,
+            {
+                "command": "decompose",
+                "divergence": {"name": "sq_euclidean", "params": {"dim": 1}},
+                "labels": {"points": [[0.0]], "weights": [1.0]},
+                "preds": {"points": [[1.0]], "weights": [1.0]},
+                "output": {"path": out_name},
+            },
+        )
+        assert main(["decompose", "--spec", str(spec), "--out", str(out_dir)]) == 1
+        assert "output.path" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_command_mismatch_rejected(self, tmp_path):
         spec = write_spec(
             tmp_path,

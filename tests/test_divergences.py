@@ -15,7 +15,7 @@ from bvd.divergences import (
     catalog_from_json,
 )
 
-from conftest import GBREGMAN_FAMILIES, make_entry, sample_points
+from conftest import GBREGMAN_FAMILIES, make_entry, random_spd, sample_points
 
 
 def entries_for_properties(rng):
@@ -52,6 +52,22 @@ class TestEvalFixtures:
         assert div.eval([0.0, 1.0], [1.0, 1.0]) == pytest.approx(0.5, rel=1e-12)
 
 
+    @pytest.mark.parametrize("d", [1, 3, 50])
+    def test_mahalanobis_direct_equals_defining(self, rng, d):
+        div = catalog("mahalanobis", K=random_spd(rng, d))
+        T, Y = rng.uniform(-3, 3, (2, 40, d))
+        np.testing.assert_allclose(
+            div.eval_batch(T, Y), div.eval_defining_batch(T, Y), rtol=1e-12, atol=0
+        )
+
+    def test_sq_euclidean_is_sum_of_squares(self, rng):
+        div = catalog("sq_euclidean", dim=50)
+        T, Y = rng.uniform(-3, 3, (2, 40, 50))
+        np.testing.assert_allclose(
+            div.eval_batch(T, Y), np.sum((T - Y) ** 2, -1), rtol=1e-14, atol=0
+        )
+
+
 class TestConciseFixtures:
     def test_sq_euclidean_concise(self):
         div = catalog("sq_euclidean", dim=1)
@@ -80,6 +96,18 @@ class TestDualPairFixtures:
             np.testing.assert_allclose(f.forward(y), 2 * y, rtol=1e-14)
             v = f.forward(y)
             assert B.value(v) == pytest.approx(np.sum(v**2) / 4, rel=1e-14)
+
+    def test_sq_euclidean_wide_dual(self, rng):
+        # K = I is its own inverse: the dual map is 2y and back, the dual
+        # generator |v|^2 / 4 with gradient v / 2.
+        div = catalog("sq_euclidean", dim=200)
+        B, f = div.dual_pair()
+        Y = rng.uniform(-3, 3, (5, 200))
+        V = f.forward(Y)
+        np.testing.assert_allclose(V, 2 * Y, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(f.inverse(V), Y, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(B.value(V), np.sum(V**2, -1) / 4, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(B.gradient(V), V / 2, rtol=1e-15, atol=0)
 
     def test_kl_dual_is_log_and_sum_exp(self, rng):
         div = catalog("kl", dim=3)
@@ -350,6 +378,11 @@ class TestBoundariesAndErrors:
             catalog("minkowski", epsilon=2.5, dim=1)
 
 
+    def test_non_symmetric_matrix_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            catalog("mahalanobis", K=np.array([[2.0, 0.5], [0.0, 1.0]]))
+
+
 class TestNewtonInversion:
     def test_quartic_dual_requires_newton(self, rng):
         # A(u) = sum(u^4/4 + u^2/2) has no closed-form conjugate.
@@ -359,7 +392,7 @@ class TestNewtonInversion:
             hessian=lambda u: np.diag(3 * np.asarray(u) ** 2 + 1),
         )
         dom = Domain.box([-2, -2], [2, 2])
-        div = GBregmanDivergence(gen, identity_mapping(2), dom, name="quartic")
+        div = GBregmanDivergence(gen, identity_mapping(), dom, name="quartic")
         B, f = div.dual_pair()
         for _ in range(10):
             y = rng.uniform(-1.8, 1.8, 2)
