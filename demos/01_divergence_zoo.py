@@ -26,6 +26,9 @@ print("B(f(y)) = sum exp f = sum y ->", B.value(f.forward(np.array(y))))
 print("\n=== reversal swaps the roles of the pair ===")
 rev = kl.reverse()
 print("reverse(KL)(y, t) =", rev.eval(y, t), " == KL(t, y) =", kl.eval(t, y))
+# rev.eval swaps KL's own evaluator; the defining form of the reverse runs
+# on the swapped pair {B, f} and gives the same value: the paper's duality.
+print("through {B, f}:   ", rev.eval_defining(y, t), " == KL(t, y) =", kl.eval(t, y))
 print("reverse twice restores the original:",
       rev.reverse().eval(t, y), "==", kl.eval(t, y))
 

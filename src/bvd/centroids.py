@@ -7,8 +7,8 @@ against a prediction distribution. For g-Bregman divergences these are the
 g-mean and f-mean; with linear equality constraints they follow from a
 Newton solve on the Lagrange multipliers. A grid + multi-start Nelder-Mead
 oracle provides an independent check and handles arbitrary losses.
-:func:`central_label` and :func:`central_prediction` pick the cheapest of
-these that is exact for a given loss.
+:func:`central_prediction` picks the cheapest that is exact for a loss; each
+label-side solve is the prediction-side solve of ``loss.reverse()``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ N_RESTARTS = 5
 TIE_TOL = 1e-9
 # Ties farther apart than this (max-abs) mark the minimizer as non-unique.
 DISTINCT_TOL = 1e-4
+# The oracle refuses grids of more (grid points x support x d) float64s (1 GiB).
+MAX_GRID_FLOATS = 2**27
 
 
 @dataclass(frozen=True)
@@ -58,37 +60,27 @@ class CentroidResult:
         }
 
 
-def _mean_through(mapping_forward, mapping_inverse, ens: WeightedEnsemble) -> np.ndarray:
-    transformed = mapping_forward(ens.points)
-    mean = np.einsum("k,kd->d", ens.weights, np.asarray(transformed, dtype=float))
-    return np.asarray(mapping_inverse(mean), dtype=float)
-
-
-def g_mean_label(div: GBregmanDivergence, labels: WeightedEnsemble) -> CentroidResult:
-    """Central label: inverse map of the mean of g over the labels.
+def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
+    """Central prediction: inverse map of the mean of f over the predictions.
 
     Raises :class:`InfeasibleMeanError` when the mean violates the domain's
     constraints (use the constrained solver then).
     """
-    point = _mean_through(div.map.forward, div.map.inverse, labels)
-    if not div.domain.contains(point):
-        raise InfeasibleMeanError(
-            f"g-mean label {point} is infeasible; use a constrained solver"
-        )
-    objective = side_expectation(div, point, labels, point_side="second_arg")
-    return CentroidResult(point, np.zeros(0), objective, "closed_form")
-
-
-def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
-    """Central prediction: inverse map of the mean of f over the predictions."""
     _, f = div.dual_pair()
-    point = _mean_through(f.forward, f.inverse, preds)
+    mean = np.einsum("k,kd->d", preds.weights, np.asarray(f.forward(preds.points), float))
+    point = np.asarray(f.inverse(mean), dtype=float)
     if not div.domain.contains(point):
         raise InfeasibleMeanError(
-            f"f-mean prediction {point} is infeasible; use a constrained solver"
+            f"closed-form centroid {point} is infeasible; use a constrained solver"
         )
     objective = side_expectation(div, point, preds, point_side="first_arg")
     return CentroidResult(point, np.zeros(0), objective, "closed_form")
+
+
+def g_mean_label(div: GBregmanDivergence, labels: WeightedEnsemble) -> CentroidResult:
+    """Central label: inverse map of the mean of g over the labels, the
+    f-mean prediction of ``div.reverse()``."""
+    return f_mean_prediction(div.reverse(), labels)
 
 
 def _lagrange_solve(
@@ -158,23 +150,6 @@ def _lagrange_solve(
     )
 
 
-def _constrained_f_mean(
-    div: GBregmanDivergence, ens: WeightedEnsemble
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve f(x) = mean f(P) + W^T lam, W x = b for the dual map f of ``div``."""
-    _, f = div.dual_pair()
-    mean_f = np.einsum(
-        "k,kd->d", ens.weights, np.asarray(f.forward(ens.points), dtype=float)
-    )
-    point, lam = _lagrange_solve(mean_f, f, div.domain)
-    if not div.domain.without_equalities().contains(point):
-        raise ValueError(
-            f"constrained centroid {point} violates the box bounds; active-set "
-            "handling of inequality constraints is not supported"
-        )
-    return point, lam
-
-
 def constrained_central_prediction(
     div: GBregmanDivergence, preds: WeightedEnsemble
 ) -> CentroidResult:
@@ -185,10 +160,17 @@ def constrained_central_prediction(
     """
     if not div.map_is_identity:
         raise ValueError(
-            "constrained central predictions need an identity coordinate map; "
+            "constrained centroids need an identity map on the solved side; "
             "for other divergences fall back to brute_force_centroid"
         )
-    point, lam = _constrained_f_mean(div, preds)
+    _, f = div.dual_pair()
+    mean_f = np.einsum("k,kd->d", preds.weights, np.asarray(f.forward(preds.points), float))
+    point, lam = _lagrange_solve(mean_f, f, div.domain)
+    if not div.domain.without_equalities().contains(point):
+        raise ValueError(
+            f"constrained centroid {point} violates the box bounds; active-set "
+            "handling of inequality constraints is not supported"
+        )
     objective = side_expectation(div, point, preds, point_side="first_arg")
     return CentroidResult(point, lam, objective, "lagrange")
 
@@ -196,50 +178,32 @@ def constrained_central_prediction(
 def constrained_central_label(
     div: GBregmanDivergence, labels: WeightedEnsemble
 ) -> CentroidResult:
-    """Central label under linear equality constraints W t = b.
-
-    By duality this is the constrained central prediction of
-    ``div.reverse()``, which needs an identity dual map:
-    g(t*) = mean g(T) + W^T lam, W t* = b. The objective is evaluated on
-    ``div`` itself: the reversed divergence evaluates its defining form,
-    which is not finite where labels vanish (0 log 0).
-    """
-    if not div.dual_map_is_identity:
-        raise ValueError(
-            "constrained central labels need an identity dual map; "
-            "for other divergences fall back to brute_force_centroid"
-        )
-    point, lam = _constrained_f_mean(div.reverse(), labels)
-    objective = side_expectation(div, point, labels, point_side="second_arg")
-    return CentroidResult(point, lam, objective, "lagrange")
-
-
-def central_label(loss: LossFunction, labels: WeightedEnsemble) -> CentroidResult:
-    """Central label from the cheapest exact solver.
-
-    The g-mean when the domain has no equality constraints or the map is
-    the identity (the arithmetic mean of feasible points stays feasible
-    under linear equalities), the Lagrange solve when the dual map is the
-    identity, and the brute-force oracle otherwise or for losses that are
-    not g-Bregman.
-    """
-    if isinstance(loss, GBregmanDivergence):
-        if loss.domain.n_constraints == 0 or loss.map_is_identity:
-            return g_mean_label(loss, labels)
-        if loss.dual_map_is_identity:
-            return constrained_central_label(loss, labels)
-    return brute_force_centroid(loss, labels, "second_arg")
+    """Central label under linear equality constraints W t = b: the
+    constrained central prediction of ``div.reverse()``, which needs an
+    identity dual map (g(t*) = mean g(T) + W^T lam, W t* = b)."""
+    return constrained_central_prediction(div.reverse(), labels)
 
 
 def central_prediction(loss: LossFunction, preds: WeightedEnsemble) -> CentroidResult:
-    """Central prediction from the cheapest exact solver; the mirror of
-    :func:`central_label` with the roles of the two maps swapped."""
+    """Central prediction from the cheapest exact solver.
+
+    The f-mean when the domain has no equality constraints or the dual map
+    is the identity (the arithmetic mean of feasible points stays feasible
+    under linear equalities), the Lagrange solve when the map is the
+    identity, and the brute-force oracle otherwise or for losses that are
+    not g-Bregman.
+    """
     if isinstance(loss, GBregmanDivergence):
         if loss.domain.n_constraints == 0 or loss.dual_map_is_identity:
             return f_mean_prediction(loss, preds)
         if loss.map_is_identity:
             return constrained_central_prediction(loss, preds)
     return brute_force_centroid(loss, preds, "first_arg")
+
+
+def central_label(loss: LossFunction, labels: WeightedEnsemble) -> CentroidResult:
+    """Central label: the central prediction of ``loss.reverse()``."""
+    return central_prediction(loss.reverse(), labels)
 
 
 def brute_force_centroid(
@@ -254,7 +218,8 @@ def brute_force_centroid(
 
     ``side`` names the free argument: ``"first_arg"`` minimizes
     E loss(x, P) over x (central prediction when P are predictions),
-    ``"second_arg"`` minimizes E loss(P, x) (central label).
+    ``"second_arg"`` minimizes E loss(P, x) (central label), which is the
+    ``"first_arg"`` search on ``loss.reverse()``.
 
     The search evaluates a fixed coarse grid (plus the ensemble's own
     support points, which are exact minimizers for piecewise-linear
@@ -264,10 +229,13 @@ def brute_force_centroid(
 
     Ties within 1e-9 of the best objective resolve to the
     lexicographically smallest point and set ``non_unique`` when the tied
-    candidates are more than 1e-4 apart.
+    candidates are more than 1e-4 apart. Raises ``ValueError`` before
+    building a grid whose evaluation would exceed ``MAX_GRID_FLOATS``.
     """
     if side not in ("first_arg", "second_arg"):
         raise ValueError("side must be 'first_arg' or 'second_arg'")
+    if side == "second_arg":
+        loss = loss.reverse()
     domain = domain or loss.domain
     if not domain.is_bounded:
         raise ValueError("brute-force search needs a bounded box domain")
@@ -279,7 +247,7 @@ def brute_force_centroid(
         basis = scipy.linalg.null_space(W)
         if basis.shape[1] == 0:
             point = origin
-            obj = side_expectation(loss, point, ens, point_side=side)
+            obj = side_expectation(loss, point, ens, point_side="first_arg")
             return CentroidResult(point, np.zeros(0), obj, "brute_force")
         center = 0.5 * (domain.lower + domain.upper)
         radius = float(
@@ -291,6 +259,13 @@ def brute_force_centroid(
         origin = np.zeros(d)
         basis = np.eye(d)
         lo, hi = domain.lower.copy(), domain.upper.copy()
+
+    n_grid = grid_resolution**lo.size
+    if n_grid * ens.size * d > MAX_GRID_FLOATS:
+        raise ValueError(
+            f"brute-force grid of {grid_resolution}^{lo.size} = {n_grid} points "
+            f"x {ens.size} support points x d = {d} exceeds {MAX_GRID_FLOATS} floats"
+        )
 
     def embed(Z):
         return origin + np.asarray(Z, dtype=float) @ basis.T
@@ -305,19 +280,12 @@ def brute_force_centroid(
         vals = np.full(X.shape[0], np.inf)
         if np.any(feasible):
             Xf = X[feasible]
-            P = ens.points[None, :, :]
-            Xp = Xf[:, None, :]
+            shape = (Xf.shape[0], ens.size, d)
             with np.errstate(all="ignore"):
-                if side == "first_arg":
-                    raw = loss.eval_batch(
-                        np.broadcast_to(Xp, (Xf.shape[0], ens.size, d)),
-                        np.broadcast_to(P, (Xf.shape[0], ens.size, d)),
-                    )
-                else:
-                    raw = loss.eval_batch(
-                        np.broadcast_to(P, (Xf.shape[0], ens.size, d)),
-                        np.broadcast_to(Xp, (Xf.shape[0], ens.size, d)),
-                    )
+                raw = loss.eval_batch(
+                    np.broadcast_to(Xf[:, None, :], shape),
+                    np.broadcast_to(ens.points[None, :, :], shape),
+                )
             raw = np.where(np.isfinite(raw), raw, np.inf)
             vals[feasible] = raw @ ens.weights
         return vals
@@ -386,7 +354,7 @@ def brute_force_centroid(
             clusters.append((p, v))
     point = min(clusters, key=lambda c: tuple(c[0]))[0]
     non_unique = len(clusters) > 1
-    obj = side_expectation(loss, point, ens, point_side=side)
+    obj = side_expectation(loss, point, ens, point_side="first_arg")
     return CentroidResult(point, np.zeros(0), obj, "brute_force", non_unique)
 
 

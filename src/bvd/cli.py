@@ -66,14 +66,30 @@ def _require(spec: dict, key: str):
     return spec[key]
 
 
+def _object(spec: dict, key: str, required: bool = True, field: str | None = None) -> dict:
+    """The object at ``spec[key]`` (``{}`` if optional and absent); ``field`` names a nested one."""
+    obj = _require(spec, key) if required else spec.get(key)
+    if obj is None and not required:
+        return {}
+    if not isinstance(obj, dict):
+        raise SpecError(f"field '{field or key}' must be a JSON object")
+    return obj
+
+
 def _build_loss(spec: dict):
-    div_spec = _require(spec, "divergence")
+    div_spec = _object(spec, "divergence")
     try:
         loss = catalog_from_json(div_spec)
     except (KeyError, ValueError) as exc:
         raise SpecError(f"field 'divergence': {exc}")
-    if "domain" in spec and spec["domain"] is not None:
-        domain = Domain.from_json(spec["domain"])
+    except TypeError as exc:  # a parameter the entry does not take, or of a wrong type
+        raise SpecError(f"field 'divergence.params': {exc}")
+    if spec.get("domain") is not None:
+        domain_spec = _object(spec, "domain")
+        try:
+            domain = Domain.from_json(domain_spec)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"field 'domain': {exc}")
         if domain.dim != loss.dim:
             raise SpecError("field 'domain': dimension mismatch with divergence")
         loss.domain = domain
@@ -121,8 +137,7 @@ def _json_dumps(obj) -> str:
 
 
 def _out_path(spec: dict, out_dir: Path, default_stem: str, ext: str) -> Path:
-    output = spec.get("output") or {}
-    name = output.get("path", f"{default_stem}.{ext}")
+    name = _object(spec, "output", required=False).get("path", f"{default_stem}.{ext}")
     if not isinstance(name, str):
         raise SpecError("field 'output.path' must be a string")
     path = out_dir / name
@@ -138,7 +153,7 @@ def cmd_decompose(spec: dict, out_dir: Path) -> list[Path]:
     labels = _build_ensemble(spec, "labels", loss.domain)
     preds = _build_ensemble(spec, "preds", loss.domain)
     report = decompose(loss, labels, preds)
-    fmt = (spec.get("output") or {}).get("format", "csv")
+    fmt = _object(spec, "output", required=False).get("format", "csv")
     if fmt == "json":
         path = _out_path(spec, out_dir, "decompose", "json")
         payload = {"divergence": spec["divergence"], "report": report.to_json()}
@@ -181,7 +196,7 @@ def cmd_classify(spec: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
-    sweep = _require(spec, "sweep")
+    sweep = _object(spec, "sweep")
     param = _require(sweep, "param")
     values = _require(sweep, "values")
     if not isinstance(values, list) or not values:
@@ -190,7 +205,9 @@ def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
     rows, gaps = [], []
     for value in values:
         sub = copy.deepcopy(spec)
-        sub["divergence"].setdefault("params", {})[param] = value
+        div_spec = _object(sub, "divergence")
+        params = _object(div_spec, "params", required=False, field="divergence.params")
+        div_spec["params"] = {**params, param: value}
         loss = _build_loss(sub)
         labels = _build_ensemble(sub, "labels", loss.domain)
         preds = _build_ensemble(sub, "preds", loss.domain)
@@ -202,7 +219,7 @@ def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
     _write_text(path, CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     written = [path]
 
-    if (spec.get("output") or {}).get("format") == "svg" or spec.get("plot"):
+    if _object(spec, "output", required=False).get("format") == "svg" or spec.get("plot"):
         svg_path = path.with_suffix(".svg")
         _write_text(svg_path, _gap_svg(param, [float(v) for v in values], gaps))
         written.append(svg_path)

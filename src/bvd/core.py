@@ -268,6 +268,10 @@ class LossFunction:
     def eval_batch(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def reverse(self) -> "LossFunction":
+        """The loss with its arguments interchanged."""
+        raise NotImplementedError
+
     def eval(self, t, y) -> float:
         t = self.domain.require(t, "label")
         y = self.domain.require(y, "prediction")
@@ -293,6 +297,11 @@ class CallableLoss(LossFunction):
 
     def eval_batch(self, T, Y):
         return self._fn(np.asarray(T, float), np.asarray(Y, float))
+
+    def reverse(self) -> "CallableLoss":
+        fn = self._fn
+        return CallableLoss(self.dim, self.domain, lambda T, Y: fn(Y, T),
+                            f"reverse({self.name})", self.has_diagonal_kinks)
 
 
 def pair_expectation(

@@ -53,17 +53,13 @@ def xlogx(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Generator:
-    """Strictly convex potential with value/gradient and optional Hessian.
+    """Strictly convex potential with value and gradient.
 
-    ``value`` maps (..., d) arrays to (...) values, ``gradient`` to (..., d);
-    ``hessian``, used only by Newton solves, maps a single (d,) point to a
-    (d, d) matrix.
+    ``value`` maps (..., d) arrays to (...) values, ``gradient`` to (..., d).
     """
 
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray] | None = None
-    domain: Domain | None = None
 
 
 @dataclass(frozen=True)
@@ -99,14 +95,13 @@ def newton_invert(
     fn: Callable,
     target: np.ndarray,
     x0: np.ndarray,
-    jacobian: Callable | None = None,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> np.ndarray:
     """Solve fn(x) = target by damped Newton; bisection fallback in 1-D.
 
-    The Jacobian is analytic when supplied, otherwise central differences.
-    Raises :class:`ConvergenceError` with the last residual on failure.
+    The Jacobian comes from central differences; the residual decides
+    convergence. Raises :class:`ConvergenceError` with the last residual on failure.
     """
     target = np.atleast_1d(np.asarray(target, dtype=float))
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
@@ -117,7 +112,7 @@ def newton_invert(
             resid = float(np.max(np.abs(r)))
             if resid <= tol:
                 return x
-            J = jacobian(x) if jacobian is not None else fd_jacobian(fn, x)
+            J = fd_jacobian(fn, x)
             try:
                 step = np.linalg.solve(np.atleast_2d(J), r)
             except np.linalg.LinAlgError:
@@ -284,54 +279,42 @@ class GBregmanDivergence(LossFunction):
 
         def grad_a_inverse(v):
             x0 = self._newton_start()
-            u = newton_invert(gen.gradient, v, x0, jacobian=gen.hessian)
-            return u
+            return newton_invert(gen.gradient, v, x0)
 
         def f_inverse(v):
             return mapping.inverse(grad_a_inverse(np.asarray(v, dtype=float)))
 
-        def b_value(v):
-            v = np.asarray(v, dtype=float)
-            if v.ndim == 1:
-                u = grad_a_inverse(v)
-                return float(u @ v - gen.value(u))
-            return np.array([b_value(row) for row in v.reshape(-1, v.shape[-1])]).reshape(
-                v.shape[:-1]
-            )
+        def b_row(v):
+            u = grad_a_inverse(v)
+            return float(u @ v - gen.value(u))
 
-        def b_gradient(v):
-            v = np.asarray(v, dtype=float)
-            if v.ndim == 1:
-                return grad_a_inverse(v)
-            return np.stack(
-                [grad_a_inverse(row) for row in v.reshape(-1, v.shape[-1])]
-            ).reshape(v.shape)
+        def per_row(fn):
+            # fn maps one (d,) point; stack its results over leading axes.
+            def batched(v):
+                v = np.asarray(v, dtype=float)
+                out = [np.asarray(fn(row)) for row in v.reshape(-1, v.shape[-1])]
+                return np.stack(out).reshape(v.shape[:-1] + out[0].shape)
 
-        def b_hessian(v):
-            u = grad_a_inverse(as_point(v))
-            Ha = gen.hessian(u) if gen.hessian else fd_jacobian(gen.gradient, u)
-            return np.linalg.inv(Ha)
+            return batched
 
-        dual_gen = Generator(value=b_value, gradient=b_gradient, hessian=b_hessian)
-        dual_map = Mapping(forward=f_forward, inverse=f_inverse)
-        return dual_gen, dual_map
+        return Generator(per_row(b_row), per_row(grad_a_inverse)), Mapping(f_forward, f_inverse)
 
     def _newton_start(self) -> np.ndarray:
         dom = self.domain
-        if dom.is_bounded:
-            mid = 0.5 * (dom.lower + dom.upper)
-        else:
-            lo = np.where(np.isfinite(dom.lower), dom.lower, -1.0) if dom.lower is not None else -np.ones(dom.dim)
-            hi = np.where(np.isfinite(dom.upper), dom.upper, 1.0) if dom.upper is not None else np.ones(dom.dim)
-            mid = 0.5 * (lo + hi)
-        return self.map.forward(mid)
+        lo = np.where(np.isfinite(dom.lower), dom.lower, -1.0) if dom.lower is not None else -np.ones(dom.dim)
+        hi = np.where(np.isfinite(dom.upper), dom.upper, 1.0) if dom.upper is not None else np.ones(dom.dim)
+        return self.map.forward(0.5 * (lo + hi))
 
     def reverse(self) -> "GBregmanDivergence":
-        """The divergence with arguments interchanged: swaps {A,g} and {B,f}."""
+        """The divergence with arguments interchanged: swaps {A,g} and {B,f}.
+
+        ``eval_batch`` swaps this divergence's own evaluator, finite wherever
+        it is (0 log 0 included); ``eval_defining_batch`` runs on {B, f}."""
         dual_gen, dual_map = self.dual_pair()
+        forward = self._direct_eval or self.eval_defining_batch
         check = self._check_boundary
         swapped = None if check is None else (lambda t, y: check(y, t))
-        rev = GBregmanDivergence(
+        return GBregmanDivergence(
             gen=dual_gen,
             mapping=dual_map,
             domain=self.domain,
@@ -339,9 +322,9 @@ class GBregmanDivergence(LossFunction):
             dual_map=self.map,
             name=f"reverse({self.name})",
             params=self.params,
+            direct_eval=lambda T, Y: forward(Y, T),
             check_boundary=swapped,
         )
-        return rev
 
     # -- metadata -----------------------------------------------------
 
@@ -431,13 +414,9 @@ def _quadratic_pair(K):
 
         return apply
 
-    gen = Generator(value=quad(K), gradient=linear(K, 2.0), hessian=lambda u: 2.0 * K)
+    gen = Generator(value=quad(K), gradient=linear(K, 2.0))
     dual_value = quad(Kinv)
-    dual_gen = Generator(
-        value=lambda v: 0.25 * dual_value(v),
-        gradient=linear(Kinv, 0.5),
-        hessian=lambda v: 0.5 * Kinv,
-    )
+    dual_gen = Generator(value=lambda v: 0.25 * dual_value(v), gradient=linear(Kinv, 0.5))
     dual_map = Mapping(forward=linear(K, 2.0), inverse=linear(Kinv, 0.5))
     return K, gen, dual_gen, dual_map
 
@@ -517,10 +496,7 @@ def _neg_entropy_generator() -> Generator:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(np.asarray(u, dtype=float))
 
-    def hessian(u):
-        return np.diag(1.0 / np.asarray(u, dtype=float))
-
-    return Generator(value=value, gradient=gradient, hessian=hessian)
+    return Generator(value=value, gradient=gradient)
 
 
 def _sum_exp_generator() -> Generator:
@@ -530,10 +506,7 @@ def _sum_exp_generator() -> Generator:
     def gradient(u):
         return np.exp(np.asarray(u, dtype=float))
 
-    def hessian(u):
-        return np.diag(np.exp(np.asarray(u, dtype=float)))
-
-    return Generator(value=value, gradient=gradient, hessian=hessian)
+    return Generator(value=value, gradient=gradient)
 
 
 def _log_mapping() -> Mapping:
@@ -582,29 +555,12 @@ def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
 
 
 def make_reverse_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
-    """Reverse KL: sum y log(y/t) + sum t - sum y (labels strictly positive)."""
-
-    def direct(T, Y):
-        T = np.asarray(T, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(Y > 0, Y * np.log(np.where(Y > 0, Y, 1.0) / T), 0.0)
-        return np.sum(terms + T - Y, axis=-1)
-
-    def check_boundary(t, y):
-        _require_positive(t, y, "label", "reverse_kl")
-
-    return GBregmanDivergence(
-        gen=_sum_exp_generator(),
-        mapping=_log_mapping(),
-        domain=_prob_domain(dim, simplex),
-        dual_gen=_neg_entropy_generator(),
-        dual_map=identity_mapping(),
-        name="reverse_kl",
-        params={"dim": dim, "simplex": simplex},
-        direct_eval=direct,
-        check_boundary=check_boundary,
-    )
+    """Reverse KL: sum y log(y/t) + sum t - sum y (labels strictly positive),
+    :func:`make_kl` reversed."""
+    div = make_kl(dim, simplex).reverse()
+    div.name = "reverse_kl"
+    div._check_boundary = lambda t, y: _require_positive(t, y, "label", "reverse_kl")
+    return div
 
 
 def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDivergence:
@@ -623,9 +579,6 @@ def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDiverge
     gen = Generator(
         value=lambda u: c_gen * np.sum(np.asarray(u, float) ** (1.0 / a), axis=-1),
         gradient=lambda u: (c_gen / a) * np.asarray(u, float) ** ((1.0 - a) / a),
-        hessian=lambda u: np.diag(
-            (c_gen * (1.0 - a) / a**2) * np.asarray(u, float) ** ((1.0 - 2 * a) / a)
-        ),
     )
     mapping = Mapping(
         forward=lambda y: np.asarray(y, float) ** a / (1.0 - a),
@@ -635,9 +588,6 @@ def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDiverge
         value=lambda v: c_dual * np.sum(np.asarray(v, float) ** (1.0 / (1.0 - a)), axis=-1),
         gradient=lambda v: (c_dual / (1.0 - a))
         * np.asarray(v, float) ** (a / (1.0 - a)),
-        hessian=lambda v: np.diag(
-            (c_dual * a / (1.0 - a) ** 2) * np.asarray(v, float) ** ((2 * a - 1.0) / (1.0 - a))
-        ),
     )
     dual_map = Mapping(
         forward=lambda y: np.asarray(y, float) ** (1.0 - a) / a,
@@ -685,16 +635,7 @@ def gaussian_log_partition() -> Generator:
         u1, u2 = u[..., 0], u[..., 1]
         return np.stack([-u1 / (2.0 * u2), u1**2 / (4.0 * u2**2) - 0.5 / u2], axis=-1)
 
-    def hessian(u):
-        u1, u2 = float(u[0]), float(u[1])
-        return np.array(
-            [
-                [-0.5 / u2, 0.5 * u1 / u2**2],
-                [0.5 * u1 / u2**2, -0.5 * u1**2 / u2**3 + 0.5 / u2**2],
-            ]
-        )
-
-    return Generator(value=value, gradient=gradient, hessian=hessian)
+    return Generator(value=value, gradient=gradient)
 
 
 def make_gaussian_canonical(
@@ -739,13 +680,6 @@ def make_gaussian_canonical(
         s = v[..., 1] - v[..., 0] ** 2
         return np.stack([v[..., 0] / s, -0.5 / s], axis=-1)
 
-    def b_hessian(v):
-        v1 = float(v[0])
-        s = float(v[1]) - v1**2
-        return np.array(
-            [[(s + 2 * v1**2) / s**2, -v1 / s**2], [-v1 / s**2, 0.5 / s**2]]
-        )
-
     def direct(T, Y):
         T = np.asarray(T, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -770,7 +704,7 @@ def make_gaussian_canonical(
         gen=gaussian_log_partition(),
         mapping=Mapping(forward=g_forward, inverse=g_inverse),
         domain=domain,
-        dual_gen=Generator(value=b_value, gradient=b_gradient, hessian=b_hessian),
+        dual_gen=Generator(value=b_value, gradient=b_gradient),
         dual_map=Mapping(forward=f_forward, inverse=f_inverse),
         name="gaussian_canonical",
         params={"mean_bound": mean_bound, "var_min": var_min, "var_max": var_max},
@@ -791,10 +725,6 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(u / (1.0 - u))
 
-    def hessian(u):
-        u = float(np.asarray(u).reshape(-1)[0])
-        return np.array([[1.0 / (u * (1.0 - u))]])
-
     def expit(v):
         v = np.asarray(v, dtype=float)
         out = np.empty_like(v)
@@ -807,10 +737,6 @@ def make_bernoulli_kl() -> GBregmanDivergence:
     def b_value(v):
         v = np.asarray(v, dtype=float)
         return np.sum(np.logaddexp(0.0, v), axis=-1)
-
-    def b_hessian(v):
-        p = float(expit(np.asarray(v).reshape(-1))[0])
-        return np.array([[p * (1.0 - p)]])
 
     def direct(T, Y):
         T = np.asarray(T, dtype=float)
@@ -826,10 +752,10 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         _require_interior_unit(y, t, "prediction", "bernoulli_kl")
 
     return GBregmanDivergence(
-        gen=Generator(value=value, gradient=gradient, hessian=hessian),
+        gen=Generator(value=value, gradient=gradient),
         mapping=identity_mapping(),
         domain=Domain.unit_box(1),
-        dual_gen=Generator(value=b_value, gradient=lambda v: expit(v), hessian=b_hessian),
+        dual_gen=Generator(value=b_value, gradient=lambda v: expit(v)),
         dual_map=Mapping(forward=gradient, inverse=lambda v: expit(v)),
         name="bernoulli_kl",
         params={},

@@ -228,6 +228,9 @@ def test_criterion_6_duality_and_reversal():
         fwd = div.eval_batch(T, Y)
         bwd = rev.eval_batch(Y, T)
         np.testing.assert_allclose(bwd, fwd, rtol=1e-9, atol=1e-9, err_msg=name)
+        # The reverse's {B, f} defining form: the paper's duality itself.
+        dual = rev.eval_defining_batch(Y, T)
+        np.testing.assert_allclose(dual, fwd, rtol=1e-9, atol=1e-9, err_msg=name)
         for _ in range(25):
             t, y = sample_points(name, rng, 2, d)
             a = div.eval_defining(t, y)

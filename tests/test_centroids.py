@@ -1,5 +1,9 @@
 """Tests for closed-form, constrained, and brute-force centroids."""
 
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -217,6 +221,47 @@ class TestDispatcher:
         np.testing.assert_allclose(label.point, pred.point, rtol=0, atol=1e-15)
         np.testing.assert_allclose(label.multipliers, pred.multipliers, atol=1e-15)
 
+    # Family, dimension, simplex domain, and the solver the label takes.
+    LABEL_CASES = [
+        ("sq_euclidean", 2, False, "closed_form"),
+        ("mahalanobis", 2, False, "closed_form"),
+        ("kl", 3, False, "closed_form"),
+        ("reverse_kl", 3, False, "closed_form"),
+        ("alpha", 2, False, "closed_form"),
+        ("gaussian_canonical", 2, False, "closed_form"),
+        ("bernoulli_kl", 1, False, "closed_form"),
+        ("kl", 3, True, "closed_form"),
+        ("reverse_kl", 3, True, "lagrange"),
+        ("alpha", 2, True, "brute_force"),
+        ("l1", 1, False, "brute_force"),
+    ]
+
+    @pytest.mark.parametrize("name, d, simplex, method", LABEL_CASES)
+    def test_label_is_prediction_of_reverse(self, rng, name, d, simplex, method):
+        if name == "l1":
+            loss = catalog("l1", dim=1)
+            labels = make_ensemble(rng.uniform(-3, 3, (3, 1)), rng.random(3) + 0.1)
+        elif simplex:
+            loss = catalog(name, dim=d, simplex=True, **({"alpha": 0.5} if name == "alpha" else {}))
+            labels = sample_simplex_ensemble(rng, 3, d)
+        else:
+            loss = make_entry(name, d, rng)
+            labels = sample_ensemble(name, rng, 3, d)
+        res = central_label(loss, labels)
+        rev = central_prediction(loss.reverse(), labels)
+        assert res.method == rev.method == method
+        np.testing.assert_array_equal(res.point, rev.point)
+        np.testing.assert_array_equal(res.multipliers, rev.multipliers)
+        assert res.objective == rev.objective
+        assert res.objective == pytest.approx(
+            labels.weights @ loss.eval_batch(labels.points, res.point), rel=1e-12, abs=1e-15
+        )
+        if method == "closed_form":
+            # The g-mean, computed here from the divergence's own map.
+            g = loss.map
+            mean = np.einsum("k,kd->d", labels.weights, g.forward(labels.points))
+            np.testing.assert_array_equal(res.point, g.inverse(mean))
+
     def test_oracle_for_general_maps_and_plain_losses(self):
         alpha = catalog("alpha", alpha=0.5, dim=2, simplex=True)
         l1 = catalog("l1", dim=1)
@@ -272,6 +317,40 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="bounded"):
             brute_force_centroid(loss, make_ensemble([[0.0]], [1]), "first_arg",
                                  domain=Domain(1))
+
+    def test_oversized_grid_refused_before_allocation(self):
+        # 41^5 grid points x 5 support points x d = 5 would need several GB.
+        # Under a 2 GB address-space limit a regression raises MemoryError
+        # here instead of exhausting the machine.
+        code = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+            import numpy as np
+            from bvd import catalog, make_ensemble
+            from bvd.centroids import brute_force_centroid
+
+            rng = np.random.default_rng(0)
+            ens = make_ensemble(rng.uniform(0.1, 0.9, (5, 5)), np.ones(5))
+            for side in ("first_arg", "second_arg"):
+                try:
+                    brute_force_centroid(catalog("kl", dim=5), ens, side)
+                except ValueError as exc:
+                    print(exc)
+            coarse = brute_force_centroid(catalog("kl", dim=5), ens, "first_arg",
+                                          grid_resolution=9)
+            print("coarse", coarse.method)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3, proc.stdout
+        for line in lines[:2]:
+            assert "41^5 = 115856201 points" in line and "5 support points" in line
+        assert lines[2] == "coarse brute_force"
 
     def test_bad_side_rejected(self):
         loss = catalog("sq_euclidean", dim=1)

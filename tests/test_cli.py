@@ -270,6 +270,31 @@ class TestErrorHandling:
         assert "output.path" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "field, override",
+        [
+            ("divergence", {"divergence": "kl"}),
+            ("domain", {"domain": "x"}),
+            ("output", {"output": "x"}),
+            ("divergence.params", {"divergence": {"name": "kl", "params": {"dim": "2"}}}),
+            ("divergence.params", {"divergence": {"name": "kl", "params": {"dim": 2, "k": 1}}}),
+        ],
+        ids=["divergence", "domain", "output", "string_dim", "unknown_param"],
+    )
+    def test_malformed_field_named_without_traceback(self, tmp_path, field, override):
+        spec = {
+            "command": "decompose",
+            "divergence": {"name": "kl", "params": {"dim": 2}},
+            "labels": {"points": [[0.5, 0.5]], "weights": [1.0]},
+            "preds": {"points": [[0.4, 0.6]], "weights": [1.0]},
+            **override,
+        }
+        proc = run_cli(["decompose", "--spec", str(write_spec(tmp_path, spec)),
+                        "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert f"field '{field}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_command_mismatch_rejected(self, tmp_path):
         spec = write_spec(
             tmp_path,

@@ -398,7 +398,6 @@ class TestExpFamilyDecomposition:
         B = Generator(
             value=lambda u: -np.log(-u[..., 0]),
             gradient=lambda u: -1.0 / np.asarray(u, dtype=float),
-            hessian=lambda u: np.array([[1.0 / u[0] ** 2]]),
         )
         for _ in range(5):
             rates = rng.uniform(0.5, 3.0, 4)

@@ -172,6 +172,8 @@ class TestReversal:
                 t, y = sample_points(name, rng, 2, d)
                 a, b = div.eval(t, y), rev2.eval(t, y)
                 assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+                # The twice-swapped defining form is {A, g} again.
+                assert rev2.eval_defining(t, y) == pytest.approx(a, rel=1e-9, abs=1e-12)
 
     def test_reverse_swaps_arguments_all_entries(self, rng):
         for label, name, d, div in entries_for_properties(rng):
@@ -181,6 +183,10 @@ class TestReversal:
                 fwd = div.eval(t, y)
                 bwd = rev.eval(y, t)
                 assert bwd == pytest.approx(fwd, rel=1e-9, abs=1e-9), label
+                # rev.eval swaps div's own evaluator; the {B, f} defining
+                # form is the paper's identity.
+                dual = rev.eval_defining(y, t)
+                assert dual == pytest.approx(fwd, rel=1e-9, abs=1e-9), label
 
 
 class TestDivergenceProperties:
@@ -278,6 +284,10 @@ class TestDivergenceProperties:
         for _ in range(10):
             t, y = rng.uniform(0.1, 0.9, (2, 2))
             assert rev.eval(y, t) == pytest.approx(kl.eval(t, y), rel=1e-8, abs=1e-10)
+            # The {B, f} form runs on the Newton-derived dual.
+            assert rev.eval_defining(y, t) == pytest.approx(
+                kl.eval(t, y), rel=1e-8, abs=1e-10
+            )
 
 
 class TestGaussianConsistency:
@@ -389,7 +399,6 @@ class TestNewtonInversion:
         gen = Generator(
             value=lambda u: np.sum(u**4 / 4 + u**2 / 2, axis=-1),
             gradient=lambda u: u**3 + u,
-            hessian=lambda u: np.diag(3 * np.asarray(u) ** 2 + 1),
         )
         dom = Domain.box([-2, -2], [2, 2])
         div = GBregmanDivergence(gen, identity_mapping(), dom, name="quartic")
@@ -404,6 +413,9 @@ class TestNewtonInversion:
         for _ in range(5):
             t, y = rng.uniform(-1.5, 1.5, (2, 2))
             assert rev.eval(y, t) == pytest.approx(div.eval(t, y), rel=1e-8, abs=1e-10)
+            assert rev.eval_defining(y, t) == pytest.approx(
+                div.eval(t, y), rel=1e-8, abs=1e-10
+            )
 
     def test_bisection_fallback_on_singular_jacobian(self):
         # x^3 has a vanishing derivative at the start; Newton stalls and the
@@ -412,7 +424,6 @@ class TestNewtonInversion:
             lambda x: x**3,
             np.array([8.0]),
             np.array([0.0]),
-            jacobian=lambda x: np.diag(3 * x**2),
         )
         assert root[0] == pytest.approx(2.0, abs=1e-10)
 
@@ -453,6 +464,7 @@ class TestGMahalanobis:
             t, y = rng.uniform(0.1, 2.5, (2, 2))
             assert div.eval(t, y) == pytest.approx(div.eval(y, t), rel=1e-10)
             assert rev.eval(y, t) == pytest.approx(div.eval(t, y), rel=1e-9)
+            assert rev.eval_defining(y, t) == pytest.approx(div.eval(t, y), rel=1e-9)
 
     def test_duality_round_trip(self, rng):
         div, _ = self._make()
