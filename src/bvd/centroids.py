@@ -5,8 +5,9 @@ a label distribution (expectation over the first argument, minimization
 over the second); the central prediction minimizes over the first argument
 against a prediction distribution. For g-Bregman divergences these are the
 g-mean and f-mean; with linear equality constraints they follow from a
-Newton solve on the Lagrange multipliers. A grid + multi-start Nelder-Mead
-oracle provides an independent check and handles arbitrary losses.
+Newton solve on the Lagrange multipliers. A grid search refined by a
+batched multi-start pattern search provides an independent check and
+handles arbitrary losses.
 :func:`central_prediction` picks the cheapest that is exact for a loss; each
 label-side solve is the prediction-side solve of ``loss.reverse()``.
 """
@@ -16,18 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .core import (
-    ConvergenceError,
     Domain,
     InfeasibleMeanError,
     LossFunction,
     WeightedEnsemble,
     side_expectation,
 )
-from .divergences import GBregmanDivergence, Mapping
+from .divergences import GBregmanDivergence, Mapping, newton_invert
 
 LAGRANGE_TOL = 1e-10
 GRID_RESOLUTION = 41
@@ -84,70 +82,24 @@ def g_mean_label(div: GBregmanDivergence, labels: WeightedEnsemble) -> CentroidR
 
 
 def _lagrange_solve(
-    mean_coords: np.ndarray,
-    mapping: Mapping,
-    domain: Domain,
-    tol: float = LAGRANGE_TOL,
-    max_iter: int = 100,
+    mean_coords: np.ndarray, mapping: Mapping, domain: Domain
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve map(x) = mean_coords + W^T lam subject to W x = b for (x, lam).
 
-    Newton iteration on the k multipliers, starting at lam = 0. The k x k
-    matrix W J W^T, with J the Jacobian of the inverse map, comes from
-    central differences of the inverse map along each row of W: O(k d) work
-    per step. It only steers; the residual W x - b decides convergence.
+    :func:`newton_invert` on the k multipliers, starting at lam = 0: its
+    central-difference Jacobian is the k x k matrix W J W^T (J the Jacobian
+    of the inverse map), O(k d) work per step, and the residual W x - b
+    decides convergence at ``LAGRANGE_TOL``.
     """
     W, b = domain.eq_lhs, domain.eq_rhs
     if W is None:
         raise ValueError("domain has no equality constraints")
-    lam = np.zeros(W.shape[0])
 
-    def point_at(l):
-        return np.asarray(mapping.inverse(mean_coords + W.T @ l), dtype=float)
+    def point_at(lam):
+        return np.asarray(mapping.inverse(mean_coords + W.T @ lam), dtype=float)
 
-    def newton_matrix(l):
-        # Coordinates with u = -inf (labels sharing a zero) stay there under
-        # the shift and give exact zero columns.
-        u = mean_coords + W.T @ l
-        h = 1e-6 * (1.0 + np.max(np.abs(u[np.isfinite(u)]), initial=0.0))
-        inv = mapping.inverse
-        cols = [(inv(u + h * w) - inv(u - h * w)) / (2.0 * h) for w in W]
-        return W @ np.stack(cols, axis=-1)
-
-    x = point_at(lam)
-    resid = W @ x - b
-    res_norm = float(np.max(np.abs(resid)))
-    for _ in range(max_iter):
-        if res_norm <= tol:
-            return x, lam
-        J = newton_matrix(lam)
-        if not np.all(np.isfinite(J)):
-            raise ConvergenceError(
-                f"non-finite multiplier system (residual {res_norm:.3e})", res_norm
-            )
-        try:
-            step = np.linalg.solve(J, resid)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"singular multiplier system (residual {res_norm:.3e})", res_norm
-            ) from exc
-        alpha = 1.0
-        while alpha > 1e-12:
-            lam_new = lam - alpha * step
-            x_new = point_at(lam_new)
-            r_new = W @ x_new - b
-            if np.all(np.isfinite(r_new)) and np.max(np.abs(r_new)) < res_norm:
-                lam, x, resid = lam_new, x_new, r_new
-                res_norm = float(np.max(np.abs(resid)))
-                break
-            alpha *= 0.5
-        else:
-            break
-    if res_norm <= tol:
-        return x, lam
-    raise ConvergenceError(
-        f"multiplier Newton did not converge (residual {res_norm:.3e})", res_norm
-    )
+    lam = newton_invert(lambda l: W @ point_at(l), b, np.zeros(W.shape[0]), tol=LAGRANGE_TOL)
+    return point_at(lam), lam
 
 
 def constrained_central_prediction(
@@ -206,14 +158,7 @@ def central_label(loss: LossFunction, labels: WeightedEnsemble) -> CentroidResul
     return central_prediction(loss.reverse(), labels)
 
 
-def brute_force_centroid(
-    loss: LossFunction,
-    ens: WeightedEnsemble,
-    side: str,
-    domain: Domain | None = None,
-    grid_resolution: int = GRID_RESOLUTION,
-    n_restarts: int = N_RESTARTS,
-) -> CentroidResult:
+def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -> CentroidResult:
     """Minimize the expected loss over one argument by exhaustive search.
 
     ``side`` names the free argument: ``"first_arg"`` minimizes
@@ -221,10 +166,13 @@ def brute_force_centroid(
     ``"second_arg"`` minimizes E loss(P, x) (central label), which is the
     ``"first_arg"`` search on ``loss.reverse()``.
 
-    The search evaluates a fixed coarse grid (plus the ensemble's own
-    support points, which are exact minimizers for piecewise-linear
-    losses), then refines the best ``n_restarts`` candidates with
-    Nelder-Mead. Equality constraints are eliminated by an affine
+    The search evaluates a ``GRID_RESOLUTION``-point grid per axis of the
+    loss's bounded domain (plus the ensemble's own support points, which
+    are exact minimizers for piecewise-linear losses), then refines the
+    best ``N_RESTARTS`` candidates together by a pattern search: each
+    moves to the best point of a {-1, 0, 1}^m stencil scaled by its step,
+    or halves the step when it is already the best, until every step is
+    below 1e-11. Equality constraints are eliminated by an affine
     null-space reparameterization. Fully deterministic: no randomness.
 
     Ties within 1e-9 of the best objective resolve to the
@@ -236,7 +184,7 @@ def brute_force_centroid(
         raise ValueError("side must be 'first_arg' or 'second_arg'")
     if side == "second_arg":
         loss = loss.reverse()
-    domain = domain or loss.domain
+    domain = loss.domain
     if not domain.is_bounded:
         raise ValueError("brute-force search needs a bounded box domain")
     d = domain.dim
@@ -244,7 +192,9 @@ def brute_force_centroid(
     if domain.n_constraints:
         W, b = domain.eq_lhs, domain.eq_rhs
         origin = np.linalg.lstsq(W, b, rcond=None)[0]
-        basis = scipy.linalg.null_space(W)
+        # W has full row rank, so the last d - k right singular vectors
+        # span its null space.
+        basis = np.linalg.svd(W)[2][W.shape[0]:].T
         if basis.shape[1] == 0:
             point = origin
             obj = side_expectation(loss, point, ens, point_side="first_arg")
@@ -260,10 +210,11 @@ def brute_force_centroid(
         basis = np.eye(d)
         lo, hi = domain.lower.copy(), domain.upper.copy()
 
-    n_grid = grid_resolution**lo.size
+    m = lo.size
+    n_grid = GRID_RESOLUTION**m
     if n_grid * ens.size * d > MAX_GRID_FLOATS:
         raise ValueError(
-            f"brute-force grid of {grid_resolution}^{lo.size} = {n_grid} points "
+            f"brute-force grid of {GRID_RESOLUTION}^{m} = {n_grid} points "
             f"x {ens.size} support points x d = {d} exceeds {MAX_GRID_FLOATS} floats"
         )
 
@@ -290,12 +241,9 @@ def brute_force_centroid(
             vals[feasible] = raw @ ens.weights
         return vals
 
-    def objective_single(z):
-        return float(objective_batch(np.asarray(z, dtype=float)[None, :])[0])
-
-    axes = [np.linspace(lo[i], hi[i], grid_resolution) for i in range(lo.size)]
+    axes = [np.linspace(lo[i], hi[i], GRID_RESOLUTION) for i in range(m)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    Z_grid = np.stack([m.ravel() for m in mesh], axis=-1)
+    Z_grid = np.stack([g.ravel() for g in mesh], axis=-1)
     # The ensemble's support points are natural candidates (medians and
     # modes sit on atoms); include them exactly.
     Z_support = (ens.points - origin) @ basis
@@ -310,27 +258,42 @@ def brute_force_centroid(
         if any(np.max(np.abs(Z_cand[idx] - Z_cand[j])) < 1e-12 for j in starts):
             continue
         starts.append(int(idx))
-        if len(starts) >= n_restarts:
+        if len(starts) >= N_RESTARTS:
             break
     if not starts:
         raise ValueError("no feasible grid point found for brute-force search")
 
-    cand_Z = [Z_cand[i] for i in starts]
-    cand_V = [float(vals[i]) for i in starts]
-    for i in starts:
-        res = scipy.optimize.minimize(
-            objective_single,
-            Z_cand[i],
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 4000, "maxfev": 4000},
-        )
-        if np.isfinite(res.fun):
-            cand_Z.append(np.asarray(res.x, dtype=float))
-            cand_V.append(float(res.fun))
+    # Pattern search on every start at once. Each start begins with the
+    # grid spacing as its step; the stencil's centre (all zeros) wins ties,
+    # so a start moves only to a strictly better point. Starts stop once
+    # their step is below 1e-11 in the reduced coordinates, all of them
+    # after 1000 iterations.
+    stencil = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * m, indexing="ij"), -1).reshape(-1, m)
+    centre = stencil.shape[0] // 2
+    spacing = (hi - lo) / (GRID_RESOLUTION - 1)
+    Z, V = Z_cand[starts], vals[starts]
+    scale = np.ones(len(starts))
+    for _ in range(1000):
+        active = np.flatnonzero(scale * np.max(spacing) >= 1e-11)
+        if active.size == 0:
+            break
+        steps = stencil[None, :, :] * (scale[active, None] * spacing)[:, None, :]
+        trial = (Z[active, None, :] + steps).reshape(-1, m)
+        tv = objective_batch(trial).reshape(active.size, -1)
+        tv[np.isnan(tv)] = np.inf  # an inf loss times a zero weight
+        best = np.argmin(tv, axis=1)
+        moved = tv[np.arange(active.size), best] < tv[:, centre]
+        idx = active[moved]
+        Z[idx] = trial.reshape(active.size, -1, m)[moved, best[moved]]
+        V[idx] = tv[moved, best[moved]]
+        scale[active[~moved]] *= 0.5
+
+    cand_Z = [Z_cand[i] for i in starts] + list(Z)
+    cand_V = [float(vals[i]) for i in starts] + [float(v) for v in V]
     # Keep every evaluated point tied with the best (flat minimizers show up
     # as scattered grid candidates), capped to keep clustering cheap.
     f_best = float(np.min(cand_V))
-    for idx in order[: 4 * grid_resolution]:
+    for idx in order[: 4 * GRID_RESOLUTION]:
         if vals[idx] <= f_best + TIE_TOL:
             cand_Z.append(Z_cand[idx])
             cand_V.append(float(vals[idx]))
@@ -341,7 +304,7 @@ def brute_force_centroid(
         if v <= f_best + TIE_TOL
     ]
     # Cluster ties that describe the same minimizer; within a cluster keep
-    # the best objective (support atoms beat Nelder-Mead approximations of
+    # the best objective (support atoms beat refined approximations of
     # themselves), across clusters pick the lexicographically smallest.
     clusters: list[tuple[np.ndarray, float]] = []
     for p, v in tied:

@@ -78,6 +78,9 @@ def _object(spec: dict, key: str, required: bool = True, field: str | None = Non
 
 def _build_loss(spec: dict):
     div_spec = _object(spec, "divergence")
+    params = _object(div_spec, "params", required=False, field="divergence.params")
+    if div_spec.get("name") == "g_mahalanobis":
+        _object(params, "domain", field="divergence.params.domain")
     try:
         loss = catalog_from_json(div_spec)
     except (KeyError, ValueError) as exc:
@@ -185,8 +188,11 @@ def cmd_centroid(spec: dict, out_dir: Path) -> list[Path]:
 def cmd_classify(spec: dict, out_dir: Path) -> list[Path]:
     loss = _build_loss(spec)
     cfg_spec = spec.get("classifier") or {}
+    seed = spec.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise SpecError(f"field 'seed' must be an integer, got {seed!r}")
     try:
-        config = ClassifierConfig(seed=int(spec.get("seed", 0)), **cfg_spec)
+        config = ClassifierConfig(seed=seed, **cfg_spec)
     except TypeError as exc:
         raise SpecError(f"field 'classifier': {exc}")
     result = classify_loss(loss, config)

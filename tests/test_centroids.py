@@ -6,6 +6,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from bvd import Domain, InfeasibleMeanError, catalog, make_ensemble
 from bvd.centroids import (
@@ -312,11 +313,42 @@ class TestBruteForce:
             res = brute_force_centroid(div, ens, "first_arg")
             assert not res.non_unique, name
 
+    @pytest.mark.parametrize("epsilon", [1.25, 1.5])
+    @pytest.mark.parametrize("side", ["first_arg", "second_arg"])
+    def test_minkowski_matches_exact_root(self, rng, epsilon, side):
+        # For 1 < epsilon < 2 the 1-D objective sum_i w_i |x - p_i|^epsilon
+        # is strictly convex; its minimizer is the root of the derivative,
+        # bracketed by the outermost support points. The loss is symmetric,
+        # so both sides share it.
+        loss = catalog("minkowski", epsilon=epsilon, dim=1)
+        for _ in range(8):
+            n = int(rng.integers(2, 7))
+            ens = make_ensemble(rng.uniform(-8, 8, (n, 1)), rng.uniform(0.1, 1.0, n))
+            p, w = ens.points[:, 0], ens.weights
+
+            def slope(x):
+                return np.sum(w * np.sign(x - p) * np.abs(x - p) ** (epsilon - 1))
+
+            exact = scipy.optimize.brentq(slope, p.min(), p.max(), xtol=1e-15, rtol=1e-15)
+            best = float(np.sum(w * np.abs(exact - p) ** epsilon))
+            res = brute_force_centroid(loss, ens, side)
+            assert abs(res.point[0] - exact) <= 1e-6
+            assert res.objective == pytest.approx(best, rel=1e-12)
+            assert not res.non_unique
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, bvd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_unbounded_domain_rejected(self):
         loss = catalog("sq_euclidean", dim=1)
+        loss.domain = Domain(1)
         with pytest.raises(ValueError, match="bounded"):
-            brute_force_centroid(loss, make_ensemble([[0.0]], [1]), "first_arg",
-                                 domain=Domain(1))
+            brute_force_centroid(loss, make_ensemble([[0.0]], [1]), "first_arg")
 
     def test_oversized_grid_refused_before_allocation(self):
         # 41^5 grid points x 5 support points x d = 5 would need several GB.
@@ -328,6 +360,7 @@ class TestBruteForce:
             resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
             import numpy as np
             from bvd import catalog, make_ensemble
+            from bvd import centroids
             from bvd.centroids import brute_force_centroid
 
             rng = np.random.default_rng(0)
@@ -337,8 +370,8 @@ class TestBruteForce:
                     brute_force_centroid(catalog("kl", dim=5), ens, side)
                 except ValueError as exc:
                     print(exc)
-            coarse = brute_force_centroid(catalog("kl", dim=5), ens, "first_arg",
-                                          grid_resolution=9)
+            centroids.GRID_RESOLUTION = 9
+            coarse = brute_force_centroid(catalog("kl", dim=5), ens, "first_arg")
             print("coarse", coarse.method)
             """
         )

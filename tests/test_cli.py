@@ -278,8 +278,14 @@ class TestErrorHandling:
             ("output", {"output": "x"}),
             ("divergence.params", {"divergence": {"name": "kl", "params": {"dim": "2"}}}),
             ("divergence.params", {"divergence": {"name": "kl", "params": {"dim": 2, "k": 1}}}),
+            ("divergence.params.domain",
+             {"divergence": {"name": "g_mahalanobis", "params": {"K": [[1.0]], "domain": "x"}}}),
+            ("seed", {"command": "classify", "seed": "x"}),
+            ("seed", {"command": "classify", "seed": 1.7}),
+            ("seed", {"command": "classify", "seed": True}),
         ],
-        ids=["divergence", "domain", "output", "string_dim", "unknown_param"],
+        ids=["divergence", "domain", "output", "string_dim", "unknown_param",
+             "g_mahalanobis_domain", "string_seed", "float_seed", "bool_seed"],
     )
     def test_malformed_field_named_without_traceback(self, tmp_path, field, override):
         spec = {
@@ -289,7 +295,7 @@ class TestErrorHandling:
             "preds": {"points": [[0.4, 0.6]], "weights": [1.0]},
             **override,
         }
-        proc = run_cli(["decompose", "--spec", str(write_spec(tmp_path, spec)),
+        proc = run_cli([spec["command"], "--spec", str(write_spec(tmp_path, spec)),
                         "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
         assert f"field '{field}'" in proc.stderr
