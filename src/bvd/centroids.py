@@ -64,6 +64,7 @@ def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> Centr
     Raises :class:`InfeasibleMeanError` when the mean violates the domain's
     constraints (use the constrained solver then).
     """
+    div.domain.require_points(preds.points, "ensemble point")
     _, f = div.dual_pair()
     mean = np.einsum("k,kd->d", preds.weights, np.asarray(f.forward(preds.points), float))
     point = np.asarray(f.inverse(mean), dtype=float)
@@ -115,6 +116,7 @@ def constrained_central_prediction(
             "constrained centroids need an identity map on the solved side; "
             "for other divergences fall back to brute_force_centroid"
         )
+    div.domain.require_points(preds.points, "ensemble point")
     _, f = div.dual_pair()
     mean_f = np.einsum("k,kd->d", preds.weights, np.asarray(f.forward(preds.points), float))
     point, lam = _lagrange_solve(mean_f, f, div.domain)
@@ -143,7 +145,9 @@ def central_prediction(loss: LossFunction, preds: WeightedEnsemble) -> CentroidR
     is the identity (the arithmetic mean of feasible points stays feasible
     under linear equalities), the Lagrange solve when the map is the
     identity, and the brute-force oracle otherwise or for losses that are
-    not g-Bregman.
+    not g-Bregman. Each solver first requires every ensemble point in the
+    domain (:meth:`Domain.require_points`), so an ensemble of the wrong
+    dimension or with an infeasible point raises ``ValueError`` naming it.
     """
     if isinstance(loss, GBregmanDivergence):
         if loss.domain.n_constraints == 0 or loss.dual_map_is_identity:
@@ -185,6 +189,7 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     if side == "second_arg":
         loss = loss.reverse()
     domain = loss.domain
+    domain.require_points(ens.points, "ensemble point")
     if not domain.is_bounded:
         raise ValueError("brute-force search needs a bounded box domain")
     d = domain.dim
@@ -225,9 +230,7 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
 
     def objective_batch(Z):
         X = embed(Z)
-        feasible = np.all(X >= box.lower - 1e-12, axis=-1) & np.all(
-            X <= box.upper + 1e-12, axis=-1
-        )
+        feasible = box.feasible(X, tol=1e-12)
         vals = np.full(X.shape[0], np.inf)
         if np.any(feasible):
             Xf = X[feasible]
@@ -280,7 +283,6 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
         steps = stencil[None, :, :] * (scale[active, None] * spacing)[:, None, :]
         trial = (Z[active, None, :] + steps).reshape(-1, m)
         tv = objective_batch(trial).reshape(active.size, -1)
-        tv[np.isnan(tv)] = np.inf  # an inf loss times a zero weight
         best = np.argmin(tv, axis=1)
         moved = tv[np.arange(active.size), best] < tv[:, centre]
         idx = active[moved]
@@ -341,6 +343,7 @@ def power_mean_centroids(
         expo = 1.0 - a
     else:
         raise ValueError("side must be 'first_arg' or 'second_arg'")
+    alpha_div.domain.require_points(ens.points, "ensemble point")
     moments = np.einsum("k,kd->d", ens.weights, ens.points**expo)
     if np.any(moments < 0) or not np.all(np.isfinite(moments)):
         raise ValueError("power mean undefined for this ensemble")

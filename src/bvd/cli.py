@@ -103,13 +103,9 @@ def _build_ensemble(spec: dict, key: str, domain: Domain) -> WeightedEnsemble:
     obj = _require(spec, key)
     try:
         ens = WeightedEnsemble.from_json(obj)
+        domain.require_points(ens.points)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"field '{key}': {exc}")
-    if ens.dim != domain.dim:
-        raise SpecError(f"field '{key}': points have dimension {ens.dim}, expected {domain.dim}")
-    for p in ens.points:
-        if not domain.contains(p):
-            raise SpecError(f"field '{key}': point {p.tolist()} is infeasible")
     return ens
 
 
@@ -187,15 +183,12 @@ def cmd_centroid(spec: dict, out_dir: Path) -> list[Path]:
 
 def cmd_classify(spec: dict, out_dir: Path) -> list[Path]:
     loss = _build_loss(spec)
-    cfg_spec = spec.get("classifier") or {}
+    if "classifier" in spec:
+        raise SpecError("field 'classifier' is not accepted: classify takes only 'seed'")
     seed = spec.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise SpecError(f"field 'seed' must be an integer, got {seed!r}")
-    try:
-        config = ClassifierConfig(seed=seed, **cfg_spec)
-    except TypeError as exc:
-        raise SpecError(f"field 'classifier': {exc}")
-    result = classify_loss(loss, config)
+    result = classify_loss(loss, ClassifierConfig(seed=seed))
     path = _out_path(spec, out_dir, "classify", "json")
     _write_text(path, _json_dumps({"divergence": spec["divergence"], **result.to_json()}))
     return [path]

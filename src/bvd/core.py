@@ -4,11 +4,19 @@ Points are plain 1-D numpy arrays. Distributions of labels and predictions
 are finite weighted point sets (:class:`WeightedEnsemble`); every quantity
 downstream is an expectation over such a set, so no continuous-measure
 machinery is needed.
+
+Each input check lives here once and works on whole arrays. An ensemble
+is validated by ``WeightedEnsemble.__post_init__`` (which also drops atoms
+of zero weight). Domain membership is the row mask :meth:`Domain.feasible`;
+``contains``, ``require`` and ``require_points``, which the centroid
+solvers and the CLI call, are its cases. Every scalar ``eval`` goes through
+``LossFunction._eval_scalar``, which also runs the loss's ``_check_boundary``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,18 +46,6 @@ class ConvergenceError(RuntimeError):
 
 class InfeasibleMeanError(ValueError):
     """A closed-form mean fell outside the domain; use a constrained solver."""
-
-
-def as_point(x, dim: int | None = None) -> np.ndarray:
-    """Validate and return ``x`` as a finite 1-D float array."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError(f"a point must be a 1-D vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"point has non-finite coordinates: {p}")
-    if dim is not None and p.size != dim:
-        raise ValueError(f"expected dimension {dim}, got {p.size}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -106,23 +102,38 @@ class Domain:
             and bool(np.all(np.isfinite(self.upper)))
         )
 
+    def feasible(self, Y: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+        """Mask over the rows of the (..., d) array ``Y``: which lie in the
+        domain within ``tol``. Rows with a non-finite coordinate never do."""
+        Y = np.asarray(Y, dtype=float)
+        ok = np.isfinite(Y).all(axis=-1)
+        if self.lower is not None:
+            ok &= (Y >= self.lower - tol).all(axis=-1)
+        if self.upper is not None:
+            ok &= (Y <= self.upper + tol).all(axis=-1)
+        if self.eq_lhs is not None:
+            with np.errstate(invalid="ignore"):  # inf - inf in a row already masked
+                resid = Y @ self.eq_lhs.T - self.eq_rhs
+            ok &= np.abs(resid).max(axis=-1) <= tol
+        return ok
+
     def contains(self, y, tol: float = FEASIBILITY_TOL) -> bool:
         y = np.asarray(y, dtype=float)
-        if y.shape != (self.dim,) or not np.all(np.isfinite(y)):
-            return False
-        if self.lower is not None and np.any(y < self.lower - tol):
-            return False
-        if self.upper is not None and np.any(y > self.upper + tol):
-            return False
-        if self.eq_lhs is not None:
-            if np.max(np.abs(self.eq_lhs @ y - self.eq_rhs)) > tol:
-                return False
-        return True
+        return y.shape == (self.dim,) and bool(self.feasible(y[None, :], tol)[0])
+
+    def require_points(self, P: np.ndarray, what: str = "point") -> None:
+        """Raise ``ValueError`` unless ``P`` is an (n, d) array of feasible
+        points; the message names the dimension or the first infeasible row."""
+        if P.ndim != 2 or P.shape[1] != self.dim:
+            raise ValueError(f"{what} dimension: expected {self.dim}, got shape {P.shape}")
+        bad = np.flatnonzero(~self.feasible(P))
+        if bad.size:
+            raise ValueError(f"{what} {P[bad[0]].tolist()} is infeasible for this domain")
 
     def require(self, y, what: str = "point") -> np.ndarray:
-        y = as_point(y, self.dim)
-        if not self.contains(y):
-            raise ValueError(f"{what} {y} is infeasible for this domain")
+        """``y`` as a feasible 1-D point: the one-row case of :meth:`require_points`."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        self.require_points(y[None, :], what)
         return y
 
     def without_equalities(self) -> "Domain":
@@ -188,16 +199,21 @@ class WeightedEnsemble:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         w = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("points must be a non-empty (n, d) array")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise ValueError(f"points must be a non-empty (n, d) array, got shape {pts.shape}")
         if w.shape != (pts.shape[0],):
-            raise ValueError("weights must match the number of points")
+            raise ValueError(f"{w.size} weights for {pts.shape[0]} points")
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
             raise ValueError("non-finite input")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError("weights must sum to 1; use make_ensemble to normalize")
+            raise ValueError(f"weights sum to {w.sum()}; make_ensemble normalizes any not all zero")
+        # An atom of zero weight is not in the support; dropping it keeps a
+        # loss that is infinite there (log 0) out of every expectation.
+        keep = w > 0
+        if not keep.all():
+            pts, w = pts[keep], w[keep]
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -220,29 +236,21 @@ class WeightedEnsemble:
 def make_ensemble(points, weights) -> WeightedEnsemble:
     """Build a :class:`WeightedEnsemble`, renormalizing the weights.
 
-    ``points`` is a sequence of equal-length coordinate vectors (scalars are
-    treated as 1-D points); ``weights`` are nonnegative and not all zero.
+    ``points`` is an (n, d) array-like of equal-length coordinate vectors,
+    or a 1-D one of n scalars (n points of dimension 1); ``weights`` are
+    nonnegative and not all zero. Every other check is the ensemble's own.
     """
-    pts = [as_point(p) for p in points]
-    if not pts:
-        raise ValueError("at least one point is required")
-    dim = pts[0].size
-    for p in pts:
-        if p.size != dim:
-            raise ValueError(f"dimension mismatch: expected {dim}, got {p.size}")
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError as exc:  # ragged rows or non-numeric entries
+        raise ValueError(f"points must be numeric vectors of one dimension ({exc})") from None
+    if pts.ndim == 1:
+        pts = pts[:, None]
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != len(pts):
-        raise ValueError("points and weights must have equal length")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("non-finite weight")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
     total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must not be all zero")
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if 0 < total < np.inf and abs(total - 1.0) > WEIGHT_TOL:
         w = w / total
-    return WeightedEnsemble(np.stack(pts), w)
+    return WeightedEnsemble(pts, w)
 
 
 class LossFunction:
@@ -265,6 +273,10 @@ class LossFunction:
     # kinks); finite-difference stencils must keep clear of the diagonal.
     has_diagonal_kinks: bool = False
 
+    # Optional ``(t, y) -> None`` that raises BoundaryError where evaluation
+    # cannot work, naming the offending coordinate.
+    _check_boundary: Callable | None = None
+
     def eval_batch(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -273,10 +285,17 @@ class LossFunction:
         raise NotImplementedError
 
     def eval(self, t, y) -> float:
+        return self._eval_scalar(self.eval_batch, t, y)
+
+    def _eval_scalar(self, batch: Callable, t, y) -> float:
+        """``batch`` at one (label, prediction) pair: both must lie in the
+        domain and pass ``_check_boundary``; a non-finite value raises."""
         t = self.domain.require(t, "label")
         y = self.domain.require(y, "prediction")
+        if self._check_boundary is not None:
+            self._check_boundary(t, y)
         with np.errstate(all="ignore"):
-            v = float(self.eval_batch(t, y))
+            v = float(batch(t, y))
         if not np.isfinite(v):
             raise BoundaryError(
                 f"{self.name} is not finite at label={t}, prediction={y}"

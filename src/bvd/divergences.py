@@ -29,7 +29,6 @@ from .core import (
     ConvexityError,
     Domain,
     LossFunction,
-    as_point,
 )
 
 # Divergence values in [-CLAMP_TOL, 0) are treated as floating-point noise
@@ -222,42 +221,22 @@ class GBregmanDivergence(LossFunction):
         return _clamp(vals)
 
     def eval_defining(self, t, y) -> float:
-        with np.errstate(all="ignore"):
-            v = float(self.eval_defining_batch(as_point(t), as_point(y)))
-        if not np.isfinite(v):
-            raise BoundaryError(f"{self.name} is not finite at label={t}, prediction={y}")
-        return v
+        return self._eval_scalar(self.eval_defining_batch, t, y)
 
     def eval_batch(self, T, Y):
         if self._direct_eval is not None:
             return _clamp(self._direct_eval(np.asarray(T, float), np.asarray(Y, float)))
         return self.eval_defining_batch(T, Y)
 
-    def eval(self, t, y) -> float:
-        t = self.domain.require(t, "label")
-        y = self.domain.require(y, "prediction")
-        if self._check_boundary is not None:
-            self._check_boundary(t, y)
-        with np.errstate(all="ignore"):
-            v = float(self.eval_batch(t, y))
-        if not np.isfinite(v):
-            raise BoundaryError(f"{self.name} is not finite at label={t}, prediction={y}")
-        return v
-
     def eval_concise(self, t, y) -> float:
         """Mixed-coordinate form A(g(t)) - f(y) . g(t) + B(f(y))."""
-        t = self.domain.require(t, "label")
-        y = self.domain.require(y, "prediction")
-        if self._check_boundary is not None:
-            self._check_boundary(t, y)
         B, f = self.dual_pair()
-        with np.errstate(all="ignore"):
-            gt = self.map.forward(t)
-            fy = f.forward(y)
-            v = float(self.gen.value(gt) - fy @ gt + B.value(fy))
-        if not np.isfinite(v):
-            raise BoundaryError(f"{self.name} concise form is not finite at ({t}, {y})")
-        return float(_clamp(np.asarray(v)))
+
+        def concise(t, y):
+            gt, fy = self.map.forward(t), f.forward(y)
+            return _clamp(self.gen.value(gt) - fy @ gt + B.value(fy))
+
+        return self._eval_scalar(concise, t, y)
 
     # -- duality ------------------------------------------------------
 

@@ -9,6 +9,11 @@ differences, runs the rank test via SVD, and combines it with a
 decomposition-gap search into an empirical classifier. Verdicts are
 evidence, not proofs: they carry grids, seeds, singular values, and
 witnesses so that every claim is reproducible.
+
+One helper estimates n pairs at once and holds both finite-difference
+checks: stencils inside the box (``Domain.feasible``) and step-halving
+reliability. :func:`mixed_hessian_fd` is its one-pair case. The classifier
+takes only a seed; its sizes and thresholds are the constants below.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Domain, LossFunction, make_ensemble
+from .core import LossFunction, make_ensemble
 from .decomposition import decompose_generic
 
 DEFAULT_STEP_SCALE = 1e-4
@@ -25,6 +30,14 @@ RANK_THRESHOLD = 1e-6
 RELIABILITY_TOL = 1e-4
 MAX_UNRELIABLE_FRACTION = 0.10
 KINK_MARGIN_STEPS = 10.0
+
+# The classifier's probe sizes and gap threshold.
+GRID_SIZE = 8
+N_SEPARABILITY_TRIALS = 2
+N_GAP_TRIALS = 6
+SUPPORT_SIZE = 4
+GAP_THRESHOLD = 1e-3
+INTERIOR_MARGIN = 0.08
 
 
 class UnreliableHessianError(RuntimeError):
@@ -66,18 +79,6 @@ class SeparabilityVerdict:
         }
 
 
-def default_step(t: np.ndarray, y: np.ndarray) -> float:
-    scale = max(np.max(np.abs(t)), np.max(np.abs(y)))
-    return DEFAULT_STEP_SCALE * (1.0 + scale)
-
-
-def _stencil_inside(domain: Domain, P: np.ndarray, h: np.ndarray) -> bool:
-    """All +-h coordinate perturbations of the rows of P stay in the box."""
-    lo = domain.lower if domain.lower is not None else -np.inf
-    hi = domain.upper if domain.upper is not None else np.inf
-    return bool(np.all(P - h[:, None] >= lo) and np.all(P + h[:, None] <= hi))
-
-
 def _mixed_hessian_batch(
     loss: LossFunction, T: np.ndarray, Y: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
@@ -104,6 +105,43 @@ def _mixed_hessian_batch(
     return (l_pp - l_pm - l_mp + l_mm) / denom
 
 
+def _mixed_hessians(
+    loss: LossFunction, T: np.ndarray, Y: np.ndarray, step: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixed blocks of n (label, prediction) pairs, their steps, and which
+    are reliable: ``(H, h, reliable)`` with H of shape (n, d, d).
+
+    Every pair gets stencil width ``step``, or by default 1e-4 times one
+    plus the pair's largest coordinate magnitude. A pair is unreliable when
+    halving its step moves some entry by more than 1e-4 relative to the
+    block's scale. Raises ``ValueError`` for a non-positive step or a
+    stencil that leaves the domain's box.
+    """
+    if step is None:
+        h = DEFAULT_STEP_SCALE * (
+            1.0 + np.maximum(np.max(np.abs(T), axis=1), np.max(np.abs(Y), axis=1))
+        )
+    elif step > 0:
+        h = np.full(T.shape[0], float(step))
+    else:
+        raise ValueError("step must be positive")
+    hc = h[:, None]
+    stencil_corners = np.stack([T - hc, T + hc, Y - hc, Y + hc])
+    inside = loss.domain.without_equalities().feasible(stencil_corners, tol=0).all(axis=0)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(
+            f"finite-difference stencil of width {h[i]:.3g} leaves the domain "
+            f"at label {T[i]}, prediction {Y[i]}"
+        )
+    H = _mixed_hessian_batch(loss, T, Y, h)
+    H_half = _mixed_hessian_batch(loss, T, Y, h / 2.0)
+    scale = 1.0 + np.max(np.abs(H_half), axis=(1, 2))
+    finite = np.all(np.isfinite(H), axis=(1, 2)) & np.all(np.isfinite(H_half), axis=(1, 2))
+    drift = np.max(np.abs(H - H_half), axis=(1, 2))
+    return H, h, finite & (drift <= RELIABILITY_TOL * scale)
+
+
 def mixed_hessian_fd(
     loss: LossFunction, t, y, step: float | None = None
 ) -> MixedHessianSample:
@@ -111,48 +149,30 @@ def mixed_hessian_fd(
 
     Entry (i, j) approximates d2 L / dy_i dt_j with a 4-point central
     stencil of width ``step`` (default 1e-4 times one plus the point
-    scale). The sample is flagged unreliable when halving the step moves
+    scale): the one-pair case of the estimate :func:`separability_rank_test`
+    stacks. The sample is flagged unreliable when halving the step moves
     some entry by more than 1e-4 relative to the matrix scale; callers are
     responsible for keeping kinked losses (e.g. Minkowski exponents below
     2) well away from the diagonal.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    h = float(step) if step is not None else default_step(t, y)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    box = loss.domain.without_equalities()
-    P = np.vstack([t, y])
-    if not _stencil_inside(box, P, np.array([h, h])):
-        raise ValueError(
-            f"finite-difference stencil of width {h:.3g} leaves the domain at ({t}, {y})"
-        )
-    H = _mixed_hessian_batch(loss, t[None, :], y[None, :], np.array([h]))[0]
-    H_half = _mixed_hessian_batch(loss, t[None, :], y[None, :], np.array([h / 2.0]))[0]
-    scale = 1.0 + float(np.max(np.abs(H_half)))
-    reliable = bool(
-        np.all(np.isfinite(H))
-        and np.all(np.isfinite(H_half))
-        and np.max(np.abs(H - H_half)) <= RELIABILITY_TOL * scale
+    H, h, reliable = _mixed_hessians(loss, t[None, :], y[None, :], step)
+    return MixedHessianSample(
+        label=t, prediction=y, matrix=H[0], step=float(h[0]), reliable=bool(reliable[0])
     )
-    return MixedHessianSample(label=t, prediction=y, matrix=H, step=h, reliable=reliable)
 
 
 def separability_rank_test(
-    loss: LossFunction,
-    label_grid,
-    pred_grid,
-    step: float | None = None,
-    rank_threshold: float = RANK_THRESHOLD,
-    max_unreliable_fraction: float = MAX_UNRELIABLE_FRACTION,
+    loss: LossFunction, label_grid, pred_grid, step: float | None = None
 ) -> SeparabilityVerdict:
     """Rank test of the stacked mixed-derivative blocks over two grids.
 
     Builds M[(l, i), (k, j)] = d2 L / dy_i dt_j at (t_k, y_l) and counts
-    singular values above ``rank_threshold`` times the largest. A loss
-    whose mixed derivative factorizes as H2(y) H1(t)^T gives rank at most
-    d. The verdict is withheld (:class:`UnreliableHessianError`) when more
-    than 10% of the samples fail the step-halving check.
+    singular values above 1e-6 times the largest. A loss whose mixed
+    derivative factorizes as H2(y) H1(t)^T gives rank at most d. The
+    verdict is withheld (:class:`UnreliableHessianError`) when more than
+    10% of the samples fail the step-halving check.
 
     For d = 1 a non-separable verdict carries a witness: the two labels
     and two predictions whose 2 x 2 minor has the largest normalized
@@ -169,25 +189,10 @@ def separability_rank_test(
 
     T = np.repeat(T_grid[None, :, :], L, axis=0).reshape(-1, d)  # pair (l, k)
     Y = np.repeat(Y_grid[:, None, :], K, axis=1).reshape(-1, d)
-    if step is not None:
-        h = np.full(T.shape[0], float(step))
-    else:
-        h = DEFAULT_STEP_SCALE * (
-            1.0 + np.maximum(np.max(np.abs(T), axis=1), np.max(np.abs(Y), axis=1))
-        )
-    box = loss.domain.without_equalities()
-    if not _stencil_inside(box, T, h) or not _stencil_inside(box, Y, h):
-        raise ValueError("some finite-difference stencil leaves the domain")
-
-    H = _mixed_hessian_batch(loss, T, Y, h)
-    H_half = _mixed_hessian_batch(loss, T, Y, h / 2.0)
-    scale = 1.0 + np.max(np.abs(H_half), axis=(1, 2))
-    finite = np.all(np.isfinite(H), axis=(1, 2)) & np.all(np.isfinite(H_half), axis=(1, 2))
-    drift = np.max(np.abs(H - H_half), axis=(1, 2))
-    reliable = finite & (drift <= RELIABILITY_TOL * scale)
+    H, _, reliable = _mixed_hessians(loss, T, Y, step)
     n_unreliable = int(np.sum(~reliable))
     n_samples = T.shape[0]
-    if n_unreliable > max_unreliable_fraction * n_samples:
+    if n_unreliable > MAX_UNRELIABLE_FRACTION * n_samples:
         raise UnreliableHessianError(
             f"{n_unreliable}/{n_samples} mixed-derivative samples failed the "
             "step-halving check; verdict withheld"
@@ -196,7 +201,7 @@ def separability_rank_test(
     blocks = H.reshape(L, K, d, d)
     M = blocks.transpose(0, 2, 1, 3).reshape(L * d, K * d)
     singular_values = np.linalg.svd(M, compute_uv=False)
-    cutoff = rank_threshold * singular_values[0] if singular_values[0] > 0 else 0.0
+    cutoff = RANK_THRESHOLD * singular_values[0] if singular_values[0] > 0 else 0.0
     numerical_rank = int(np.sum(singular_values > cutoff))
     separable = numerical_rank <= d
 
@@ -223,7 +228,7 @@ def separability_rank_test(
     return SeparabilityVerdict(
         numerical_rank=numerical_rank,
         singular_values=singular_values,
-        threshold=rank_threshold,
+        threshold=RANK_THRESHOLD,
         separable=separable,
         dim=d,
         n_samples=n_samples,
@@ -234,14 +239,10 @@ def separability_rank_test(
 
 @dataclass(frozen=True)
 class ClassifierConfig:
+    """The classifier's one setting; its sizes and thresholds are the
+    module constants above."""
+
     seed: int = 0
-    grid_size: int = 8
-    n_separability_trials: int = 2
-    n_gap_trials: int = 6
-    support_size: int = 4
-    gap_threshold: float = 1e-3
-    rank_threshold: float = RANK_THRESHOLD
-    interior_margin: float = 0.08
 
 
 @dataclass(frozen=True)
@@ -253,13 +254,6 @@ class ClassificationResult:
         return {"verdict": self.verdict, "evidence": self.evidence}
 
 
-def _interior_box(domain: Domain, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    if not domain.is_bounded:
-        raise ValueError("classification needs a bounded domain")
-    width = domain.upper - domain.lower
-    return domain.lower + margin * width, domain.upper - margin * width
-
-
 def _sample_grid(rng, lo, hi, n):
     return lo + (hi - lo) * rng.random((n, lo.size))
 
@@ -267,45 +261,49 @@ def _sample_grid(rng, lo, hi, n):
 def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) -> ClassificationResult:
     """Empirically decide whether a loss behaves like a g-Bregman divergence.
 
-    Two independent probes, both seeded and repeatable:
+    Two independent probes, both seeded and repeatable, on the domain's box
+    shrunk by ``INTERIOR_MARGIN`` of its width on each side:
 
-    1. separability of the mixed second derivative on random interior
-       grids (kinked losses get grids kept 10 steps away from the
-       diagonal);
-    2. decomposition-gap search over random ensembles with brute-force
+    1. separability of the mixed second derivative on
+       ``N_SEPARABILITY_TRIALS`` random pairs of ``GRID_SIZE``-point grids
+       (kinked losses get grids kept 10 steps away from the diagonal);
+    2. decomposition-gap search over ``N_GAP_TRIALS`` random pairs of
+       ensembles of 2 to ``SUPPORT_SIZE`` points, with brute-force
        centroids.
 
     ``not_gbregman`` requires a reliable witness (a non-separable rank
-    verdict or a gap above the threshold); ``consistent_with_gbregman``
+    verdict or a gap above ``GAP_THRESHOLD``); ``consistent_with_gbregman``
     means every probe passed. Evaluation failures make the result
-    ``inconclusive``. The verdict is empirical evidence at the configured
-    sizes, never a proof.
+    ``inconclusive``. The verdict is empirical evidence at these sizes,
+    never a proof.
     """
     config = config or ClassifierConfig()
     rng = np.random.default_rng(config.seed)
-    lo, hi = _interior_box(loss.domain, config.interior_margin)
+    domain = loss.domain
+    if not domain.is_bounded:
+        raise ValueError("classification needs a bounded domain")
+    margin = INTERIOR_MARGIN * (domain.upper - domain.lower)
+    lo, hi = domain.lower + margin, domain.upper - margin
     d = loss.dim
     evidence: dict = {
         "seed": config.seed,
-        "grid_size": config.grid_size,
-        "n_separability_trials": config.n_separability_trials,
-        "n_gap_trials": config.n_gap_trials,
-        "gap_threshold": config.gap_threshold,
+        "grid_size": GRID_SIZE,
+        "n_separability_trials": N_SEPARABILITY_TRIALS,
+        "n_gap_trials": N_GAP_TRIALS,
+        "gap_threshold": GAP_THRESHOLD,
         "separability": [],
         "gap_search": [],
         "failures": [],
     }
     witness_found = False
     failures = 0
-    attempts = 0
 
     h_ref = DEFAULT_STEP_SCALE * (1.0 + float(np.max(np.abs([lo, hi]))))
     kink_margin = KINK_MARGIN_STEPS * h_ref
 
-    for trial in range(config.n_separability_trials):
-        attempts += 1
-        label_grid = _sample_grid(rng, lo, hi, max(config.grid_size, 2 * d))
-        pred_grid = _sample_grid(rng, lo, hi, max(config.grid_size, 2 * d))
+    for trial in range(N_SEPARABILITY_TRIALS):
+        label_grid = _sample_grid(rng, lo, hi, max(GRID_SIZE, 2 * d))
+        pred_grid = _sample_grid(rng, lo, hi, max(GRID_SIZE, 2 * d))
         if loss.has_diagonal_kinks:
             for row in range(pred_grid.shape[0]):
                 for _ in range(200):
@@ -314,9 +312,7 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
                         break
                     pred_grid[row] = lo + (hi - lo) * rng.random(d)
         try:
-            verdict = separability_rank_test(
-                loss, label_grid, pred_grid, rank_threshold=config.rank_threshold
-            )
+            verdict = separability_rank_test(loss, label_grid, pred_grid)
         except (UnreliableHessianError, ValueError, ArithmeticError) as exc:
             failures += 1
             evidence["failures"].append(f"separability trial {trial}: {exc}")
@@ -325,11 +321,10 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
         if not verdict.separable:
             witness_found = True
 
-    for trial in range(config.n_gap_trials):
-        attempts += 1
-        n = int(rng.integers(2, config.support_size + 1))
+    for trial in range(N_GAP_TRIALS):
+        n = int(rng.integers(2, SUPPORT_SIZE + 1))
         labels = make_ensemble(_sample_grid(rng, lo, hi, n), rng.random(n) + 0.1)
-        m = int(rng.integers(2, config.support_size + 1))
+        m = int(rng.integers(2, SUPPORT_SIZE + 1))
         preds = make_ensemble(_sample_grid(rng, lo, hi, m), rng.random(m) + 0.1)
         try:
             report = decompose_generic(loss, labels, preds)
@@ -344,12 +339,12 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
             "expected_loss": report.expected_loss,
         }
         evidence["gap_search"].append(entry)
-        if abs(report.gap) > config.gap_threshold:
+        if abs(report.gap) > GAP_THRESHOLD:
             witness_found = True
 
     if witness_found:
         verdict = "not_gbregman"
-    elif failures == 0 and attempts > 0:
+    elif failures == 0:
         verdict = "consistent_with_gbregman"
     else:
         verdict = "inconclusive"

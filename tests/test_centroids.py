@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,40 @@ class TestDispatcher:
         assert central_label(alpha, make_ensemble(*self.LABELS)).method == "brute_force"
         assert central_prediction(l1, make_ensemble([[0.0], [1.0]], [1, 2])).method \
             == "brute_force"
+
+
+class TestEnsembleSupport:
+    def test_zero_weight_atom_is_not_in_the_support(self):
+        # KL(x, 0) is infinite; an atom of weight 0 there must not count.
+        kl = catalog("kl", dim=1)
+        preds = make_ensemble([[0.0], [0.5]], [0, 1])
+        np.testing.assert_array_equal(preds.points, [[0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for res in (brute_force_centroid(kl, preds, "first_arg"), central_prediction(kl, preds)):
+                np.testing.assert_allclose(res.point, [0.5], atol=1e-12)
+                assert res.objective == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[1.5, 0.5], [0.5, 0.5]], r"\[1\.5, 0\.5\] is infeasible"),
+            ([[0.5, 0.5], [-0.2, 0.5]], r"\[-0\.2, 0\.5\] is infeasible"),
+            ([[0.5], [0.2]], "dimension"),
+        ],
+        ids=["above-box", "below-box", "wrong-dimension"],
+    )
+    def test_ensemble_outside_the_domain_is_named(self, points, message):
+        kl = catalog("kl", dim=2)
+        ens = make_ensemble(points, [1, 1])
+        for solve in (
+            lambda: central_prediction(kl, ens),
+            lambda: central_label(kl, ens),
+            lambda: brute_force_centroid(kl, ens, "first_arg"),
+        ):
+            with pytest.raises(ValueError, match=message) as exc:
+                solve()
+            assert not isinstance(exc.value, InfeasibleMeanError)
 
 
 class TestBruteForce:

@@ -126,16 +126,27 @@ class TestClassifyCommand:
 
 
     def test_unknown_classifier_field_rejected(self, tmp_path, capsys):
-        spec = write_spec(
-            tmp_path,
-            {
-                "command": "classify",
-                "divergence": {"name": "l1", "params": {"dim": 1}},
-                "classifier": {"grid_resolution": 21},
-            },
-        )
-        assert main(["classify", "--spec", str(spec), "--out", str(tmp_path)]) == 1
-        assert "classifier" in capsys.readouterr().err
+        # classify takes only "seed": any classifier block exits 1 by name,
+        # including ones that used to raise TypeError or write a verdict.
+        for block in (
+            {"grid_resolution": 21},
+            {"grid_size": "x"},
+            {"gap_threshold": "a"},
+            {"interior_margin": 0.6},
+            {"grid_size": 8},
+        ):
+            spec = write_spec(
+                tmp_path,
+                {
+                    "command": "classify",
+                    "divergence": {"name": "l1", "params": {"dim": 1}},
+                    "classifier": block,
+                },
+            )
+            assert main(["classify", "--spec", str(spec), "--out", str(tmp_path)]) == 1, block
+            err = capsys.readouterr().err
+            assert "classifier" in err and "Traceback" not in err, block
+            assert not (tmp_path / "classify.json").exists(), block
 
 
 class TestSweepCommand:

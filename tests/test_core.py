@@ -56,6 +56,21 @@ class TestMakeEnsemble:
         with pytest.raises(ValueError):
             make_ensemble([[0.0]], [1, 1])
 
+    @pytest.mark.parametrize(
+        "points", [0.5, np.zeros((2, 1, 1)), [], [[]], np.zeros((0, 2))],
+        ids=["0-d", "3-D", "empty", "empty-point", "no-points"],
+    )
+    def test_malformed_points(self, points):
+        with pytest.raises(ValueError):
+            make_ensemble(points, [1])
+
+    def test_zero_weight_atoms_dropped_by_both_constructors(self):
+        a = make_ensemble([[0.0], [0.5], [1.0]], [0, 1, 3])
+        b = WeightedEnsemble(np.array([[0.0], [0.5], [1.0]]), np.array([0, 0.25, 0.75]))
+        for ens in (a, b):
+            np.testing.assert_array_equal(ens.points, [[0.5], [1.0]])
+            np.testing.assert_array_equal(ens.weights, [0.25, 0.75])
+
 
 class TestDomain:
     def test_box_containment(self):
@@ -78,6 +93,28 @@ class TestDomain:
         dom = Domain.simplex(2)
         assert dom.contains([0.5, 0.5 + 5e-11])
         assert not dom.contains([0.5, 0.51])
+
+    @pytest.mark.parametrize(
+        "domain, rows, want",
+        [
+            (
+                Domain.box([0, 0], [1, 1]),
+                [[0.5, 0.5], [0.0, 1.0], [1.2, 0.5], [0.5, -0.1], [1 + 5e-11, 0.5], [np.nan, 0.5]],
+                [True, True, False, False, True, False],
+            ),
+            (
+                Domain.simplex(2),
+                [[0.5, 0.5], [0.5, 0.5 + 5e-11], [0.5, 0.51], [1.0, 0.0], [-0.5, 1.5], [0.5, np.nan]],
+                [True, True, False, True, False, False],
+            ),
+        ],
+        ids=["box", "simplex"],
+    )
+    def test_feasible_mask_agrees_with_contains(self, domain, rows, want):
+        rows = np.array(rows)
+        mask = domain.feasible(rows)
+        assert mask.tolist() == want
+        assert [domain.contains(r) for r in rows] == want
 
     def test_rank_deficient_constraints_rejected(self):
         with pytest.raises(ValueError, match="rank"):

@@ -166,10 +166,7 @@ class TestClassifier:
         assert non_separable and non_separable[0]["witness"] is not None
 
     def test_zero_one_grid_not_gbregman(self):
-        result = classify_loss(
-            catalog("zero_one_grid", dim=1, levels=2),
-            ClassifierConfig(seed=5, n_separability_trials=0),
-        )
+        result = classify_loss(catalog("zero_one_grid", dim=1, levels=2), ClassifierConfig(seed=5))
         assert result.verdict == "not_gbregman"
 
     def test_verdict_is_reproducible(self):
