@@ -34,7 +34,12 @@ N_RESTARTS = 5
 TIE_TOL = 1e-9
 # Ties farther apart than this (max-abs) mark the minimizer as non-unique.
 DISTINCT_TOL = 1e-4
-# The oracle refuses grids of more (grid points x support x d) float64s (1 GiB).
+# The oracle evaluates its candidates in blocks of at most this many
+# (rows x support x d) float64s (512 KiB), so its memory does not grow with
+# the grid.
+BLOCK_FLOATS = 2**16
+# The oracle refuses grids of more (grid points x support x d) float64s of
+# work: at d = 5 the search would take about 40x as long as at d = 4.
 MAX_GRID_FLOATS = 2**27
 
 
@@ -181,8 +186,15 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
 
     Ties within 1e-9 of the best objective resolve to the
     lexicographically smallest point and set ``non_unique`` when the tied
-    candidates are more than 1e-4 apart. Raises ``ValueError`` before
-    building a grid whose evaluation would exceed ``MAX_GRID_FLOATS``.
+    candidates are more than 1e-4 apart.
+
+    Candidates go through the loss in blocks of at most ``BLOCK_FLOATS``
+    (rows x support x d) floats and only their objective values are kept,
+    so memory is bounded by the block size plus a few floats per candidate;
+    the answer does not depend on the block size. ``MAX_GRID_FLOATS``
+    bounds the work: a grid whose evaluation would exceed it raises
+    ``ValueError`` before any evaluation. A search in which no candidate
+    has a finite objective raises ``ValueError`` too.
     """
     if side not in ("first_arg", "second_arg"):
         raise ValueError("side must be 'first_arg' or 'second_arg'")
@@ -227,44 +239,76 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
         return origin + np.asarray(Z, dtype=float) @ basis.T
 
     box = domain.without_equalities()
+    block = max(1, BLOCK_FLOATS // (ens.size * d))
 
-    def objective_batch(Z):
-        X = embed(Z)
-        feasible = box.feasible(X, tol=1e-12)
-        vals = np.full(X.shape[0], np.inf)
-        if np.any(feasible):
-            Xf = X[feasible]
-            shape = (Xf.shape[0], ens.size, d)
-            with np.errstate(all="ignore"):
-                raw = loss.eval_batch(
-                    np.broadcast_to(Xf[:, None, :], shape),
-                    np.broadcast_to(ens.points[None, :, :], shape),
-                )
-            raw = np.where(np.isfinite(raw), raw, np.inf)
-            vals[feasible] = raw @ ens.weights
+    def objective_batch(n, rows):
+        """Objective at rows 0..n-1, where ``rows(i, j)`` gives the reduced
+        coordinates of rows i..j-1, evaluated ``block`` rows at a time."""
+        vals = np.full(n, np.inf)
+        for i in range(0, n, block):
+            X = embed(rows(i, min(i + block, n)))
+            feasible = box.feasible(X, tol=1e-12)
+            if np.any(feasible):
+                Xf = X[feasible]
+                shape = (Xf.shape[0], ens.size, d)
+                with np.errstate(all="ignore"):
+                    raw = loss.eval_batch(
+                        np.broadcast_to(Xf[:, None, :], shape),
+                        np.broadcast_to(ens.points[None, :, :], shape),
+                    )
+                raw = np.where(np.isfinite(raw), raw, np.inf)
+                if raw.shape[0] == 1 and n > block:
+                    # numpy sums a lone row by a dot product, which rounds
+                    # differently from the matrix-vector product that the
+                    # same row gets among others in an unsplit batch.
+                    weighted = (np.vstack([raw, raw]) @ ens.weights)[:1]
+                else:
+                    weighted = raw @ ens.weights
+                vals[i : i + X.shape[0]][feasible] = weighted
         return vals
 
+    # Candidates are the grid points in C order (flat index below n_grid),
+    # then the ensemble's support points, which are natural candidates
+    # (medians and modes sit on atoms) and are included exactly. Only their
+    # objective values are kept; coordinates are rebuilt from the index.
     axes = [np.linspace(lo[i], hi[i], GRID_RESOLUTION) for i in range(m)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Z_grid = np.stack([g.ravel() for g in mesh], axis=-1)
-    # The ensemble's support points are natural candidates (medians and
-    # modes sit on atoms); include them exactly.
     Z_support = (ens.points - origin) @ basis
-    Z_cand = np.vstack([Z_grid, Z_support])
-    vals = objective_batch(Z_cand)
 
-    order = np.argsort(vals, kind="stable")
-    starts = []
-    for idx in order:
+    def candidates(idx):
+        idx = np.asarray(idx)
+        Z = np.empty((idx.size, m))
+        on_grid = idx < n_grid
+        cells = np.unravel_index(idx[on_grid], (GRID_RESOLUTION,) * m)
+        Z[on_grid] = np.stack([ax[c] for ax, c in zip(axes, cells)], axis=-1)
+        Z[~on_grid] = Z_support[idx[~on_grid] - n_grid]
+        return Z
+
+    vals = objective_batch(n_grid + ens.size, lambda i, j: candidates(np.arange(i, j)))
+
+    # Restarts come from a prefix of the stable ascending order of vals,
+    # long enough for the tie window below; it grows only when duplicate
+    # candidates use it up.
+    order = _stable_prefix(vals, max(N_RESTARTS, 4 * GRID_RESOLUTION))
+    window = order[: 4 * GRID_RESOLUTION]
+    Z_window = candidates(window)
+    starts, start_Z = [], []
+    pos = 0
+    while len(starts) < N_RESTARTS:
+        if pos == order.size:
+            if order.size == vals.size:
+                break
+            order = _stable_prefix(vals, 2 * order.size)
+        idx = order[pos]
+        z = Z_window[pos] if pos < window.size else candidates([idx])[0]
+        pos += 1
         if not np.isfinite(vals[idx]):
             break
-        if any(np.max(np.abs(Z_cand[idx] - Z_cand[j])) < 1e-12 for j in starts):
+        if any(np.max(np.abs(z - s)) < 1e-12 for s in start_Z):
             continue
         starts.append(int(idx))
-        if len(starts) >= N_RESTARTS:
-            break
+        start_Z.append(z)
     if not starts:
-        raise ValueError("no feasible grid point found for brute-force search")
+        raise ValueError("no candidate with a finite objective for brute-force search")
 
     # Pattern search on every start at once. Each start begins with the
     # grid spacing as its step; the stencil's centre (all zeros) wins ties,
@@ -274,7 +318,7 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     stencil = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * m, indexing="ij"), -1).reshape(-1, m)
     centre = stencil.shape[0] // 2
     spacing = (hi - lo) / (GRID_RESOLUTION - 1)
-    Z, V = Z_cand[starts], vals[starts]
+    Z, V = np.array(start_Z), vals[starts]
     scale = np.ones(len(starts))
     for _ in range(1000):
         active = np.flatnonzero(scale * np.max(spacing) >= 1e-11)
@@ -282,7 +326,7 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
             break
         steps = stencil[None, :, :] * (scale[active, None] * spacing)[:, None, :]
         trial = (Z[active, None, :] + steps).reshape(-1, m)
-        tv = objective_batch(trial).reshape(active.size, -1)
+        tv = objective_batch(len(trial), lambda i, j: trial[i:j]).reshape(active.size, -1)
         best = np.argmin(tv, axis=1)
         moved = tv[np.arange(active.size), best] < tv[:, centre]
         idx = active[moved]
@@ -290,15 +334,14 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
         V[idx] = tv[moved, best[moved]]
         scale[active[~moved]] *= 0.5
 
-    cand_Z = [Z_cand[i] for i in starts] + list(Z)
+    cand_Z = start_Z + list(Z)
     cand_V = [float(vals[i]) for i in starts] + [float(v) for v in V]
     # Keep every evaluated point tied with the best (flat minimizers show up
     # as scattered grid candidates), capped to keep clustering cheap.
     f_best = float(np.min(cand_V))
-    for idx in order[: 4 * GRID_RESOLUTION]:
-        if vals[idx] <= f_best + TIE_TOL:
-            cand_Z.append(Z_cand[idx])
-            cand_V.append(float(vals[idx]))
+    tie = vals[window] <= f_best + TIE_TOL
+    cand_Z += list(Z_window[tie])
+    cand_V += [float(v) for v in vals[window][tie]]
 
     tied = [
         (embed(z[None, :])[0], v)
@@ -321,6 +364,17 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     non_unique = len(clusters) > 1
     obj = side_expectation(loss, point, ens, point_side="first_arg")
     return CentroidResult(point, np.zeros(0), obj, "brute_force", non_unique)
+
+
+def _stable_prefix(vals: np.ndarray, k: int) -> np.ndarray:
+    """The first k or more entries of ``np.argsort(vals, kind="stable")``:
+    every index whose value is at most the k-th smallest, in stable order,
+    so ties at the k-th value are all kept. Needs no NaN in ``vals``."""
+    if k >= vals.size:
+        return np.argsort(vals, kind="stable")
+    kth = np.partition(vals, k - 1)[k - 1]
+    idx = np.flatnonzero(vals <= kth)
+    return idx[np.argsort(vals[idx], kind="stable")]
 
 
 def power_mean_centroids(

@@ -25,8 +25,6 @@ from .centroids import (
     brute_force_centroid,
     central_label,
     central_prediction,
-    f_mean_prediction,
-    g_mean_label,
 )
 
 TERM_FLOOR = -1e-10
@@ -181,8 +179,8 @@ def ordering_violation_gap(
     unknown = set(swap) - {"noise", "bias", "variance"}
     if unknown:
         raise ValueError(f"unknown swap terms {sorted(unknown)}")
-    t_star = g_mean_label(div, labels).point
-    y_star = f_mean_prediction(div, preds).point
+    t_star = central_label(div, labels).point
+    y_star = central_prediction(div, preds).point
     expected = pair_expectation(div, labels, preds)
     if "noise" in swap:
         noise = side_expectation(div, t_star, labels, point_side="first_arg")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from bvd import Domain, InfeasibleMeanError, catalog, make_ensemble
+from bvd import Domain, InfeasibleMeanError, catalog, centroids, make_ensemble
 from bvd.centroids import (
     brute_force_centroid,
     central_label,
@@ -419,6 +419,64 @@ class TestBruteForce:
         for line in lines[:2]:
             assert "41^5 = 115856201 points" in line and "5 support points" in line
         assert lines[2] == "coarse brute_force"
+
+    def test_d4_search_runs_in_bounded_memory(self):
+        # The 41^4 grid x 5 support points x d = 4 is 5.7e7 floats (431 MiB
+        # per temporary) if built at once; evaluated in blocks the search
+        # fits under a 1 GiB address-space limit.
+        code = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+            import numpy as np
+            from bvd import catalog, make_ensemble
+            from bvd.centroids import brute_force_centroid
+
+            rng = np.random.default_rng(0)
+            P, w = rng.uniform(0.1, 0.9, (5, 4)), rng.uniform(0.1, 1.1, 5)
+            res = brute_force_centroid(catalog("kl", dim=4), make_ensemble(P, w), "first_arg")
+            print(np.max(np.abs(res.point - np.exp(w @ np.log(P) / w.sum()))))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "name, params, points, side",
+        [
+            ("l1", {}, [[0.0], [1.0]], "first_arg"),
+            ("zero_one_grid", {"levels": 3}, [[0, 0], [2, 2], [1, 0], [0, 2]], "first_arg"),
+            ("kl", {"simplex": True}, [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]],
+             "first_arg"),
+            ("kl", {"simplex": True}, [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]],
+             "second_arg"),
+            ("minkowski", {"epsilon": 1.5}, [[-3.0, 1.0], [2.5, -0.5], [0.5, 4.0]], "first_arg"),
+            ("sq_euclidean", {}, [[-1.38, -2.75], [-2.9, 1.88], [2.48, 0.64], [1.38, 0.26]],
+             "first_arg"),
+        ],
+    )
+    def test_blocks_do_not_change_answers(self, monkeypatch, name, params, points, side):
+        ens = make_ensemble(points, np.ones(len(points)))
+        loss = catalog(name, dim=ens.dim, **params)
+        whole = brute_force_centroid(loss, ens, side)
+        # Four rows per block: a 9-point stencil leaves one row in the last.
+        monkeypatch.setattr(centroids, "BLOCK_FLOATS", 4 * ens.size * ens.dim)
+        blocked = brute_force_centroid(loss, ens, side)
+        assert blocked.point.tobytes() == whole.point.tobytes()
+        assert repr(blocked.objective) == repr(whole.objective)
+        assert blocked.non_unique == whole.non_unique
+        assert whole.non_unique == (name in ("l1", "zero_one_grid"))
+
+    def test_no_finite_objective_is_named(self):
+        # Every point of the simplex is feasible, but no point has a finite
+        # KL to both vertices.
+        kl = catalog("kl", dim=3, simplex=True)
+        ens = make_ensemble([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1, 1])
+        with pytest.raises(ValueError, match="no candidate with a finite objective"):
+            brute_force_centroid(kl, ens, "first_arg")
 
     def test_bad_side_rejected(self):
         loss = catalog("sq_euclidean", dim=1)

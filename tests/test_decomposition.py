@@ -187,6 +187,18 @@ class TestArgumentOrdering:
         assert gap == pytest.approx(report.gap, abs=1e-12)
         assert abs(gap) < 1e-9
 
+    @pytest.mark.parametrize("name", ["kl", "reverse_kl"])
+    def test_simplex_identity_permutation_matches_decomposition_gap(self, rng, name):
+        # On the simplex the centroids come from the dispatcher's Lagrange
+        # solve; the unconstrained closed forms are infeasible there.
+        div = catalog(name, dim=3, simplex=True)
+        labels = sample_simplex_ensemble(rng, 4, 3)
+        preds = sample_simplex_ensemble(rng, 5, 3)
+        report = decompose(div, labels, preds)
+        gap = ordering_violation_gap(div, labels, preds)
+        assert abs(gap - report.gap) <= 1e-9 * (1 + report.expected_loss)
+        assert abs(ordering_violation_gap(div, labels, preds, swap=("bias",))) > 1e-6
+
     def test_unknown_term_rejected(self):
         div = catalog("kl", dim=2)
         ens = make_ensemble([[0.5, 0.5]], [1])
