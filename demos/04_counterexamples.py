@@ -10,9 +10,7 @@ alpha divergence once the simplex constraint forces power-mean centroids.
 import numpy as np
 
 from bvd import catalog, make_ensemble
-from bvd.core import pair_expectation
-from bvd.centroids import power_mean_centroids
-from bvd.decomposition import decompose_generic
+from bvd.decomposition import decompose, decompose_generic
 from bvd.uniqueness import ClassifierConfig, classify_loss, separability_rank_test
 
 print("=== L1: the weighted median does not split the loss ===")
@@ -39,12 +37,8 @@ print("\n=== alpha(0.5) on the simplex: power means leave a gap ===")
 al = catalog("alpha", alpha=0.5, dim=2, simplex=True)
 labels = make_ensemble([[0.2, 0.8], [0.8, 0.2]], [1, 3])
 preds = make_ensemble([[0.9, 0.1], [0.3, 0.7]], [1, 1])
-t_star = power_mean_centroids(al, labels, "second_arg")
-y_star = power_mean_centroids(al, preds, "first_arg")
-expected = pair_expectation(al, labels, preds)
-gap = expected - t_star.objective - al.eval(t_star.point, y_star.point) \
-    - y_star.objective
-print(f"gap with power-mean centroids = {gap:.6f}")
+r = decompose(al, labels, preds)
+print(f"gap with power-mean centroids = {r.gap:.6f}")
 
 print("\n=== the classifier, end to end ===")
 for loss in (catalog("kl", dim=2), l1, mink):

@@ -4,16 +4,17 @@ The central label is the single point minimizing the expected divergence to
 a label distribution (expectation over the first argument, minimization
 over the second); the central prediction minimizes over the first argument
 against a prediction distribution. For g-Bregman divergences these are the
-g-mean and f-mean; with linear equality constraints they follow from a
-Newton solve on the Lagrange multipliers. A grid search refined by a
-batched multi-start pattern search provides an independent check and
-handles arbitrary losses.
+g-mean and f-mean (normalized for alpha on the simplex); with other linear
+equality constraints they follow from a Newton solve on the Lagrange
+multipliers. A grid search refined by a batched multi-start pattern search
+provides an independent check and handles arbitrary losses.
 :func:`central_prediction` picks the cheapest that is exact for a loss; each
 label-side solve is the prediction-side solve of ``loss.reverse()``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,15 +64,21 @@ class CentroidResult:
         }
 
 
+def _mean_f(div: GBregmanDivergence, ens: WeightedEnsemble) -> tuple[Mapping, np.ndarray]:
+    """The dual map f and the weighted mean of f over the ensemble, whose
+    points must lie in the domain."""
+    div.domain.require_points(ens.points, "ensemble point")
+    _, f = div.dual_pair()
+    return f, np.einsum("k,kd->d", ens.weights, np.asarray(f.forward(ens.points), float))
+
+
 def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
     """Central prediction: inverse map of the mean of f over the predictions.
 
     Raises :class:`InfeasibleMeanError` when the mean violates the domain's
     constraints (use the constrained solver then).
     """
-    div.domain.require_points(preds.points, "ensemble point")
-    _, f = div.dual_pair()
-    mean = np.einsum("k,kd->d", preds.weights, np.asarray(f.forward(preds.points), float))
+    f, mean = _mean_f(div, preds)
     point = np.asarray(f.inverse(mean), dtype=float)
     if not div.domain.contains(point):
         raise InfeasibleMeanError(
@@ -121,9 +128,7 @@ def constrained_central_prediction(
             "constrained centroids need an identity map on the solved side; "
             "for other divergences fall back to brute_force_centroid"
         )
-    div.domain.require_points(preds.points, "ensemble point")
-    _, f = div.dual_pair()
-    mean_f = np.einsum("k,kd->d", preds.weights, np.asarray(f.forward(preds.points), float))
+    f, mean_f = _mean_f(div, preds)
     point, lam = _lagrange_solve(mean_f, f, div.domain)
     if not div.domain.without_equalities().contains(point):
         raise ValueError(
@@ -149,17 +154,29 @@ def central_prediction(loss: LossFunction, preds: WeightedEnsemble) -> CentroidR
     The f-mean when the domain has no equality constraints or the dual map
     is the identity (the arithmetic mean of feasible points stays feasible
     under linear equalities), the Lagrange solve when the map is the
-    identity, and the brute-force oracle otherwise or for losses that are
-    not g-Bregman. Each solver first requires every ensemble point in the
-    domain (:meth:`Domain.require_points`), so an ensemble of the wrong
-    dimension or with an infeasible point raises ``ValueError`` naming it.
+    identity, the normalized f-mean (:func:`power_mean_centroids`) for alpha
+    on the simplex, and the brute-force oracle otherwise: for losses that
+    are not g-Bregman, and with a ``UserWarning`` for g-Bregman ones. Each
+    solver first requires every ensemble point in the domain
+    (:meth:`Domain.require_points`), so an ensemble of the wrong dimension
+    or with an infeasible point raises ``ValueError`` naming it.
     """
     if isinstance(loss, GBregmanDivergence):
         if loss.domain.n_constraints == 0 or loss.dual_map_is_identity:
             return f_mean_prediction(loss, preds)
         if loss.map_is_identity:
             return constrained_central_prediction(loss, preds)
+        if "alpha" in loss.params and _is_simplex(loss.domain):
+            return power_mean_centroids(loss, preds, "first_arg")
+        warnings.warn(f"{loss.name}: neither coordinate map is the identity; the constrained "
+                      "problem may be nonconvex -- falling back to brute-force centroids")
     return brute_force_centroid(loss, preds, "first_arg")
+
+
+def _is_simplex(domain: Domain) -> bool:
+    """Whether ``domain`` is exactly the probability simplex of :meth:`Domain.simplex`."""
+    bounds = ((domain.lower, 0), (domain.upper, 1), (domain.eq_lhs, 1), (domain.eq_rhs, 1))
+    return domain.n_constraints == 1 and all(np.all(v == c) for v, c in bounds)
 
 
 def central_label(loss: LossFunction, labels: WeightedEnsemble) -> CentroidResult:
@@ -380,31 +397,24 @@ def _stable_prefix(vals: np.ndarray, k: int) -> np.ndarray:
 def power_mean_centroids(
     alpha_div: GBregmanDivergence, ens: WeightedEnsemble, side: str
 ) -> CentroidResult:
-    """Normalized power-mean centroid of an alpha divergence on the simplex.
+    """Centroid of an alpha divergence on the probability simplex, the
+    normalized alpha-mean (Amari, Neural Computation 2007).
 
-    Minimizes the expected alpha divergence over the requested argument
-    subject to the sum-to-one constraint: exponent ``alpha`` on the label
-    side (``side="second_arg"``), ``1 - alpha`` on the prediction side.
-    Note these constrained minimizers do not produce an additive
-    decomposition; the gap they leave is the point of measuring them.
+    For ``side="first_arg"`` (the central prediction) it is the f-mean
+    ``f.inverse(sum w f(Y))`` rescaled to sum 1, ``f`` from the divergence's
+    :meth:`~GBregmanDivergence.dual_pair`: f is a power map, so the
+    sum-to-one multiplier only rescales it. ``side="second_arg"`` is the
+    same solve on ``alpha_div.reverse()``. Needs ``"alpha"`` in ``params``
+    (reversed divergences keep it) and exactly the simplex as domain.
     """
-    if alpha_div.name != "alpha":
-        raise ValueError("power-mean centroids are defined for alpha divergences")
-    a = float(alpha_div.params["alpha"])
+    if "alpha" not in alpha_div.params or not _is_simplex(alpha_div.domain):
+        raise ValueError("power-mean centroids are defined for alpha divergences on the simplex")
     if side == "second_arg":
-        expo = a
-    elif side == "first_arg":
-        expo = 1.0 - a
-    else:
+        alpha_div = alpha_div.reverse()
+    elif side != "first_arg":
         raise ValueError("side must be 'first_arg' or 'second_arg'")
-    alpha_div.domain.require_points(ens.points, "ensemble point")
-    moments = np.einsum("k,kd->d", ens.weights, ens.points**expo)
-    if np.any(moments < 0) or not np.all(np.isfinite(moments)):
-        raise ValueError("power mean undefined for this ensemble")
-    raised = moments ** (1.0 / expo)
-    total = raised.sum()
-    if total <= 0:
-        raise ValueError("power mean undefined: all coordinates vanish")
-    point = raised / total
-    obj = side_expectation(alpha_div, point, ens, point_side=side)
+    f, mean = _mean_f(alpha_div, ens)
+    raised = np.asarray(f.inverse(mean), dtype=float)
+    point = raised / raised.sum()
+    obj = side_expectation(alpha_div, point, ens, point_side="first_arg")
     return CentroidResult(point, np.zeros(0), obj, "closed_form")

@@ -197,6 +197,8 @@ def cmd_classify(spec: dict, out_dir: Path) -> list[Path]:
 def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
     sweep = _object(spec, "sweep")
     param = _require(sweep, "param")
+    if not isinstance(param, str):
+        raise SpecError(f"field 'sweep.param' must be a string, got {param!r}")
     values = _require(sweep, "values")
     if not isinstance(values, list) or not values:
         raise SpecError("field 'sweep.values' must be a non-empty list")

@@ -9,7 +9,6 @@ measurement of interest.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,34 +131,16 @@ def decompose_generic(
 def decompose_gbregman(
     div: GBregmanDivergence, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> DecompositionReport:
-    """Closed-form decomposition for a g-Bregman divergence without
-    equality constraints, at the g-mean label and f-mean prediction."""
-    if div.domain.n_constraints:
-        raise ValueError(
-            "domain has equality constraints; use decompose_constrained_bregman"
-        )
+    """:func:`decompose`, under the name ``bench/workloads.py`` times for
+    g-Bregman divergences without equality constraints."""
     return decompose(div, labels, preds)
 
 
 def decompose_constrained_bregman(
     div: GBregmanDivergence, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> DecompositionReport:
-    """Decomposition under linear equality constraints W y = b.
-
-    Standard Bregman divergences (identity map) keep the label mean
-    feasible automatically and find the central prediction with Lagrange
-    multipliers; reverse Bregman divergences (identity dual map) mirror the
-    roles. Anything else falls back to the brute-force oracle with a
-    warning, since the transformed feasible set need not be convex.
-    """
-    if div.domain.n_constraints == 0:
-        raise ValueError("domain has no equality constraints; use decompose_gbregman")
-    if not (div.map_is_identity or div.dual_map_is_identity):
-        warnings.warn(
-            "neither coordinate map is the identity; the constrained problem "
-            "may be nonconvex -- falling back to brute-force centroids",
-            stacklevel=2,
-        )
+    """:func:`decompose`, under the name ``bench/workloads.py`` times for
+    g-Bregman divergences under equality constraints."""
     return decompose(div, labels, preds)
 
 
@@ -171,27 +152,25 @@ def ordering_violation_gap(
 ) -> float:
     """Additivity gap when chosen terms have their arguments interchanged.
 
-    ``swap`` lists any of "noise", "bias", "variance". With nothing swapped
-    this equals the ordinary decomposition gap (zero up to float noise);
-    swapping any term breaks additivity for asymmetric divergences while
-    symmetric ones cannot tell the difference.
+    ``swap`` lists any of "noise", "bias", "variance". The unswapped terms
+    and the expected loss are those of :func:`decompose`, so with nothing
+    swapped this is its gap (zero up to float noise); swapping any term
+    breaks additivity for asymmetric divergences while symmetric ones
+    cannot tell the difference.
     """
     unknown = set(swap) - {"noise", "bias", "variance"}
     if unknown:
         raise ValueError(f"unknown swap terms {sorted(unknown)}")
-    t_star = central_label(div, labels).point
-    y_star = central_prediction(div, preds).point
-    expected = pair_expectation(div, labels, preds)
+    r = decompose(div, labels, preds)
+    t_star, y_star = r.central_label, r.central_prediction
+    noise, bias, variance = r.intrinsic_noise, r.bias, r.variance
     if "noise" in swap:
         noise = side_expectation(div, t_star, labels, point_side="first_arg")
-    else:
-        noise = side_expectation(div, t_star, labels, point_side="second_arg")
-    bias = div.eval(y_star, t_star) if "bias" in swap else div.eval(t_star, y_star)
+    if "bias" in swap:
+        bias = div.eval(y_star, t_star)
     if "variance" in swap:
         variance = side_expectation(div, y_star, preds, point_side="second_arg")
-    else:
-        variance = side_expectation(div, y_star, preds, point_side="first_arg")
-    return _gap(expected, noise, bias, variance)
+    return _gap(r.expected_loss, noise, bias, variance)
 
 
 def gaussian_sufficient_stat(z: float) -> np.ndarray:

@@ -500,6 +500,8 @@ def _log_mapping() -> Mapping:
 
 
 def _prob_domain(dim: int, simplex: bool) -> Domain:
+    if not isinstance(simplex, bool):
+        raise TypeError(f"simplex must be true or false, got {simplex!r}")
     return Domain.simplex(dim) if simplex else Domain.unit_box(dim)
 
 
@@ -542,6 +544,22 @@ def make_reverse_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
     return div
 
 
+def _power_pair(p: float, q: float) -> tuple[Generator, Mapping]:
+    """Potential q^(q/p) * sum u_i^(1/p) after the map y_i^p / q: alpha's {A, g}
+    for (p, q) = (a, 1 - a), its {B, f} for (1 - a, a). q is passed because
+    1 - (1 - a) != a in floating point."""
+    c = q ** (q / p)
+    gen = Generator(
+        value=lambda u: c * np.sum(np.asarray(u, float) ** (1.0 / p), axis=-1),
+        gradient=lambda u: (c / p) * np.asarray(u, float) ** (q / p),
+    )
+    mapping = Mapping(
+        forward=lambda y: np.asarray(y, float) ** p / q,
+        inverse=lambda u: (q * np.asarray(u, float)) ** (1.0 / p),
+    )
+    return gen, mapping
+
+
 def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDivergence:
     """Alpha divergence for 0 < alpha < 1.
 
@@ -552,26 +570,8 @@ def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDiverge
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     a = float(alpha)
-    c_gen = (1.0 - a) ** ((1.0 - a) / a)
-    c_dual = a ** (a / (1.0 - a))
-
-    gen = Generator(
-        value=lambda u: c_gen * np.sum(np.asarray(u, float) ** (1.0 / a), axis=-1),
-        gradient=lambda u: (c_gen / a) * np.asarray(u, float) ** ((1.0 - a) / a),
-    )
-    mapping = Mapping(
-        forward=lambda y: np.asarray(y, float) ** a / (1.0 - a),
-        inverse=lambda u: ((1.0 - a) * np.asarray(u, float)) ** (1.0 / a),
-    )
-    dual_gen = Generator(
-        value=lambda v: c_dual * np.sum(np.asarray(v, float) ** (1.0 / (1.0 - a)), axis=-1),
-        gradient=lambda v: (c_dual / (1.0 - a))
-        * np.asarray(v, float) ** (a / (1.0 - a)),
-    )
-    dual_map = Mapping(
-        forward=lambda y: np.asarray(y, float) ** (1.0 - a) / a,
-        inverse=lambda v: (a * np.asarray(v, float)) ** (1.0 / (1.0 - a)),
-    )
+    gen, mapping = _power_pair(a, 1.0 - a)
+    dual_gen, dual_map = _power_pair(1.0 - a, a)
 
     def direct(T, Y):
         T = np.asarray(T, dtype=float)

@@ -20,7 +20,7 @@ from bvd.centroids import (
     g_mean_label,
     power_mean_centroids,
 )
-from bvd.divergences import GBregmanDivergence
+from bvd.divergences import GBregmanDivergence, _log_mapping, make_g_mahalanobis
 
 from conftest import make_entry, sample_ensemble, sample_simplex_ensemble
 
@@ -234,7 +234,7 @@ class TestDispatcher:
         ("bernoulli_kl", 1, False, "closed_form"),
         ("kl", 3, True, "closed_form"),
         ("reverse_kl", 3, True, "lagrange"),
-        ("alpha", 2, True, "brute_force"),
+        ("alpha", 2, True, "closed_form"),
         ("l1", 1, False, "brute_force"),
     ]
 
@@ -259,15 +259,31 @@ class TestDispatcher:
             labels.weights @ loss.eval_batch(labels.points, res.point), rel=1e-12, abs=1e-15
         )
         if method == "closed_form":
-            # The g-mean, computed here from the divergence's own map.
+            # The g-mean, computed here from the divergence's own map; for
+            # alpha on the simplex, rescaled to sum 1.
             g = loss.map
             mean = np.einsum("k,kd->d", labels.weights, g.forward(labels.points))
-            np.testing.assert_array_equal(res.point, g.inverse(mean))
+            expected = g.inverse(mean)
+            if name == "alpha" and simplex:
+                expected = expected / expected.sum()
+            np.testing.assert_array_equal(res.point, expected)
 
     def test_oracle_for_general_maps_and_plain_losses(self):
-        alpha = catalog("alpha", alpha=0.5, dim=2, simplex=True)
+        # g-Bregman losses under constraints that no exact solver covers
+        # reach the oracle with a warning: a log map on the simplex, and
+        # alpha with an equality other than the simplex's alone.
+        g_mahalanobis = make_g_mahalanobis(_log_mapping(), np.eye(2), Domain.simplex(2))
+        alpha = catalog("alpha", alpha=0.5, dim=3, simplex=True)
+        alpha.domain = Domain(3, np.zeros(3), np.ones(3), [[1, 1, 1], [1, -1, 0]], [1, 0])
+        cases = [
+            (g_mahalanobis, make_ensemble(*self.LABELS)),
+            (alpha, make_ensemble([[0.3, 0.3, 0.4], [0.25, 0.25, 0.5]], [1, 1])),
+        ]
+        for loss, ens in cases:
+            for solve in (central_label, central_prediction):
+                with pytest.warns(UserWarning, match="brute-force"):
+                    assert solve(loss, ens).method == "brute_force", loss.name
         l1 = catalog("l1", dim=1)
-        assert central_label(alpha, make_ensemble(*self.LABELS)).method == "brute_force"
         assert central_prediction(l1, make_ensemble([[0.0], [1.0]], [1, 2])).method \
             == "brute_force"
 
@@ -553,6 +569,22 @@ class TestPowerMeans:
         preds = make_ensemble([[0.3, 0.7]], [1])
         res = power_mean_centroids(div, preds, "first_arg")
         np.testing.assert_allclose(res.point, [0.3, 0.7], rtol=1e-12)
+
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dispatcher_matches_oracle(self, rng, a, d):
+        # The dispatcher's power mean is the exact constrained minimizer: the
+        # oracle agrees to its own precision and never finds a lower objective.
+        div = catalog("alpha", alpha=a, dim=d, simplex=True)
+        for _ in range(2):
+            ens = sample_simplex_ensemble(rng, int(rng.integers(2, 6)), d)
+            for solve, side in ((central_prediction, "first_arg"), (central_label, "second_arg")):
+                res = solve(div, ens)
+                assert res.method == "closed_form"
+                np.testing.assert_array_equal(res.point, power_mean_centroids(div, ens, side).point)
+                oracle = brute_force_centroid(div, ens, side)
+                np.testing.assert_allclose(res.point, oracle.point, rtol=0, atol=1e-5)
+                assert res.objective <= oracle.objective + 1e-12 * (1 + abs(oracle.objective))
 
     def test_wrong_divergence_rejected(self):
         div = catalog("kl", dim=2, simplex=True)

@@ -164,6 +164,30 @@ class TestSweepCommand:
         svg = (tmp_path / "alpha_sweep.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_alpha_sweep_on_a_100_class_simplex(self, tmp_path):
+        # The power-mean centroids work at any d; the grid oracle would
+        # refuse a 41^99-point grid.
+        rng = np.random.default_rng(5)
+        labels, preds = (rng.uniform(0.1, 0.9, (n, 100)) for n in (3, 4))
+        values = [0.1, 0.5, 0.9]
+        spec = write_spec(
+            tmp_path,
+            {
+                "command": "sweep",
+                "divergence": {"name": "alpha", "params": {"dim": 100, "simplex": True}},
+                "labels": {"points": (labels / labels.sum(1, keepdims=True)).tolist(),
+                           "weights": [1.0] * 3},
+                "preds": {"points": (preds / preds.sum(1, keepdims=True)).tolist(),
+                          "weights": [1.0] * 4},
+                "sweep": {"param": "alpha", "values": values},
+            },
+        )
+        assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(values)
+        for row in rows:
+            assert all(np.isfinite(float(x)) for x in row.split(",")[1:])
+
 
 class TestCentroidCommand:
     def test_constrained_centroids_json(self, tmp_path):
@@ -294,9 +318,13 @@ class TestErrorHandling:
             ("seed", {"command": "classify", "seed": "x"}),
             ("seed", {"command": "classify", "seed": 1.7}),
             ("seed", {"command": "classify", "seed": True}),
+            ("divergence.params",
+             {"divergence": {"name": "kl", "params": {"dim": 2, "simplex": "false"}}}),
+            ("sweep.param", {"command": "sweep", "sweep": {"param": 5, "values": [0.5]}}),
         ],
         ids=["divergence", "domain", "output", "string_dim", "unknown_param",
-             "g_mahalanobis_domain", "string_seed", "float_seed", "bool_seed"],
+             "g_mahalanobis_domain", "string_seed", "float_seed", "bool_seed",
+             "string_simplex", "int_sweep_param"],
     )
     def test_malformed_field_named_without_traceback(self, tmp_path, field, override):
         spec = {

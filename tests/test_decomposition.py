@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from bvd import catalog, make_ensemble
+from bvd import Domain, catalog, make_ensemble
 from bvd.core import pair_expectation
 from bvd.centroids import power_mean_centroids
+from bvd.divergences import _log_mapping, make_g_mahalanobis
 from bvd.decomposition import (
     decompose,
     decompose_constrained_bregman,
@@ -100,11 +101,13 @@ class TestClosedFormFixtures:
         for term in (r.expected_loss, r.intrinsic_noise, r.bias, r.variance, r.gap):
             assert term == pytest.approx(0.0, abs=1e-13)
 
-    def test_constraint_domain_rejected(self):
+    def test_constraint_domain_forwards_to_decompose(self):
         div = catalog("kl", dim=2, simplex=True)
-        ens = make_ensemble([[0.5, 0.5]], [1])
-        with pytest.raises(ValueError, match="constrained"):
-            decompose_gbregman(div, ens, ens)
+        labels = make_ensemble([[0.5, 0.5]], [1])
+        preds = make_ensemble([[0.2, 0.8], [0.8, 0.2]], [1, 1])
+        r = decompose_gbregman(div, labels, preds)
+        assert r.method == "lagrange"
+        assert r.to_json() == decompose(div, labels, preds).to_json()
 
 
 class TestConstrainedFixtures:
@@ -139,14 +142,18 @@ class TestConstrainedFixtures:
         assert r.variance == pytest.approx(0.0, abs=1e-12)
         assert abs(r.gap) < 1e-12
 
-    def test_unconstrained_domain_rejected(self):
+    def test_unconstrained_domain_forwards_to_decompose(self):
         div = catalog("kl", dim=2)
-        ens = make_ensemble([[0.5, 0.5]], [1])
-        with pytest.raises(ValueError, match="no equality"):
-            decompose_constrained_bregman(div, ens, ens)
+        labels = make_ensemble([[0.5, 0.5]], [1])
+        preds = make_ensemble([[0.2, 0.8], [0.8, 0.2]], [1, 1])
+        r = decompose_constrained_bregman(div, labels, preds)
+        assert r.method == "closed_form"
+        assert r.to_json() == decompose(div, labels, preds).to_json()
 
     def test_general_map_falls_back_with_warning(self):
-        div = catalog("alpha", alpha=0.5, dim=2, simplex=True)
+        # A log map on the simplex: neither map is the identity and no
+        # exact solver applies.
+        div = make_g_mahalanobis(_log_mapping(), np.eye(2), Domain.simplex(2))
         labels = make_ensemble([[0.5, 0.5]], [1])
         preds = make_ensemble([[0.2, 0.8], [0.8, 0.2]], [1, 1])
         with pytest.warns(UserWarning, match="brute-force"):
@@ -340,6 +347,11 @@ class TestNonDecomposabilityWitnesses:
             - y_star.objective
         assert abs(gap) > 1e-3
         assert gap == pytest.approx(-0.0087261319, abs=1e-9)
+        # The dispatcher solves the same centroids, so decompose reports
+        # the same gap.
+        r = decompose(div, labels, preds)
+        assert r.method == "closed_form"
+        assert r.gap == pytest.approx(-0.0087261319, abs=1e-9)
 
 
 class TestExpFamilyDecomposition:
