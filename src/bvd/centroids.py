@@ -266,13 +266,8 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
             X = embed(rows(i, min(i + block, n)))
             feasible = box.feasible(X, tol=1e-12)
             if np.any(feasible):
-                Xf = X[feasible]
-                shape = (Xf.shape[0], ens.size, d)
                 with np.errstate(all="ignore"):
-                    raw = loss.eval_batch(
-                        np.broadcast_to(Xf[:, None, :], shape),
-                        np.broadcast_to(ens.points[None, :, :], shape),
-                    )
+                    raw = loss.eval_batch(X[feasible][:, None, :], ens.points[None, :, :])
                 raw = np.where(np.isfinite(raw), raw, np.inf)
                 if raw.shape[0] == 1 and n > block:
                     # numpy sums a lone row by a dot product, which rounds

@@ -256,10 +256,15 @@ def make_ensemble(points, weights) -> WeightedEnsemble:
 class LossFunction:
     """A nonnegative loss ``eval(label, prediction)`` on a common domain.
 
-    Subclasses implement :meth:`eval_batch`, vectorized over leading axes;
-    non-finite outputs there signal boundary trouble without raising, which
-    lets grid searches mask bad points. The scalar :meth:`eval` path
-    validates feasibility and raises instead.
+    Subclasses implement ``eval_batch(T, Y)``, the one evaluation contract:
+    the last axis of both arrays is d, their leading axes broadcast against
+    each other under numpy's rules, and the result has the broadcast leading
+    shape. Callers pass each support point once, e.g. (n, 1, d) labels
+    against (1, m, d) predictions for the (n, m) product, so a per-point
+    transform (g(t), log y) runs once per point and only the final pairing
+    is full size. Non-finite outputs signal boundary trouble without
+    raising, which lets grid searches mask bad points. The scalar
+    :meth:`eval` path validates feasibility and raises instead.
     """
 
     def __init__(self, dim: int, domain: Domain, name: str = "loss"):
@@ -307,7 +312,11 @@ class LossFunction:
 
 
 class CallableLoss(LossFunction):
-    """Wrap a plain ``(t, y) -> value`` function as a :class:`LossFunction`."""
+    """Wrap a plain ``(t, y) -> value`` function as a :class:`LossFunction`.
+
+    ``fn`` gets the two float arrays of :meth:`LossFunction.eval_batch` as
+    they are and must broadcast them itself (elementwise numpy does).
+    """
 
     def __init__(self, dim, domain, fn, name="loss", has_diagonal_kinks=False):
         super().__init__(dim, domain, name)
@@ -323,21 +332,25 @@ class CallableLoss(LossFunction):
                             f"reverse({self.name})", self.has_diagonal_kinks)
 
 
+def _require_dim(loss: LossFunction, dim: int, what: str) -> None:
+    if dim != loss.dim:
+        raise ValueError(f"{what} dimension: expected {loss.dim} for {loss.name}, got {dim}")
+
+
 def pair_expectation(
     loss: LossFunction, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> float:
     """E over independent (label, prediction) pairs of the loss.
 
-    Evaluates the full support product in one vectorized call; the reduction
-    order is fixed, so repeated runs agree to the last bit.
+    Evaluates the broadcast support product, (nt, 1, d) labels against
+    (1, ny, d) predictions, in one vectorized call; the reduction order is
+    fixed, so repeated runs agree to the last bit. Both ensembles must have
+    the loss's dimension (``ValueError`` otherwise).
     """
-    T = labels.points[:, None, :]  # (nt, 1, d)
-    Y = preds.points[None, :, :]  # (1, ny, d)
+    _require_dim(loss, labels.dim, "label")
+    _require_dim(loss, preds.dim, "prediction")
     with np.errstate(all="ignore"):
-        values = loss.eval_batch(
-            np.broadcast_to(T, (labels.size, preds.size, labels.dim)),
-            np.broadcast_to(Y, (labels.size, preds.size, preds.dim)),
-        )
+        values = loss.eval_batch(labels.points[:, None, :], preds.points[None, :, :])
     if not np.all(np.isfinite(values)):
         raise BoundaryError(f"{loss.name} is not finite on the support product")
     w = labels.weights[:, None] * preds.weights[None, :]
@@ -347,13 +360,16 @@ def pair_expectation(
 def side_expectation(
     loss: LossFunction, point: np.ndarray, ens: WeightedEnsemble, point_side: str
 ) -> float:
-    """E over the ensemble of loss(point, .) or loss(., point)."""
-    P = np.broadcast_to(point, (ens.size, ens.dim))
+    """E over the ensemble of loss(point, .) or loss(., point). The point and
+    the ensemble must have the loss's dimension (``ValueError`` otherwise)."""
+    P = np.asarray(point, dtype=float).reshape(-1)
+    _require_dim(loss, P.size, "point")
+    _require_dim(loss, ens.dim, "ensemble")
     with np.errstate(all="ignore"):
         if point_side == "first_arg":
-            values = loss.eval_batch(P, ens.points)
+            values = loss.eval_batch(P[None, :], ens.points)
         elif point_side == "second_arg":
-            values = loss.eval_batch(ens.points, P)
+            values = loss.eval_batch(ens.points, P[None, :])
         else:
             raise ValueError("point_side must be 'first_arg' or 'second_arg'")
     if not np.all(np.isfinite(values)):

@@ -179,7 +179,8 @@ class GBregmanDivergence(LossFunction):
         by Newton-based inversion of grad A).
     direct_eval : optional numerically-stable closed form of the defining
         expression (used for batch evaluation, e.g. to honor the
-        0 log 0 = 0 convention at boundary labels).
+        0 log 0 = 0 convention at boundary labels); :meth:`eval_batch`
+        passes it float arrays.
     check_boundary : optional validator raising BoundaryError for points
         where evaluation cannot work (names the offending coordinate).
     """
@@ -410,23 +411,13 @@ def _check_positive_definite(K: np.ndarray):
 
 
 def make_mahalanobis(K, bound: float = 10.0, name: str = "mahalanobis") -> GBregmanDivergence:
-    K, gen, dual_gen, dual_map = _quadratic_pair(K)
-    d = K.shape[0]
-    domain = Domain.box(-bound * np.ones(d), bound * np.ones(d))
-
-    def direct(T, Y):
-        return gen.value(np.asarray(T, float) - np.asarray(Y, float))
-
-    return GBregmanDivergence(
-        gen=gen,
-        mapping=identity_mapping(),
-        domain=domain,
-        dual_gen=dual_gen,
-        dual_map=dual_map,
-        name=name,
-        params={"K": K, "bound": bound},
-        direct_eval=direct,
-    )
+    """(t - y) . K (t - y) on the box [-bound, bound]^d: the quadratic form
+    of :func:`make_g_mahalanobis` with the identity map."""
+    K = np.asarray(K, dtype=float)
+    box = bound * np.ones(K.shape[0] if K.ndim else 1)
+    div = make_g_mahalanobis(identity_mapping(), K, Domain.box(-box, box), name)
+    div.params["bound"] = bound
+    return div
 
 
 def make_sq_euclidean(dim: int, bound: float = 10.0) -> GBregmanDivergence:
@@ -442,15 +433,13 @@ def make_g_mahalanobis(
     K, gen, quad_dual_gen, quad_dual_map = _quadratic_pair(K)
 
     def f_forward(y):
-        return quad_dual_map.forward(mapping.forward(np.asarray(y, float)))
+        return quad_dual_map.forward(mapping.forward(y))
 
     def f_inverse(v):
         return mapping.inverse(quad_dual_map.inverse(v))
 
     def direct(T, Y):
-        return gen.value(
-            mapping.forward(np.asarray(T, float)) - mapping.forward(np.asarray(Y, float))
-        )
+        return gen.value(mapping.forward(T) - mapping.forward(Y))
 
     return GBregmanDivergence(
         gen=gen,
@@ -505,19 +494,23 @@ def _prob_domain(dim: int, simplex: bool) -> Domain:
     return Domain.simplex(dim) if simplex else Domain.unit_box(dim)
 
 
+def _kl_direct(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """sum t (log t - log y) + y - t over the last axis, 0 log 0 = 0.
+
+    The logs are taken per point, before ``T`` and ``Y`` broadcast. ``(Y - T)``
+    stays parenthesised: numpy reuses that temporary for the sum, where
+    ``terms + Y - T`` would hold a third full-size array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(T > 0, T * (np.log(np.where(T > 0, T, 1.0)) - np.log(Y)), 0.0)
+    return np.sum(terms + (Y - T), axis=-1)
+
+
 def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
     """Forward KL in proper form: sum t log(t/y) + sum y - sum t.
 
     Labels may have zero coordinates (0 log 0 = 0); predictions must be
     strictly positive.
     """
-
-    def direct(T, Y):
-        T = np.asarray(T, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(T > 0, T * np.log(np.where(T > 0, T, 1.0) / Y), 0.0)
-        return np.sum(terms + Y - T, axis=-1)
 
     def check_boundary(t, y):
         _require_positive(y, t, "prediction", "kl")
@@ -530,7 +523,7 @@ def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
         dual_map=_log_mapping(),
         name="kl",
         params={"dim": dim, "simplex": simplex},
-        direct_eval=direct,
+        direct_eval=_kl_direct,
         check_boundary=check_boundary,
     )
 
@@ -574,8 +567,6 @@ def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDiverge
     dual_gen, dual_map = _power_pair(1.0 - a, a)
 
     def direct(T, Y):
-        T = np.asarray(T, dtype=float)
-        Y = np.asarray(Y, dtype=float)
         cross = np.sum(T**a * Y ** (1.0 - a), axis=-1)
         return (
             -cross / (a * (1.0 - a))
@@ -660,8 +651,6 @@ def make_gaussian_canonical(
         return np.stack([v[..., 0] / s, -0.5 / s], axis=-1)
 
     def direct(T, Y):
-        T = np.asarray(T, dtype=float)
-        Y = np.asarray(Y, dtype=float)
         mt, st = T[..., 0], T[..., 1]
         my, sy = Y[..., 0], Y[..., 1]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -718,14 +707,8 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         return np.sum(np.logaddexp(0.0, v), axis=-1)
 
     def direct(T, Y):
-        T = np.asarray(T, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a = np.where(T > 0, T * np.log(np.where(T > 0, T, 1.0) / Y), 0.0)
-            b = np.where(
-                T < 1, (1.0 - T) * np.log(np.where(T < 1, 1.0 - T, 1.0) / (1.0 - Y)), 0.0
-            )
-        return np.sum(a + b, axis=-1)
+        # The y - t terms of the two KL kernels cancel.
+        return _kl_direct(T, Y) + _kl_direct(1.0 - T, 1.0 - Y)
 
     def check_boundary(t, y):
         _require_interior_unit(y, t, "prediction", "bernoulli_kl")

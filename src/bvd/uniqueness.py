@@ -85,22 +85,23 @@ def _mixed_hessian_batch(
     """Central-difference mixed blocks for n (label, prediction) pairs.
 
     Returns (n, d, d) with entry [n, i, j] = d2 L / dy_i dt_j. Each entry
-    uses a 4-point stencil; all 4 n d^2 evaluations happen in one
-    vectorized call.
+    uses a 4-point stencil. The label stencils have shape (n, 1, d, d) (step
+    along axis j) and the prediction stencils (n, d, 1, d) (step along i);
+    each of the four sign pairs is one ``eval_batch`` call on their
+    broadcast (n, d, d) product, so each stencil point is passed once.
     """
-    n, d = T.shape
+    d = T.shape[1]
     E = np.eye(d)
     hh = h[:, None, None, None]
     Tj_plus = T[:, None, None, :] + hh * E[None, None, :, :]
     Tj_minus = T[:, None, None, :] - hh * E[None, None, :, :]
     Yi_plus = Y[:, None, None, :] + hh * E[None, :, None, :]
     Yi_minus = Y[:, None, None, :] - hh * E[None, :, None, :]
-    shape = (n, d, d, d)
     with np.errstate(all="ignore"):
-        l_pp = loss.eval_batch(np.broadcast_to(Tj_plus, shape), np.broadcast_to(Yi_plus, shape))
-        l_pm = loss.eval_batch(np.broadcast_to(Tj_plus, shape), np.broadcast_to(Yi_minus, shape))
-        l_mp = loss.eval_batch(np.broadcast_to(Tj_minus, shape), np.broadcast_to(Yi_plus, shape))
-        l_mm = loss.eval_batch(np.broadcast_to(Tj_minus, shape), np.broadcast_to(Yi_minus, shape))
+        l_pp = loss.eval_batch(Tj_plus, Yi_plus)
+        l_pm = loss.eval_batch(Tj_plus, Yi_minus)
+        l_mp = loss.eval_batch(Tj_minus, Yi_plus)
+        l_mm = loss.eval_batch(Tj_minus, Yi_minus)
     denom = (4.0 * h * h)[:, None, None]
     return (l_pp - l_pm - l_mp + l_mm) / denom
 

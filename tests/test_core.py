@@ -166,3 +166,52 @@ class TestPairExpectation:
         x = np.array([0.3])
         direct = sum(w * loss.eval(x, p) for p, w in zip(ens.points, ens.weights))
         assert side_expectation(loss, x, ens, "first_arg") == pytest.approx(direct)
+
+    def test_pair_dimension_mismatch_is_named(self, rng):
+        loss = catalog("kl", dim=3)
+        labels = make_ensemble(rng.uniform(0.1, 0.9, (4, 1)), np.ones(4))
+        preds = make_ensemble(rng.uniform(0.1, 0.9, (5, 3)), np.ones(5))
+        with pytest.raises(ValueError, match="label dimension: expected 3 .* got 1"):
+            pair_expectation(loss, labels, preds)
+        with pytest.raises(ValueError, match="prediction dimension: expected 3 .* got 1"):
+            pair_expectation(loss, preds, labels)
+
+    def test_side_dimension_mismatch_is_named(self, rng):
+        loss = catalog("kl", dim=3)
+        ens = make_ensemble(rng.uniform(0.1, 0.9, (5, 3)), np.ones(5))
+        for side in ("first_arg", "second_arg"):
+            with pytest.raises(ValueError, match="point dimension: expected 3 .* got 1"):
+                side_expectation(loss, np.array([0.5]), ens, side)
+
+    def test_each_support_point_mapped_once(self, rng):
+        from bvd.divergences import Mapping, make_g_mahalanobis
+
+        mapped = []
+
+        def forward(y):
+            mapped.append(np.size(y))
+            return np.log(y)
+
+        mapping = Mapping(forward=forward, inverse=np.exp)
+        loss = make_g_mahalanobis(mapping, np.eye(3), Domain.box(0.05 * np.ones(3), np.ones(3)))
+        labels = make_ensemble(rng.uniform(0.1, 0.9, (6, 3)), np.ones(6))
+        preds = make_ensemble(rng.uniform(0.1, 0.9, (8, 3)), np.ones(8))
+        pair_expectation(loss, labels, preds)
+        assert sum(mapped) == (6 + 8) * 3
+
+    def test_kl_pair_peak_memory(self, rng):
+        """The KL kernel holds at most two and a half full (nt, ny, d)
+        arrays at once: logs per point, one temporary reused for the sum."""
+        import tracemalloc
+
+        d, nt, ny = 1000, 16, 64
+        loss = catalog("kl", dim=d, simplex=True)
+        labels = make_ensemble(rng.dirichlet(np.ones(d), nt), np.ones(nt))
+        preds = make_ensemble(rng.dirichlet(np.ones(d), ny), np.ones(ny))
+        tracemalloc.start()
+        try:
+            pair_expectation(loss, labels, preds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * nt * ny * d * 8

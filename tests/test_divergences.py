@@ -538,3 +538,52 @@ class TestSerialization:
         div = catalog("mahalanobis", K=K)
         again = catalog_from_json(div.to_json())
         assert again.eval([0.0, 0.0], [1.0, 1.0]) == div.eval([0.0, 0.0], [1.0, 1.0])
+
+
+def _contract_cases():
+    """Every catalog entry with a sampler of points inside its domain."""
+    from bvd.divergences import _log_mapping, make_g_mahalanobis
+
+    K = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.5]])
+
+    def inner(lo, hi, d):
+        return lambda rng, n: rng.uniform(lo, hi, (n, d))
+
+    def grid(rng, n):
+        return rng.integers(0, 3, (n, 2)).astype(float)
+
+    return [
+        ("sq_euclidean", catalog("sq_euclidean", dim=3), inner(-3, 3, 3)),
+        ("mahalanobis", catalog("mahalanobis", K=K), inner(-3, 3, 3)),
+        ("kl", catalog("kl", dim=3), inner(0.1, 0.9, 3)),
+        ("reverse_kl", catalog("reverse_kl", dim=3), inner(0.1, 0.9, 3)),
+        ("alpha", catalog("alpha", alpha=0.3, dim=3), inner(0.1, 0.9, 3)),
+        ("gaussian_canonical", catalog("gaussian_canonical"),
+         lambda rng, n: np.column_stack([rng.uniform(-1, 1, n), rng.uniform(0.3, 2.5, n)])),
+        ("bernoulli_kl", catalog("bernoulli_kl"), inner(0.1, 0.9, 1)),
+        ("g_mahalanobis",
+         make_g_mahalanobis(_log_mapping(), K, Domain.box(0.05 * np.ones(3), 3 * np.ones(3))),
+         inner(0.1, 2.5, 3)),
+        ("minkowski", catalog("minkowski", epsilon=1.5, dim=3), inner(-3, 3, 3)),
+        ("l1", catalog("l1", dim=3), inner(-3, 3, 3)),
+        ("zero_one_grid", catalog("zero_one_grid", dim=2, levels=3), grid),
+    ]
+
+
+CONTRACT_CASES = _contract_cases()
+
+
+class TestBroadcastContract:
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("name,loss,sampler", CONTRACT_CASES,
+                             ids=[c[0] for c in CONTRACT_CASES])
+    def test_outer_product_equals_tiled(self, rng, name, loss, sampler, reverse):
+        loss = loss.reverse() if reverse else loss
+        T, Y = sampler(rng, 5), sampler(rng, 7)
+        Y[0] = T[0]  # one pair on the diagonal
+        outer = loss.eval_batch(T[:, None, :], Y[None, :, :])
+        assert outer.shape == (5, 7)
+        shape = (5, 7, loss.dim)
+        tiled = loss.eval_batch(np.broadcast_to(T[:, None, :], shape),
+                                np.broadcast_to(Y[None, :, :], shape))
+        np.testing.assert_allclose(outer, tiled, rtol=1e-12, atol=0)
