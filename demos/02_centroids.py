@@ -3,8 +3,8 @@
 The central label minimizes the expected divergence to a label ensemble
 (g-mean); the central prediction minimizes it against a prediction
 ensemble (f-mean). On the probability simplex the KL central prediction is
-the normalized geometric mean, with a Lagrange multiplier enforcing the
-sum-to-one constraint.
+the normalized geometric mean in closed form; the sum-to-one Lagrange
+multiplier is reported next to it.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import numpy as np
 from bvd import catalog, make_ensemble
 from bvd.centroids import (
     brute_force_centroid,
-    constrained_central_prediction,
+    central_prediction,
     f_mean_prediction,
     g_mean_label,
     power_mean_centroids,
@@ -32,7 +32,7 @@ print("closed form:", f_mean_prediction(rkl, preds).point)
 
 print("\n=== KL restricted to the simplex: normalized geometric mean ===")
 kls = catalog("kl", dim=2, simplex=True)
-res = constrained_central_prediction(kls, preds)
+res = central_prediction(kls, preds)
 print("y* =", res.point, " multiplier =", res.multipliers,
       " (-log 0.8 =", -np.log(0.8), ")")
 

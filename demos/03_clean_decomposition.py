@@ -1,8 +1,9 @@
 """Additive decompositions: expected loss = noise + bias + variance, gap ~ 0.
 
 Divergences with the dual-pair structure split exactly; the residual gap
-is reported, never assumed. Equality constraints (the simplex) keep the
-split exact for the forward and reverse KL via Lagrange multipliers.
+is reported, never assumed. On the probability simplex the split stays
+exact for the forward and reverse KL: the centroids are the f-means
+rescaled to sum 1, and the report carries the simplex multiplier.
 """
 
 import numpy as np

@@ -4,12 +4,13 @@ The central label is the single point minimizing the expected divergence to
 a label distribution (expectation over the first argument, minimization
 over the second); the central prediction minimizes over the first argument
 against a prediction distribution. For g-Bregman divergences these are the
-g-mean and f-mean (normalized for alpha on the simplex); with other linear
-equality constraints they follow from a Newton solve on the Lagrange
-multipliers. A grid search refined by a batched multi-start pattern search
-provides an independent check and handles arbitrary losses.
-:func:`central_prediction` picks the cheapest that is exact for a loss; each
-label-side solve is the prediction-side solve of ``loss.reverse()``.
+g-mean and f-mean (rescaled to sum 1 for kl, reverse_kl and alpha on the
+simplex); with other linear equality constraints they follow from a Newton
+solve on the Lagrange multipliers. A grid search refined by a batched
+multi-start pattern search provides an independent check and handles
+arbitrary losses. :func:`central_prediction` picks the cheapest that is
+exact for a loss; each label-side solve is the prediction-side solve of
+``loss.reverse()``.
 """
 
 from __future__ import annotations
@@ -75,17 +76,30 @@ def _mean_f(div: GBregmanDivergence, ens: WeightedEnsemble) -> tuple[Mapping, np
 def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
     """Central prediction: inverse map of the mean of f over the predictions.
 
+    For kl, reverse_kl and alpha on the simplex the sum-to-one multiplier
+    lam of f(y*) = E f(Y) + lam only shifts log y or rescales a power, so
+    y* is the f-mean rescaled to sum 1 (Nielsen & Nock, IEEE Trans. Inf.
+    Theory 2009); ``multipliers`` holds lam when the map g is the identity.
+
     Raises :class:`InfeasibleMeanError` when the mean violates the domain's
     constraints (use the constrained solver then).
     """
     f, mean = _mean_f(div, preds)
     point = np.asarray(f.inverse(mean), dtype=float)
+    simplex = _simplex_family(div)
+    if simplex:
+        with np.errstate(invalid="ignore"):  # 0 / 0 when every coordinate vanishes
+            point = point / point.sum()
     if not div.domain.contains(point):
         raise InfeasibleMeanError(
             f"closed-form centroid {point} is infeasible; use a constrained solver"
         )
+    lam = np.zeros(0)
+    if simplex and div.map_is_identity:  # f(y*) - E f(Y) = lam wherever y* > 0
+        with np.errstate(invalid="ignore"):
+            lam = np.array([np.mean((f.forward(point) - mean)[point > 0])])
     objective = side_expectation(div, point, preds, point_side="first_arg")
-    return CentroidResult(point, np.zeros(0), objective, "closed_form")
+    return CentroidResult(point, lam, objective, "closed_form")
 
 
 def g_mean_label(div: GBregmanDivergence, labels: WeightedEnsemble) -> CentroidResult:
@@ -153,30 +167,31 @@ def central_prediction(loss: LossFunction, preds: WeightedEnsemble) -> CentroidR
 
     The f-mean when the domain has no equality constraints or the dual map
     is the identity (the arithmetic mean of feasible points stays feasible
-    under linear equalities), the Lagrange solve when the map is the
-    identity, the normalized f-mean (:func:`power_mean_centroids`) for alpha
-    on the simplex, and the brute-force oracle otherwise: for losses that
-    are not g-Bregman, and with a ``UserWarning`` for g-Bregman ones. Each
-    solver first requires every ensemble point in the domain
-    (:meth:`Domain.require_points`), so an ensemble of the wrong dimension
-    or with an infeasible point raises ``ValueError`` naming it.
+    under linear equalities), rescaled for kl, reverse_kl and alpha on the
+    simplex; the Lagrange solve when the map is the identity; else the
+    oracle: for losses that are not g-Bregman, and with a ``UserWarning``
+    for g-Bregman ones. Each solver first requires every ensemble point in
+    the domain (:meth:`Domain.require_points`), so an ensemble of the wrong
+    dimension or with an infeasible point raises ``ValueError`` naming it.
     """
     if isinstance(loss, GBregmanDivergence):
-        if loss.domain.n_constraints == 0 or loss.dual_map_is_identity:
+        if loss.domain.n_constraints == 0 or loss.dual_map_is_identity or _simplex_family(loss):
             return f_mean_prediction(loss, preds)
         if loss.map_is_identity:
             return constrained_central_prediction(loss, preds)
-        if "alpha" in loss.params and _is_simplex(loss.domain):
-            return power_mean_centroids(loss, preds, "first_arg")
         warnings.warn(f"{loss.name}: neither coordinate map is the identity; the constrained "
                       "problem may be nonconvex -- falling back to brute-force centroids")
     return brute_force_centroid(loss, preds, "first_arg")
 
 
-def _is_simplex(domain: Domain) -> bool:
-    """Whether ``domain`` is exactly the probability simplex of :meth:`Domain.simplex`."""
-    bounds = ((domain.lower, 0), (domain.upper, 1), (domain.eq_lhs, 1), (domain.eq_rhs, 1))
-    return domain.n_constraints == 1 and all(np.all(v == c) for v, c in bounds)
+def _simplex_family(div: GBregmanDivergence) -> bool:
+    """Whether ``div`` is kl, reverse_kl or alpha (the catalog families with a
+    ``simplex`` parameter; ``reverse()`` keeps ``params``) on exactly
+    :meth:`Domain.simplex`."""
+    dom = div.domain
+    bounds = ((dom.lower, 0), (dom.upper, 1), (dom.eq_lhs, 1), (dom.eq_rhs, 1))
+    return "simplex" in div.params and dom.n_constraints == 1 and all(
+        np.all(v == c) for v, c in bounds)
 
 
 def central_label(loss: LossFunction, labels: WeightedEnsemble) -> CentroidResult:
@@ -390,26 +405,16 @@ def _stable_prefix(vals: np.ndarray, k: int) -> np.ndarray:
 
 
 def power_mean_centroids(
-    alpha_div: GBregmanDivergence, ens: WeightedEnsemble, side: str
+    div: GBregmanDivergence, ens: WeightedEnsemble, side: str
 ) -> CentroidResult:
-    """Centroid of an alpha divergence on the probability simplex, the
-    normalized alpha-mean (Amari, Neural Computation 2007).
-
-    For ``side="first_arg"`` (the central prediction) it is the f-mean
-    ``f.inverse(sum w f(Y))`` rescaled to sum 1, ``f`` from the divergence's
-    :meth:`~GBregmanDivergence.dual_pair`: f is a power map, so the
-    sum-to-one multiplier only rescales it. ``side="second_arg"`` is the
-    same solve on ``alpha_div.reverse()``. Needs ``"alpha"`` in ``params``
-    (reversed divergences keep it) and exactly the simplex as domain.
+    """Centroid of kl, reverse_kl or alpha on the probability simplex, the
+    rescaled f-mean of :func:`f_mean_prediction`: for alpha the normalized
+    power mean (Amari, Neural Computation 2007), for KL the normalized
+    geometric mean, the power mean of order 0 (Nielsen & Nock, IEEE Trans.
+    Inf. Theory 2009). ``side="second_arg"`` solves on ``div.reverse()``.
     """
-    if "alpha" not in alpha_div.params or not _is_simplex(alpha_div.domain):
-        raise ValueError("power-mean centroids are defined for alpha divergences on the simplex")
-    if side == "second_arg":
-        alpha_div = alpha_div.reverse()
-    elif side != "first_arg":
+    if not _simplex_family(div):
+        raise ValueError("power-mean centroids need kl, reverse_kl or alpha on the simplex")
+    if side not in ("first_arg", "second_arg"):
         raise ValueError("side must be 'first_arg' or 'second_arg'")
-    f, mean = _mean_f(alpha_div, ens)
-    raised = np.asarray(f.inverse(mean), dtype=float)
-    point = raised / raised.sum()
-    obj = side_expectation(alpha_div, point, ens, point_side="first_arg")
-    return CentroidResult(point, np.zeros(0), obj, "closed_form")
+    return f_mean_prediction(div if side == "first_arg" else div.reverse(), ens)

@@ -165,7 +165,14 @@ def cmd_decompose(spec: dict, out_dir: Path) -> list[Path]:
     return [path]
 
 
+def _require_json_output(spec: dict):
+    fmt = _object(spec, "output", required=False).get("format", "json")
+    if fmt != "json":
+        raise SpecError(f"field 'output.format': {spec['command']} writes only json, got {fmt!r}")
+
+
 def cmd_centroid(spec: dict, out_dir: Path) -> list[Path]:
+    _require_json_output(spec)
     loss = _build_loss(spec)
     results = {}
     if "labels" in spec:
@@ -182,6 +189,7 @@ def cmd_centroid(spec: dict, out_dir: Path) -> list[Path]:
 
 
 def cmd_classify(spec: dict, out_dir: Path) -> list[Path]:
+    _require_json_output(spec)
     loss = _build_loss(spec)
     if "classifier" in spec:
         raise SpecError("field 'classifier' is not accepted: classify takes only 'seed'")
@@ -202,6 +210,9 @@ def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
     values = _require(sweep, "values")
     if not isinstance(values, list) or not values:
         raise SpecError("field 'sweep.values' must be a non-empty list")
+    plot = spec.get("plot", False)
+    if not isinstance(plot, bool):
+        raise SpecError(f"field 'plot' must be true or false, got {plot!r}")
 
     rows, gaps = [], []
     for value in values:
@@ -220,7 +231,7 @@ def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
     _write_text(path, CSV_HEADER + "\n" + "\n".join(rows) + "\n")
     written = [path]
 
-    if _object(spec, "output", required=False).get("format") == "svg" or spec.get("plot"):
+    if _object(spec, "output", required=False).get("format") == "svg" or plot:
         svg_path = path.with_suffix(".svg")
         _write_text(svg_path, _gap_svg(param, [float(v) for v in values], gaps))
         written.append(svg_path)

@@ -174,9 +174,11 @@ class Domain:
 
     @staticmethod
     def from_json(obj: dict) -> "Domain":
-        eq = obj.get("eq")
+        dim, eq = obj["dim"], obj.get("eq")
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
+            raise ValueError(f"dim must be an integer, got {dim!r}")
         return Domain(
-            dim=int(obj["dim"]),
+            dim=dim,
             lower=None if obj.get("lower") is None else np.asarray(obj["lower"], float),
             upper=None if obj.get("upper") is None else np.asarray(obj["upper"], float),
             eq_lhs=None if eq is None else np.asarray(eq["W"], float),

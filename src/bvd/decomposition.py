@@ -91,7 +91,7 @@ def _report(
     bias = loss.eval(t_star.point, y_star.point)
     variance = y_star.objective
     _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
-    lagrange = [r.multipliers for r in (t_star, y_star) if r.method == "lagrange"]
+    lams = [r.multipliers for r in (t_star, y_star) if r.multipliers.size]
     return DecompositionReport(
         expected_loss=expected,
         intrinsic_noise=noise,
@@ -100,7 +100,7 @@ def _report(
         gap=_gap(expected, noise, bias, variance),
         central_label=t_star.point,
         central_prediction=y_star.point,
-        multipliers=lagrange[0] if lagrange else None,
+        multipliers=lams[0] if lams else None,
         method=max(t_star.method, y_star.method, key=_SOLVER_COST.__getitem__),
     )
 

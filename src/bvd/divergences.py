@@ -760,8 +760,8 @@ def make_l1(dim: int, bound: float = 10.0) -> LossFunction:
 
 def make_zero_one_grid(dim: int, levels: int = 2) -> LossFunction:
     """0-1 loss on the integer grid {0, ..., levels-1}^dim."""
-    if levels < 2:
-        raise ValueError("levels must be >= 2")
+    if not isinstance(levels, (int, np.integer)) or isinstance(levels, bool) or levels < 2:
+        raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
 
     def fn(T, Y):
         return (np.max(np.abs(T - Y), axis=-1) > 1e-9).astype(float)

@@ -176,12 +176,30 @@ class TestConstrainedCentroids:
         pred = central_prediction(catalog("kl", dim=d, simplex=True), ens)
         label = central_label(catalog("reverse_kl", dim=d, simplex=True), ens)
         for res in (pred, label):
-            assert res.method == "lagrange"
+            assert res.method == "closed_form"
             np.testing.assert_allclose(res.point, expected, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("d", [2, 100, 1000])
+    def test_simplex_centroids_closed_form(self, rng, d):
+        # KL's central prediction and reverse KL's central label are the
+        # normalized geometric mean in closed form, with the simplex
+        # multiplier lam = -log sum exp(E log Y).
+        kl = catalog("kl", dim=d, simplex=True)
+        rkl = catalog("reverse_kl", dim=d, simplex=True)
+        for _ in range(5):
+            ens = sample_simplex_ensemble(rng, int(rng.integers(2, 9)), d)
+            gm = np.exp(np.einsum("k,kd->d", ens.weights, np.log(ens.points)))
+            lam = -np.log(gm.sum())
+            for res in (central_prediction(kl, ens), central_label(rkl, ens)):
+                assert res.method == "closed_form"
+                np.testing.assert_array_equal(res.point, gm / gm.sum())
+                assert res.multipliers.shape == (1,)
+                assert abs(res.multipliers[0] - lam) <= 1e-14 * (1 + abs(lam))
+
     def test_newton_derived_dual_map(self, rng):
-        # Without a closed-form dual, the Lagrange solve runs on the dual map
-        # that Newton inversion derives, and must find the same centroid.
+        # Without a closed-form dual or the catalog's simplex parameter, the
+        # Lagrange solve runs on the dual map that Newton inversion derives,
+        # and must find the catalog KL's closed-form centroid.
         kl = catalog("kl", dim=3, simplex=True)
         stripped = GBregmanDivergence(
             gen=kl.gen, mapping=kl.map, domain=kl.domain, name="kl_stripped"
@@ -190,7 +208,7 @@ class TestConstrainedCentroids:
             preds = sample_simplex_ensemble(rng, 4, 3)
             res = central_prediction(stripped, preds)
             ref = central_prediction(kl, preds)
-            assert res.method == ref.method == "lagrange"
+            assert res.method == "lagrange" and ref.method == "closed_form"
             np.testing.assert_allclose(res.point, ref.point, rtol=1e-9, atol=0)
 
     def test_non_identity_map_rejected(self):
@@ -218,10 +236,25 @@ class TestDispatcher:
         rkl = catalog("reverse_kl", dim=2, simplex=True)
         pred = central_prediction(kl, make_ensemble(*self.PREDS))
         label = central_label(rkl, make_ensemble(*self.PREDS))
-        assert pred.method == label.method == "lagrange"
+        assert pred.method == label.method == "closed_form"
         # Duality: both are the normalized geometric mean of the same points.
         np.testing.assert_allclose(label.point, pred.point, rtol=0, atol=1e-15)
         np.testing.assert_allclose(label.multipliers, pred.multipliers, atol=1e-15)
+
+    def test_lagrange_for_other_equality_sets(self):
+        # The Lagrange solve still serves equality sets that no closed form
+        # covers: a quadratic potential put on the simplex, and KL with a
+        # second equality row.
+        sq = catalog("sq_euclidean", dim=2)
+        sq.domain = Domain.simplex(2)
+        kl = catalog("kl", dim=3, simplex=True)
+        kl.domain = Domain(3, np.zeros(3), np.ones(3), [[1, 1, 1], [1, -1, 0]], [1, 0])
+        ens3 = make_ensemble([[0.3, 0.3, 0.4], [0.25, 0.25, 0.5]], [1, 1])
+        for loss, ens in ((sq, make_ensemble(*self.PREDS)), (kl, ens3)):
+            res = central_prediction(loss, ens)
+            assert res.method == "lagrange", loss.name
+            assert res.multipliers.size == loss.domain.n_constraints
+            assert loss.domain.contains(res.point)
 
     # Family, dimension, simplex domain, and the solver the label takes.
     LABEL_CASES = [
@@ -233,7 +266,7 @@ class TestDispatcher:
         ("gaussian_canonical", 2, False, "closed_form"),
         ("bernoulli_kl", 1, False, "closed_form"),
         ("kl", 3, True, "closed_form"),
-        ("reverse_kl", 3, True, "lagrange"),
+        ("reverse_kl", 3, True, "closed_form"),
         ("alpha", 2, True, "closed_form"),
         ("l1", 1, False, "brute_force"),
     ]
@@ -259,12 +292,12 @@ class TestDispatcher:
             labels.weights @ loss.eval_batch(labels.points, res.point), rel=1e-12, abs=1e-15
         )
         if method == "closed_form":
-            # The g-mean, computed here from the divergence's own map; for
-            # alpha on the simplex, rescaled to sum 1.
+            # The g-mean, computed here from the divergence's own map; on
+            # the simplex, rescaled to sum 1.
             g = loss.map
             mean = np.einsum("k,kd->d", labels.weights, g.forward(labels.points))
             expected = g.inverse(mean)
-            if name == "alpha" and simplex:
+            if simplex:
                 expected = expected / expected.sum()
             np.testing.assert_array_equal(res.point, expected)
 
@@ -587,7 +620,8 @@ class TestPowerMeans:
                 assert res.objective <= oracle.objective + 1e-12 * (1 + abs(oracle.objective))
 
     def test_wrong_divergence_rejected(self):
-        div = catalog("kl", dim=2, simplex=True)
+        div = catalog("sq_euclidean", dim=2)
+        div.domain = Domain.simplex(2)
         with pytest.raises(ValueError, match="alpha"):
             power_mean_centroids(div, make_ensemble([[0.5, 0.5]], [1]), "first_arg")
 

@@ -201,6 +201,10 @@ class TestCentroidCommand:
         assert "central_prediction" in payload["results"]
         y_star = payload["results"]["central_prediction"]["point"]
         assert sum(y_star) == pytest.approx(1.0, abs=1e-9)
+        # The normalized geometric mean, within one ulp of the exact point.
+        assert payload["results"]["central_prediction"]["method"] == "closed_form"
+        exact = np.array([1 / 3, 2 / 3])
+        assert np.all(np.abs(np.array(y_star) - exact) <= np.spacing(exact))
         # KL has an identity map, so the label mean is exact and feasible.
         label = payload["results"]["central_label"]
         assert label["method"] == "closed_form"
@@ -321,10 +325,19 @@ class TestErrorHandling:
             ("divergence.params",
              {"divergence": {"name": "kl", "params": {"dim": 2, "simplex": "false"}}}),
             ("sweep.param", {"command": "sweep", "sweep": {"param": 5, "values": [0.5]}}),
+            ("domain", {"divergence": {"name": "sq_euclidean", "params": {"dim": 2}},
+                        "domain": {"dim": 2.7, "lower": [0, 0], "upper": [1, 1]}}),
+            ("divergence", {"divergence": {"name": "zero_one_grid",
+                                           "params": {"dim": 2, "levels": 2.5}}}),
+            ("plot", {"command": "sweep", "sweep": {"param": "dim", "values": [2]},
+                      "plot": "no"}),
+            ("output.format", {"command": "centroid", "output": {"format": "csv"}}),
+            ("output.format", {"command": "classify", "output": {"format": "csv"}}),
         ],
         ids=["divergence", "domain", "output", "string_dim", "unknown_param",
              "g_mahalanobis_domain", "string_seed", "float_seed", "bool_seed",
-             "string_simplex", "int_sweep_param"],
+             "string_simplex", "int_sweep_param", "float_domain_dim", "float_levels",
+             "string_plot", "centroid_csv", "classify_csv"],
     )
     def test_malformed_field_named_without_traceback(self, tmp_path, field, override):
         spec = {

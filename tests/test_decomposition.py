@@ -106,7 +106,7 @@ class TestClosedFormFixtures:
         labels = make_ensemble([[0.5, 0.5]], [1])
         preds = make_ensemble([[0.2, 0.8], [0.8, 0.2]], [1, 1])
         r = decompose_gbregman(div, labels, preds)
-        assert r.method == "lagrange"
+        assert r.method == "closed_form"
         assert r.to_json() == decompose(div, labels, preds).to_json()
 
 
@@ -446,7 +446,7 @@ class TestReportJson:
         preds = make_ensemble([[0.2, 0.8], [0.8, 0.2]], [1, 1])
         r = decompose_constrained_bregman(div, labels, preds)
         obj = r.to_json()
-        assert obj["method"] == "lagrange"
+        assert obj["method"] == "closed_form"
         assert obj["multipliers"] is not None
         r2 = decompose_gbregman(catalog("kl", dim=2), labels, preds)
         assert r2.to_json()["multipliers"] is None
