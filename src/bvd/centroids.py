@@ -82,14 +82,19 @@ def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> Centr
     Theory 2009); ``multipliers`` holds lam when the map g is the identity.
 
     Raises :class:`InfeasibleMeanError` when the mean violates the domain's
-    constraints (use the constrained solver then).
+    constraints (use the constrained solver then), or on the simplex when
+    the expected divergence is infinite everywhere.
     """
     f, mean = _mean_f(div, preds)
     point = np.asarray(f.inverse(mean), dtype=float)
     simplex = _simplex_family(div)
     if simplex:
-        with np.errstate(invalid="ignore"):  # 0 / 0 when every coordinate vanishes
-            point = point / point.sum()
+        total = point.sum()
+        if not total > 0:  # kl's geometric mean: each coordinate is 0 at some support point
+            raise InfeasibleMeanError(
+                "no coordinate is positive at every support point, so the expected "
+                "divergence is infinite at every point of the simplex")
+        point = point / total
     if not div.domain.contains(point):
         raise InfeasibleMeanError(
             f"closed-form centroid {point} is infeasible; use a constrained solver"

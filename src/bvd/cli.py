@@ -1,16 +1,18 @@
 """Batch front end: ``bvd decompose|centroid|classify|sweep --spec FILE``.
 
-One spec file drives one run. All randomness is seeded from the spec and
-floats are serialized with shortest round-trip repr, so re-running a spec
-byte-reproduces its outputs. Exit code 1 flags a validation problem (bad
-spec, infeasible ensemble), exit code 2 a numerical failure, with the
+One spec file drives one run. Before any command code runs, the spec is
+checked once against its command's field table in ``SCHEMAS``: ``null``
+counts as absent, an unknown field is an error, and messages name the
+dotted field (``labels.weights``). All randomness is seeded from the spec
+and floats are serialized with shortest round-trip repr, so re-running a
+spec byte-reproduces its outputs. Exit code 1 flags a validation problem
+(bad spec, infeasible ensemble), exit code 2 a numerical failure, with the
 offending field or operation named on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
@@ -20,7 +22,6 @@ import numpy as np
 from .core import (
     BoundaryError,
     ConvergenceError,
-    ConvexityError,
     Domain,
     InfeasibleMeanError,
     WeightedEnsemble,
@@ -35,62 +36,99 @@ CSV_HEADER = "divergence,d,n_labels,n_preds,expected,noise,bias,variance,gap"
 NUMERICAL_ERRORS = (
     BoundaryError,
     ConvergenceError,
-    ConvexityError,
     InfeasibleMeanError,
     ArithmeticError,
     np.linalg.LinAlgError,
 )
+
+# Each command's fields, as name -> (required, kind). A kind is a JSON type
+# (``list`` a non-empty array), a tuple of allowed values, or the table of
+# a nested object.
+_ENSEMBLE = {"points": (True, list), "weights": (True, list)}
+_COMMON = {"command": (True, str),
+           "divergence": (True, {"name": (True, str), "params": (False, dict)}),
+           "domain": (False, dict)}
+
+
+def _output(*formats: str) -> tuple:
+    return False, {"path": (False, str), "format": (False, formats)}
+
+
+SCHEMAS = {
+    "decompose": {**_COMMON, "labels": (True, _ENSEMBLE), "preds": (True, _ENSEMBLE),
+                  "output": _output("csv", "json")},
+    "centroid": {**_COMMON, "labels": (False, _ENSEMBLE), "preds": (False, _ENSEMBLE),
+                 "output": _output("json")},
+    "classify": {**_COMMON, "seed": (False, int), "output": _output("json")},
+    "sweep": {**_COMMON, "labels": (True, _ENSEMBLE), "preds": (True, _ENSEMBLE),
+              "sweep": (True, {"param": (True, str), "values": (True, list)}),
+              "plot": (False, bool), "output": _output("csv")},
+}
+_KIND_NAMES = {dict: "a JSON object", list: "a non-empty array", str: "a string",
+               int: "an integer", bool: "true or false"}
 
 
 class SpecError(ValueError):
     """The experiment spec failed validation."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _load_spec(path: Path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"spec file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec is not valid JSON ({exc})")
+    if not isinstance(spec, dict):
+        raise SpecError(f"the spec must be a JSON object, got {spec!r:.60}")
+    return spec
 
 
-def _require(spec: dict, key: str):
-    if key not in spec:
-        raise SpecError(f"spec field '{key}' is required")
-    return spec[key]
+def _check(obj: dict, table: dict, where: str = "") -> None:
+    """Check ``obj`` against a field table, naming fields by dotted path.
 
-
-def _object(spec: dict, key: str, required: bool = True, field: str | None = None) -> dict:
-    """The object at ``spec[key]`` (``{}`` if optional and absent); ``field`` names a nested one."""
-    obj = _require(spec, key) if required else spec.get(key)
-    if obj is None and not required:
-        return {}
-    if not isinstance(obj, dict):
-        raise SpecError(f"field '{field or key}' must be a JSON object")
-    return obj
+    Listed fields come first and unknown ones last, so a spec with both
+    faults names the listed field. A ``null`` field is dropped as absent.
+    """
+    for key, (required, kind) in table.items():
+        field = f"{where}{key}"
+        value = obj.get(key)
+        if value is None:
+            obj.pop(key, None)
+            if required:
+                raise SpecError(f"field '{field}' is required")
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise SpecError(f"field '{field}' must be one of {list(kind)}, got {value!r:.60}")
+        else:
+            json_type = dict if isinstance(kind, dict) else kind
+            # JSON true/false load as bool, a subclass of int: neither stands for the other.
+            if (not isinstance(value, json_type) or value == []
+                    or isinstance(value, bool) != (json_type is bool)):
+                raise SpecError(
+                    f"field '{field}' must be {_KIND_NAMES[json_type]}, got {value!r:.60}")
+            if isinstance(kind, dict):
+                _check(value, kind, f"{field}.")
+    unknown = [f"field '{where}{key}'" for key in obj if key not in table]
+    if unknown:
+        raise SpecError(f"unknown {', '.join(unknown)} (allowed: {', '.join(table)})")
 
 
 def _build_loss(spec: dict):
-    div_spec = _object(spec, "divergence")
-    params = _object(div_spec, "params", required=False, field="divergence.params")
-    if div_spec.get("name") == "g_mahalanobis":
-        _object(params, "domain", field="divergence.params.domain")
+    div_spec = spec["divergence"]
+    params = div_spec.get("params", {})
+    if div_spec["name"] == "g_mahalanobis" and not isinstance(params.get("domain"), dict):
+        raise SpecError("field 'divergence.params.domain' must be a JSON object")
     try:
         loss = catalog_from_json(div_spec)
     except (KeyError, ValueError) as exc:
         raise SpecError(f"field 'divergence': {exc}")
     except TypeError as exc:  # a parameter the entry does not take, or of a wrong type
         raise SpecError(f"field 'divergence.params': {exc}")
-    if spec.get("domain") is not None:
-        domain_spec = _object(spec, "domain")
+    if "domain" in spec:
         try:
-            domain = Domain.from_json(domain_spec)
+            domain = Domain.from_json(spec["domain"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"field 'domain': {exc}")
         if domain.dim != loss.dim:
@@ -100,50 +138,33 @@ def _build_loss(spec: dict):
 
 
 def _build_ensemble(spec: dict, key: str, domain: Domain) -> WeightedEnsemble:
-    obj = _require(spec, key)
     try:
-        ens = WeightedEnsemble.from_json(obj)
+        ens = WeightedEnsemble.from_json(spec[key])
         domain.require_points(ens.points)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"field '{key}': {exc}")
     return ens
 
 
 def _csv_row(name: str, labels, preds, report) -> str:
-    return ",".join(
-        [
-            name,
-            str(labels.dim),
-            str(labels.size),
-            str(preds.size),
-            _fmt(report.expected_loss),
-            _fmt(report.intrinsic_noise),
-            _fmt(report.bias),
-            _fmt(report.variance),
-            _fmt(report.gap),
-        ]
-    )
+    terms = (report.expected_loss, report.intrinsic_noise, report.bias, report.variance,
+             report.gap)
+    return ",".join([name, str(labels.dim), str(labels.size), str(preds.size),
+                     *(repr(float(t)) for t in terms)])
 
 
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _out_path(spec: dict, out_dir: Path, default_stem: str, ext: str) -> Path:
-    name = _object(spec, "output", required=False).get("path", f"{default_stem}.{ext}")
-    if not isinstance(name, str):
-        raise SpecError("field 'output.path' must be a string")
+def _write(out_dir: Path, name: str, content: str | dict) -> Path:
+    """Write ``content`` (a dict as sorted, indented JSON) to ``out_dir / name``,
+    which must lie inside ``out_dir``."""
     path = out_dir / name
     if out_dir.resolve() not in path.resolve().parents:
         raise SpecError(
             f"field 'output.path': {name!r} is not a file inside the output directory"
         )
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(content if isinstance(content, str)
+                 else json.dumps(content, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -152,27 +173,15 @@ def cmd_decompose(spec: dict, out_dir: Path) -> list[Path]:
     labels = _build_ensemble(spec, "labels", loss.domain)
     preds = _build_ensemble(spec, "preds", loss.domain)
     report = decompose(loss, labels, preds)
-    fmt = _object(spec, "output", required=False).get("format", "csv")
+    fmt = spec.get("output", {}).get("format", "csv")
     if fmt == "json":
-        path = _out_path(spec, out_dir, "decompose", "json")
-        payload = {"divergence": spec["divergence"], "report": report.to_json()}
-        _write_text(path, _json_dumps(payload))
-    elif fmt == "csv":
-        path = _out_path(spec, out_dir, "decompose", "csv")
-        _write_text(path, CSV_HEADER + "\n" + _csv_row(loss.name, labels, preds, report) + "\n")
+        content = {"divergence": spec["divergence"], "report": report.to_json()}
     else:
-        raise SpecError(f"field 'output.format': unsupported format {fmt!r}")
-    return [path]
-
-
-def _require_json_output(spec: dict):
-    fmt = _object(spec, "output", required=False).get("format", "json")
-    if fmt != "json":
-        raise SpecError(f"field 'output.format': {spec['command']} writes only json, got {fmt!r}")
+        content = CSV_HEADER + "\n" + _csv_row(loss.name, labels, preds, report) + "\n"
+    return [_write(out_dir, spec.get("output", {}).get("path", f"decompose.{fmt}"), content)]
 
 
 def cmd_centroid(spec: dict, out_dir: Path) -> list[Path]:
-    _require_json_output(spec)
     loss = _build_loss(spec)
     results = {}
     if "labels" in spec:
@@ -183,43 +192,24 @@ def cmd_centroid(spec: dict, out_dir: Path) -> list[Path]:
         results["central_prediction"] = central_prediction(loss, preds).to_json()
     if not results:
         raise SpecError("centroid spec needs 'labels' and/or 'preds'")
-    path = _out_path(spec, out_dir, "centroid", "json")
-    _write_text(path, _json_dumps({"divergence": spec["divergence"], "results": results}))
-    return [path]
+    content = {"divergence": spec["divergence"], "results": results}
+    return [_write(out_dir, spec.get("output", {}).get("path", "centroid.json"), content)]
 
 
 def cmd_classify(spec: dict, out_dir: Path) -> list[Path]:
-    _require_json_output(spec)
     loss = _build_loss(spec)
-    if "classifier" in spec:
-        raise SpecError("field 'classifier' is not accepted: classify takes only 'seed'")
-    seed = spec.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SpecError(f"field 'seed' must be an integer, got {seed!r}")
-    result = classify_loss(loss, ClassifierConfig(seed=seed))
-    path = _out_path(spec, out_dir, "classify", "json")
-    _write_text(path, _json_dumps({"divergence": spec["divergence"], **result.to_json()}))
-    return [path]
+    result = classify_loss(loss, ClassifierConfig(seed=spec.get("seed", 0)))
+    content = {"divergence": spec["divergence"], **result.to_json()}
+    return [_write(out_dir, spec.get("output", {}).get("path", "classify.json"), content)]
 
 
 def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
-    sweep = _object(spec, "sweep")
-    param = _require(sweep, "param")
-    if not isinstance(param, str):
-        raise SpecError(f"field 'sweep.param' must be a string, got {param!r}")
-    values = _require(sweep, "values")
-    if not isinstance(values, list) or not values:
-        raise SpecError("field 'sweep.values' must be a non-empty list")
-    plot = spec.get("plot", False)
-    if not isinstance(plot, bool):
-        raise SpecError(f"field 'plot' must be true or false, got {plot!r}")
-
+    param, values = spec["sweep"]["param"], spec["sweep"]["values"]
     rows, gaps = [], []
+    div_spec = spec["divergence"]
     for value in values:
-        sub = copy.deepcopy(spec)
-        div_spec = _object(sub, "divergence")
-        params = _object(div_spec, "params", required=False, field="divergence.params")
-        div_spec["params"] = {**params, param: value}
+        params = {**div_spec.get("params", {}), param: value}
+        sub = {**spec, "divergence": {**div_spec, "params": params}}
         loss = _build_loss(sub)
         labels = _build_ensemble(sub, "labels", loss.domain)
         preds = _build_ensemble(sub, "preds", loss.domain)
@@ -227,20 +217,17 @@ def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
         rows.append(_csv_row(f"{loss.name}[{param}={value!r}]", labels, preds, report))
         gaps.append(abs(report.gap))
 
-    path = _out_path(spec, out_dir, "sweep", "csv")
-    _write_text(path, CSV_HEADER + "\n" + "\n".join(rows) + "\n")
-    written = [path]
-
-    if _object(spec, "output", required=False).get("format") == "svg" or plot:
-        svg_path = path.with_suffix(".svg")
-        _write_text(svg_path, _gap_svg(param, [float(v) for v in values], gaps))
-        written.append(svg_path)
+    name = spec.get("output", {}).get("path", "sweep.csv")
+    written = [_write(out_dir, name, CSV_HEADER + "\n" + "\n".join(rows) + "\n")]
+    if spec.get("plot"):
+        svg = _gap_svg(param, [float(v) for v in values], gaps)
+        written.append(_write(out_dir, str(Path(name).with_suffix(".svg")), svg))
     return written
 
 
-def _gap_svg(param: str, xs: list[float], ys: list[float], width=640, height=400) -> str:
+def _gap_svg(param: str, xs: list[float], ys: list[float]) -> str:
     """Minimal static line chart of |gap| against a swept parameter."""
-    pad = 60.0
+    width, height, pad = 640, 400, 60.0
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, max(max(ys), 1e-300)
     span_x = (x_hi - x_lo) or 1.0
@@ -289,10 +276,12 @@ COMMANDS = {
 
 
 def run(spec: dict, out_dir: Path) -> list[Path]:
-    """Execute a parsed experiment spec; returns the written paths."""
-    command = _require(spec, "command")
-    if command not in COMMANDS:
+    """Check a parsed spec against its command's table in ``SCHEMAS`` (which
+    drops its null fields in place), then execute it; returns the written paths."""
+    command = spec.get("command")
+    if not isinstance(command, str) or command not in COMMANDS:
         raise SpecError(f"field 'command': unknown command {command!r}")
+    _check(spec, SCHEMAS[command])
     return COMMANDS[command](spec, out_dir)
 
 
@@ -310,13 +299,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         spec = _load_spec(args.spec)
-        if spec.get("command", args.command) != args.command:
-            raise SpecError(
-                f"spec file says command {spec.get('command')!r}, "
-                f"but {args.command!r} was requested"
-            )
-        spec["command"] = args.command
-        written = run(spec, args.out)
+        if (said := spec.get("command")) not in (None, args.command):
+            raise SpecError(f"spec file says command {said!r}, but {args.command!r} was requested")
+        written = run({**spec, "command": args.command}, args.out)
     except SpecError as exc:
         print(f"bvd: spec validation failed: {exc}", file=sys.stderr)
         return 1

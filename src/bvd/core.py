@@ -117,9 +117,9 @@ class Domain:
             ok &= np.abs(resid).max(axis=-1) <= tol
         return ok
 
-    def contains(self, y, tol: float = FEASIBILITY_TOL) -> bool:
+    def contains(self, y) -> bool:
         y = np.asarray(y, dtype=float)
-        return y.shape == (self.dim,) and bool(self.feasible(y[None, :], tol)[0])
+        return y.shape == (self.dim,) and bool(self.feasible(y[None, :])[0])
 
     def require_points(self, P: np.ndarray, what: str = "point") -> None:
         """Raise ``ValueError`` unless ``P`` is an (n, d) array of feasible

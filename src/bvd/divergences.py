@@ -40,6 +40,7 @@ TINY = 1e-300
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 100
+FD_STEP = 1e-7
 
 
 def xlogx(x: np.ndarray) -> np.ndarray:
@@ -78,14 +79,15 @@ def identity_mapping() -> Mapping:
     )
 
 
-def fd_jacobian(fn: Callable, x: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian of a vector map at a single point."""
+def fd_jacobian(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a vector map at a single point, with
+    relative step ``FD_STEP``."""
     x = np.asarray(x, dtype=float)
     d = x.size
     J = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
-        e[j] = h * (1.0 + abs(x[j]))
+        e[j] = FD_STEP * (1.0 + abs(x[j]))
         J[:, j] = (np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * e[j])
     return J
 
@@ -95,7 +97,6 @@ def newton_invert(
     target: np.ndarray,
     x0: np.ndarray,
     tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> np.ndarray:
     """Solve fn(x) = target by damped Newton; bisection fallback in 1-D.
 
@@ -106,7 +107,7 @@ def newton_invert(
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     resid = None
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             r = np.atleast_1d(fn(x)) - target
             resid = float(np.max(np.abs(r)))
             if resid <= tol:

@@ -83,6 +83,17 @@ class TestFMeanPrediction:
         with pytest.raises(InfeasibleMeanError, match="constrained"):
             f_mean_prediction(div, preds)
 
+    @pytest.mark.parametrize("name, centroid", [("kl", central_prediction),
+                                                ("reverse_kl", central_label)])
+    def test_infinite_everywhere_on_the_simplex_is_named(self, name, centroid):
+        # Each coordinate is 0 at some support point, so the expected
+        # divergence is infinite at every point of the simplex: no solver
+        # can help, and the message says why instead of showing [nan nan].
+        ens = make_ensemble([[1.0, 0.0], [0.0, 1.0]], [1, 1])
+        with pytest.raises(InfeasibleMeanError,
+                           match="no coordinate is positive at every support point"):
+            centroid(catalog(name, dim=2, simplex=True), ens)
+
 
 class TestConstrainedCentroids:
     def test_kl_simplex_geometric_mean_normalized(self):

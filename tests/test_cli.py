@@ -211,6 +211,66 @@ class TestCentroidCommand:
         np.testing.assert_allclose(label["point"], [0.4, 0.6], rtol=0, atol=1e-12)
 
 
+class TestDomainOverride:
+    # The spec's top-level "domain" replaces the divergence's own.
+    SIMPLEX = {"dim": 3, "lower": [0, 0, 0], "upper": [1, 1, 1],
+               "eq": {"W": [[1, 1, 1]], "b": [1]}}
+
+    def test_sq_euclidean_on_the_simplex(self, tmp_path):
+        # The arithmetic mean of simplex points is on the simplex: the
+        # Lagrange solve returns it with a zero multiplier.
+        preds = np.array([[0.1, 0.1, 0.8], [0.3, 0.3, 0.4], [0.5, 0.25, 0.25]])
+        weights = [1.0, 2.0, 3.0]
+        spec = write_spec(
+            tmp_path,
+            {
+                "command": "centroid",
+                "divergence": {"name": "sq_euclidean", "params": {"dim": 3}},
+                "domain": self.SIMPLEX,
+                "labels": {"points": [[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]], "weights": [1, 3]},
+                "preds": {"points": preds.tolist(), "weights": weights},
+            },
+        )
+        assert main(["centroid", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "centroid.json").read_text())["results"]
+        prediction = results["central_prediction"]
+        assert prediction["method"] == "lagrange"
+        np.testing.assert_allclose(prediction["point"], np.average(preds, axis=0, weights=weights),
+                                   rtol=0, atol=1e-15)
+        assert results["central_label"]["method"] == "closed_form"
+
+    def test_kl_under_two_equality_rows(self, tmp_path):
+        W, b = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]]), np.array([1.0, 0.1])
+        spec = write_spec(
+            tmp_path,
+            {
+                "command": "decompose",
+                "divergence": {"name": "kl", "params": {"dim": 3}},
+                "domain": {"dim": 3, "lower": [0, 0, 0], "eq": {"W": W.tolist(), "b": b.tolist()}},
+                "labels": {"points": [[0.4, 0.3, 0.3], [0.35, 0.4, 0.25]], "weights": [1, 1]},
+                "preds": {"points": [[0.3, 0.5, 0.2], [0.45, 0.2, 0.35], [0.4, 0.3, 0.3]],
+                          "weights": [1, 2, 1]},
+                "output": {"format": "json"},
+            },
+        )
+        assert main(["decompose", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "decompose.json").read_text())["report"]
+        assert abs(report["gap"]) <= 1e-9 * (1 + report["expected_loss"])
+        np.testing.assert_allclose(W @ report["central_prediction"], b, rtol=0, atol=1e-10)
+
+
+class TestReadme:
+    def test_spec_format_example_runs(self, tmp_path):
+        # The JSON block under "Spec format" in README.md is a working spec.
+        readme = (SPEC_DIR.parent.parent / "README.md").read_text()
+        block = readme.split("Spec format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        spec = json.loads(block)
+        path = write_spec(tmp_path, spec)
+        assert main(["decompose", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / spec["output"]["path"]).read_text().splitlines()
+        assert lines[0] == cli.CSV_HEADER
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda p: p.stem)
     def test_byte_identical_reruns(self, spec, tmp_path):
@@ -333,24 +393,70 @@ class TestErrorHandling:
                       "plot": "no"}),
             ("output.format", {"command": "centroid", "output": {"format": "csv"}}),
             ("output.format", {"command": "classify", "output": {"format": "csv"}}),
+            (None, [{"command": "decompose"}]),
+            ("output.format", {"command": "sweep", "sweep": {"param": "dim", "values": [2]},
+                               "output": {"format": "json"}}),
+            ("output.format", {"command": "sweep", "sweep": {"param": "dim", "values": [2]},
+                               "output": {"format": "svg"}}),
+            ("sed", {"command": "classify", "sed": 3}),
+            ("labels.weights", {"labels": {"points": [[0.5, 0.5]]}}),
+            ("divergence.name", {"divergence": {"params": {"dim": 2}}}),
         ],
         ids=["divergence", "domain", "output", "string_dim", "unknown_param",
              "g_mahalanobis_domain", "string_seed", "float_seed", "bool_seed",
              "string_simplex", "int_sweep_param", "float_domain_dim", "float_levels",
-             "string_plot", "centroid_csv", "classify_csv"],
+             "string_plot", "centroid_csv", "classify_csv", "top_level_array",
+             "sweep_json", "sweep_svg", "classify_typo", "labels_no_weights",
+             "divergence_no_name"],
     )
     def test_malformed_field_named_without_traceback(self, tmp_path, field, override):
-        spec = {
-            "command": "decompose",
-            "divergence": {"name": "kl", "params": {"dim": 2}},
-            "labels": {"points": [[0.5, 0.5]], "weights": [1.0]},
-            "preds": {"points": [[0.4, 0.6]], "weights": [1.0]},
-            **override,
-        }
-        proc = run_cli([spec["command"], "--spec", str(write_spec(tmp_path, spec)),
+        # An override that is not an object replaces the whole spec; the
+        # message then names the spec rather than a field.
+        if isinstance(override, dict):
+            spec = {
+                "command": "decompose",
+                "divergence": {"name": "kl", "params": {"dim": 2}},
+                "labels": {"points": [[0.5, 0.5]], "weights": [1.0]},
+                "preds": {"points": [[0.4, 0.6]], "weights": [1.0]},
+                **override,
+            }
+            command = spec["command"]
+        else:
+            spec, command = override, "decompose"
+        proc = run_cli([command, "--spec", str(write_spec(tmp_path, spec)),
                         "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
-        assert f"field '{field}'" in proc.stderr
+        assert (f"field '{field}'" if field else "the spec must be a JSON object") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_null_means_absent(self, tmp_path):
+        # null in each optional field writes the same bytes as leaving it out.
+        shipped = SPEC_DIR / "kl_simplex_decompose.json"
+        spec = json.loads(shipped.read_text())
+        spec.update(domain=None, output={"path": "kl_simplex.csv", "format": None})
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["decompose", "--spec", str(shipped), "--out", str(out_a)]) == 0
+        assert main(["decompose", "--spec", str(write_spec(tmp_path, spec)),
+                     "--out", str(out_b)]) == 0
+        assert (out_a / "kl_simplex.csv").read_bytes() == (out_b / "kl_simplex.csv").read_bytes()
+
+    def test_refused_oracle_grid_exits_one(self, tmp_path):
+        # l1 is not g-Bregman, so its centroids come from the grid oracle,
+        # which refuses a 41^5-point grid with a ValueError naming it.
+        point = [[0.2, 0.2, 0.2, 0.2, 0.2]]
+        spec = write_spec(
+            tmp_path,
+            {
+                "command": "decompose",
+                "divergence": {"name": "l1", "params": {"dim": 5}},
+                "labels": {"points": point, "weights": [1.0]},
+                "preds": {"points": point, "weights": [1.0]},
+            },
+        )
+        proc = run_cli(["decompose", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert "brute-force grid of 41^5" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_command_mismatch_rejected(self, tmp_path):
