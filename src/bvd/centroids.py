@@ -40,8 +40,13 @@ DISTINCT_TOL = 1e-4
 # (rows x support x d) float64s (512 KiB), so its memory does not grow with
 # the grid.
 BLOCK_FLOATS = 2**16
-# The oracle refuses grids of more (grid points x support x d) float64s of
-# work: at d = 5 the search would take about 40x as long as at d = 4.
+# The pattern search evaluates this many successive halvings of each step
+# per loss evaluation.
+PATTERN_LEVELS = 4
+# The oracle refuses searches of more (grid candidates x support x d)
+# float64s of work. The candidates are the full 41^m grid of a non-separable
+# loss, which this refuses from d = 5 on (that search would take about 40x as
+# long as at d = 4), or the d x 41 axis candidates of a separable one.
 MAX_GRID_FLOATS = 2**27
 
 
@@ -219,11 +224,22 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     moves to the best point of a {-1, 0, 1}^m stencil scaled by its step,
     or halves the step when it is already the best, until every step is
     below 1e-11. Equality constraints are eliminated by an affine
-    null-space reparameterization. Fully deterministic: no randomness.
+    null-space reparameterization, and the stencil then also holds the
+    edge directions e_i - e_j, which follow the faces of the box that the
+    null-space axes cut obliquely (Lewis & Torczon, SIAM J. Optim. 2000).
+    Fully deterministic: no randomness.
+
+    A :attr:`~bvd.core.LossFunction.separable` loss on a domain without
+    equality constraints is searched one axis at a time: the minimizer over
+    a product grid is the product of the per-axis minimizers. Axis i's
+    candidates vary coordinate i of both arguments and hold the others at
+    the box centre, where their terms are constant. The d 1-D problems
+    share each loss evaluation, so the work is d x 41 candidates with a
+    3-point stencil instead of 41^d with a 3^d one.
 
     Ties within 1e-9 of the best objective resolve to the
     lexicographically smallest point and set ``non_unique`` when the tied
-    candidates are more than 1e-4 apart.
+    candidates are more than 1e-4 apart (per axis, for a separable loss).
 
     Candidates go through the loss in blocks of at most ``BLOCK_FLOATS``
     (rows x support x d) floats and only their objective values are kept,
@@ -243,51 +259,77 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
         raise ValueError("brute-force search needs a bounded box domain")
     d = domain.dim
 
-    if domain.n_constraints:
-        W, b = domain.eq_lhs, domain.eq_rhs
-        origin = np.linalg.lstsq(W, b, rcond=None)[0]
-        # W has full row rank, so the last d - k right singular vectors
-        # span its null space.
-        basis = np.linalg.svd(W)[2][W.shape[0]:].T
-        if basis.shape[1] == 0:
-            point = origin
-            obj = side_expectation(loss, point, ens, point_side="first_arg")
-            return CentroidResult(point, np.zeros(0), obj, "brute_force")
-        center = 0.5 * (domain.lower + domain.upper)
-        radius = float(
-            np.linalg.norm(domain.upper - domain.lower) + np.linalg.norm(center - origin)
-        )
-        lo = -radius * np.ones(basis.shape[1])
-        hi = radius * np.ones(basis.shape[1])
-    else:
-        origin = np.zeros(d)
-        basis = np.eye(d)
-        lo, hi = domain.lower.copy(), domain.upper.copy()
-
-    m = lo.size
+    # Each search problem b maps reduced coordinates z to the point
+    # origin[b] + basis[b] @ z and is scored against its own support[b]: one
+    # 1-D problem per axis for a separable loss, else one problem on the
+    # null space of the equality constraints (W has full row rank).
+    separable = loss.separable and domain.n_constraints == 0
+    n_problems, m = (d, 1) if separable else (1, d - domain.n_constraints)
     n_grid = GRID_RESOLUTION**m
-    if n_grid * ens.size * d > MAX_GRID_FLOATS:
+    if n_problems * n_grid * ens.size * d > MAX_GRID_FLOATS:
+        axes = f"{n_problems} axes x " if n_problems > 1 else ""
         raise ValueError(
-            f"brute-force grid of {GRID_RESOLUTION}^{m} = {n_grid} points "
+            f"brute-force grid of {axes}{GRID_RESOLUTION}^{m} = {n_problems * n_grid} points "
             f"x {ens.size} support points x d = {d} exceeds {MAX_GRID_FLOATS} floats"
         )
+    edges = np.zeros((0, m))
+    if separable:
+        # Problem i: coordinate i is free, the others sit at the box centre
+        # in both arguments.
+        own_axis = np.eye(d, dtype=bool)
+        centre = 0.5 * (domain.lower + domain.upper)
+        origin = np.where(own_axis, 0.0, centre)
+        basis = np.eye(d)[:, :, None]
+        support = np.where(own_axis[:, None, :], ens.points, centre)
+        lo, hi = domain.lower[:, None], domain.upper[:, None]
+    elif domain.n_constraints:
+        W, b = domain.eq_lhs, domain.eq_rhs
+        origin = np.linalg.lstsq(W, b, rcond=None)[0]
+        if m == 0:
+            obj = side_expectation(loss, origin, ens, point_side="first_arg")
+            return CentroidResult(origin, np.zeros(0), obj, "brute_force")
+        # The last d - k right singular vectors span the null space of W.
+        null = np.linalg.svd(W)[2][W.shape[0]:].T
+        radius = float(np.linalg.norm(domain.upper - domain.lower)
+                       + np.linalg.norm(0.5 * (domain.lower + domain.upper) - origin))
+        pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+        edges = np.array([null[i] - null[j] for i, j in pairs])
+        origin, basis, support = origin[None], null[None], ens.points[None]
+        lo, hi = np.full((1, m), -radius), np.full((1, m), radius)
+    else:
+        origin, basis, support = np.zeros((1, d)), np.eye(d)[None], ens.points[None]
+        lo, hi = domain.lower[None], domain.upper[None]
+    chosen, non_unique = _search(loss, ens, domain.without_equalities(),
+                                 origin, basis, support, lo, hi, edges)
+    point = np.diagonal(chosen).copy() if separable else chosen[0]
+    obj = side_expectation(loss, point, ens, point_side="first_arg")
+    return CentroidResult(point, np.zeros(0), obj, "brute_force", non_unique)
 
-    def embed(Z):
-        return origin + np.asarray(Z, dtype=float) @ basis.T
 
-    box = domain.without_equalities()
+def _search(loss, ens, box, origin, basis, support, lo, hi, edges):
+    """The grid, restart, pattern-search and tie steps of
+    :func:`brute_force_centroid` on a batch of problems: problem b scores
+    the point origin[b] + basis[b] @ z, for reduced coordinates z in the
+    box ``lo[b]``, ``hi[b]``, against ``support[b]`` weighted by
+    ``ens.weights``. ``edges`` holds extra pattern directions in reduced
+    coordinates, one per row. Returns each problem's chosen point, one row
+    per problem, and whether any problem has distinct tied minimizers.
+    """
+    n_problems, m = lo.shape
+    d = box.dim
     block = max(1, BLOCK_FLOATS // (ens.size * d))
 
     def objective_batch(n, rows):
-        """Objective at rows 0..n-1, where ``rows(i, j)`` gives the reduced
-        coordinates of rows i..j-1, evaluated ``block`` rows at a time."""
+        """Objective at rows 0..n-1, where ``rows(i, j)`` gives the points
+        and problems of rows i..j-1, evaluated ``block`` rows at a time."""
         vals = np.full(n, np.inf)
         for i in range(0, n, block):
-            X = embed(rows(i, min(i + block, n)))
+            X, prob = rows(i, min(i + block, n))
             feasible = box.feasible(X, tol=1e-12)
             if np.any(feasible):
+                Y = support[prob[feasible]] if n_problems > 1 else support
                 with np.errstate(all="ignore"):
-                    raw = loss.eval_batch(X[feasible][:, None, :], ens.points[None, :, :])
+                    raw = loss.eval_batch(X[feasible][:, None, :], Y)
                 raw = np.where(np.isfinite(raw), raw, np.inf)
                 if raw.shape[0] == 1 and n > block:
                     # numpy sums a lone row by a dot product, which rounds
@@ -299,103 +341,133 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
                 vals[i : i + X.shape[0]][feasible] = weighted
         return vals
 
-    # Candidates are the grid points in C order (flat index below n_grid),
-    # then the ensemble's support points, which are natural candidates
-    # (medians and modes sit on atoms) and are included exactly. Only their
-    # objective values are kept; coordinates are rebuilt from the index.
-    axes = [np.linspace(lo[i], hi[i], GRID_RESOLUTION) for i in range(m)]
-    Z_support = (ens.points - origin) @ basis
+    # Each problem's candidates are its grid points in C order (local index
+    # below n_grid), then the ensemble's support points, which are natural
+    # candidates (medians and modes sit on atoms) and are included exactly.
+    # Only their objective values are kept; points are rebuilt from the
+    # flat index, problem-major.
+    n_grid = GRID_RESOLUTION**m
+    per = n_grid + ens.size
+    axes = np.linspace(lo, hi, GRID_RESOLUTION, axis=-1)
+    Z_support = np.einsum("bnd,bdk->bnk", support - origin[:, None, :], basis)
 
     def candidates(idx):
-        idx = np.asarray(idx)
-        Z = np.empty((idx.size, m))
-        on_grid = idx < n_grid
-        cells = np.unravel_index(idx[on_grid], (GRID_RESOLUTION,) * m)
-        Z[on_grid] = np.stack([ax[c] for ax, c in zip(axes, cells)], axis=-1)
-        Z[~on_grid] = Z_support[idx[~on_grid] - n_grid]
-        return Z
+        prob, local = np.divmod(np.asarray(idx), per)
+        Z = np.empty((local.size, m))
+        on_grid = local < n_grid
+        cells = np.unravel_index(local[on_grid], (GRID_RESOLUTION,) * m)
+        Z[on_grid] = np.stack([axes[prob[on_grid], a, c] for a, c in enumerate(cells)], axis=-1)
+        Z[~on_grid] = Z_support[prob[~on_grid], local[~on_grid] - n_grid]
+        if n_problems == 1:  # the full grid: skip gathering one basis per row
+            return origin[0] + Z @ basis[0].T, prob
+        return origin[prob] + np.einsum("rk,rdk->rd", Z, basis[prob]), prob
 
-    vals = objective_batch(n_grid + ens.size, lambda i, j: candidates(np.arange(i, j)))
+    vals = objective_batch(n_problems * per, lambda i, j: candidates(np.arange(i, j)))
+    vals = vals.reshape(n_problems, per)
 
-    # Restarts come from a prefix of the stable ascending order of vals,
-    # long enough for the tie window below; it grows only when duplicate
-    # candidates use it up.
-    order = _stable_prefix(vals, max(N_RESTARTS, 4 * GRID_RESOLUTION))
-    window = order[: 4 * GRID_RESOLUTION]
-    Z_window = candidates(window)
-    starts, start_Z = [], []
-    pos = 0
-    while len(starts) < N_RESTARTS:
-        if pos == order.size:
-            if order.size == vals.size:
+    # Restarts come from a prefix of the stable ascending order of each
+    # problem's vals, long enough for the tie window below; it grows only
+    # when duplicate candidates use it up.
+    windows, prob, X, V = [], [], [], []
+    for b, v in enumerate(vals):
+        order = _stable_prefix(v, max(N_RESTARTS, 4 * GRID_RESOLUTION))
+        window = order[: 4 * GRID_RESOLUTION]
+        X_window = candidates(b * per + window)[0]
+        windows.append((v[window], X_window))
+        starts = []
+        pos = 0
+        while len(starts) < N_RESTARTS:
+            if pos == order.size:
+                if order.size == v.size:
+                    break
+                order = _stable_prefix(v, 2 * order.size)
+            idx = order[pos]
+            x = X_window[pos] if pos < window.size else candidates([b * per + idx])[0][0]
+            pos += 1
+            if not np.isfinite(v[idx]):
                 break
-            order = _stable_prefix(vals, 2 * order.size)
-        idx = order[pos]
-        z = Z_window[pos] if pos < window.size else candidates([idx])[0]
-        pos += 1
-        if not np.isfinite(vals[idx]):
-            break
-        if any(np.max(np.abs(z - s)) < 1e-12 for s in start_Z):
-            continue
-        starts.append(int(idx))
-        start_Z.append(z)
-    if not starts:
-        raise ValueError("no candidate with a finite objective for brute-force search")
+            if any(np.max(np.abs(x - s)) < 1e-12 for s in starts):
+                continue
+            starts.append(x)
+            V.append(float(v[idx]))
+        if not starts:
+            raise ValueError("no candidate with a finite objective for brute-force search")
+        prob += [b] * len(starts)
+        X += starts
 
-    # Pattern search on every start at once. Each start begins with the
-    # grid spacing as its step; the stencil's centre (all zeros) wins ties,
-    # so a start moves only to a strictly better point. Starts stop once
-    # their step is below 1e-11 in the reduced coordinates, all of them
-    # after 1000 iterations.
+    # Pattern search on every (problem, start) row at once. Each row begins
+    # with its grid spacing as its step; the stencil's centre (all zeros)
+    # wins ties, so a row moves only to a strictly better point, and a row
+    # that does not move halves its step. Rows stop once their step is
+    # below 1e-11 in the reduced coordinates, all of them after 1000
+    # passes. Rows move in full coordinates, by the stencil mapped through
+    # their problem's basis. Each pass evaluates the stencil at
+    # PATTERN_LEVELS successive halvings of every row's step and replays
+    # that rule on them: a row takes the first level with a strictly
+    # better point, after halving once per level before it. So it visits
+    # the points it would visit one level per pass, in fewer passes.
     stencil = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * m, indexing="ij"), -1).reshape(-1, m)
     centre = stencil.shape[0] // 2
+    stencil = np.vstack([stencil, edges])
     spacing = (hi - lo) / (GRID_RESOLUTION - 1)
-    Z, V = np.array(start_Z), vals[starts]
-    scale = np.ones(len(starts))
+    moves = np.einsum("bsk,bdk->bsd", stencil[None, :, :] * spacing[:, None, :], basis)
+    prob, X, V = np.array(prob), np.array(X), np.array(V)
+    reach = spacing.max(axis=1)[prob]
+    start_X, start_V = X.copy(), V.copy()
+    scale = np.ones(len(prob))
+    halvings = 0.5 ** np.arange(PATTERN_LEVELS)
     for _ in range(1000):
-        active = np.flatnonzero(scale * np.max(spacing) >= 1e-11)
+        active = np.flatnonzero(scale * reach >= 1e-11)
         if active.size == 0:
             break
-        steps = stencil[None, :, :] * (scale[active, None] * spacing)[:, None, :]
-        trial = (Z[active, None, :] + steps).reshape(-1, m)
-        tv = objective_batch(len(trial), lambda i, j: trial[i:j]).reshape(active.size, -1)
-        best = np.argmin(tv, axis=1)
-        moved = tv[np.arange(active.size), best] < tv[:, centre]
-        idx = active[moved]
-        Z[idx] = trial.reshape(active.size, -1, m)[moved, best[moved]]
-        V[idx] = tv[moved, best[moved]]
-        scale[active[~moved]] *= 0.5
+        level_scale = scale[active, None] * halvings
+        trial = (X[active, None, None, :]
+                 + level_scale[:, :, None, None] * moves[prob[active], None, :, :])
+        trial_prob = np.repeat(prob[active], PATTERN_LEVELS * stencil.shape[0])
+        flat = trial.reshape(-1, d)
+        tv = objective_batch(len(flat), lambda i, j: (flat[i:j], trial_prob[i:j]))
+        tv = tv.reshape(active.size, PATTERN_LEVELS, -1)
+        best_v = tv.min(axis=2)
+        # A level whose step is below the threshold is never reached.
+        better = (best_v < tv[:, :, centre]) & (level_scale * reach[active, None] >= 1e-11)
+        moved = better.any(axis=1)
+        first = np.where(moved, better.argmax(axis=1), PATTERN_LEVELS)
+        idx, level = active[moved], first[moved]
+        X[idx] = trial[moved, level, np.argmin(tv[moved, level], axis=1)]
+        V[idx] = best_v[moved, level]
+        scale[active] *= 0.5**first
 
-    cand_Z = start_Z + list(Z)
-    cand_V = [float(vals[i]) for i in starts] + [float(v) for v in V]
-    # Keep every evaluated point tied with the best (flat minimizers show up
-    # as scattered grid candidates), capped to keep clustering cheap.
-    f_best = float(np.min(cand_V))
-    tie = vals[window] <= f_best + TIE_TOL
-    cand_Z += list(Z_window[tie])
-    cand_V += [float(v) for v in vals[window][tie]]
+    chosen = np.empty((n_problems, d))
+    non_unique = False
+    for b, (window_vals, X_window) in enumerate(windows):
+        mine = prob == b
+        cand_X = list(start_X[mine]) + list(X[mine])
+        cand_V = [float(v) for v in start_V[mine]] + [float(v) for v in V[mine]]
+        # Keep every evaluated point tied with the best (flat minimizers
+        # show up as scattered grid candidates), capped to keep clustering
+        # cheap.
+        f_best = float(np.min(cand_V))
+        tie = window_vals <= f_best + TIE_TOL
+        cand_X += list(X_window[tie])
+        cand_V += [float(v) for v in window_vals[tie]]
 
-    tied = [
-        (embed(z[None, :])[0], v)
-        for z, v in zip(cand_Z, cand_V)
-        if v <= f_best + TIE_TOL
-    ]
-    # Cluster ties that describe the same minimizer; within a cluster keep
-    # the best objective (support atoms beat refined approximations of
-    # themselves), across clusters pick the lexicographically smallest.
-    clusters: list[tuple[np.ndarray, float]] = []
-    for p, v in tied:
-        for ci, (cp, cv) in enumerate(clusters):
-            if np.max(np.abs(p - cp)) <= DISTINCT_TOL:
-                if v < cv or (v == cv and tuple(p) < tuple(cp)):
-                    clusters[ci] = (p, v)
-                break
-        else:
-            clusters.append((p, v))
-    point = min(clusters, key=lambda c: tuple(c[0]))[0]
-    non_unique = len(clusters) > 1
-    obj = side_expectation(loss, point, ens, point_side="first_arg")
-    return CentroidResult(point, np.zeros(0), obj, "brute_force", non_unique)
+        tied = [(p, v) for p, v in zip(cand_X, cand_V) if v <= f_best + TIE_TOL]
+        # Cluster ties that describe the same minimizer; within a cluster
+        # keep the best objective (support atoms beat refined
+        # approximations of themselves), across clusters pick the
+        # lexicographically smallest.
+        clusters: list[tuple[np.ndarray, float]] = []
+        for p, v in tied:
+            for ci, (cp, cv) in enumerate(clusters):
+                if np.max(np.abs(p - cp)) <= DISTINCT_TOL:
+                    if v < cv or (v == cv and tuple(p) < tuple(cp)):
+                        clusters[ci] = (p, v)
+                    break
+            else:
+                clusters.append((p, v))
+        chosen[b] = min(clusters, key=lambda c: tuple(c[0]))[0]
+        non_unique = non_unique or len(clusters) > 1
+    return chosen, non_unique
 
 
 def _stable_prefix(vals: np.ndarray, k: int) -> np.ndarray:

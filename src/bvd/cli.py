@@ -205,6 +205,10 @@ def cmd_classify(spec: dict, out_dir: Path) -> list[Path]:
 
 def cmd_sweep(spec: dict, out_dir: Path) -> list[Path]:
     param, values = spec["sweep"]["param"], spec["sweep"]["values"]
+    if spec.get("plot") and not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise SpecError(f"field 'sweep.values' must hold only numbers when 'plot' is true, "
+                        f"got {values!r:.60}")
     rows, gaps = [], []
     div_spec = spec["divergence"]
     for value in values:

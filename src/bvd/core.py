@@ -174,7 +174,12 @@ class Domain:
 
     @staticmethod
     def from_json(obj: dict) -> "Domain":
+        unknown = [key for key in obj if key not in ("dim", "lower", "upper", "eq")]
+        if unknown:
+            raise ValueError(f"unknown domain key {unknown[0]!r} (allowed: dim, lower, upper, eq)")
         dim, eq = obj["dim"], obj.get("eq")
+        if eq is not None and sorted(eq) != ["W", "b"]:
+            raise ValueError(f"domain eq must hold exactly the keys W and b, got {eq!r:.60}")
         if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool):
             raise ValueError(f"dim must be an integer, got {dim!r}")
         return Domain(
@@ -280,6 +285,11 @@ class LossFunction:
     # kinks); finite-difference stencils must keep clear of the diagonal.
     has_diagonal_kinks: bool = False
 
+    # Losses that are a sum of one term per coordinate, sum_i l_i(t_i, y_i),
+    # on a domain without equality constraints: the oracle then searches
+    # one axis at a time.
+    separable: bool = False
+
     # Optional ``(t, y) -> None`` that raises BoundaryError where evaluation
     # cannot work, naming the offending coordinate.
     _check_boundary: Callable | None = None
@@ -318,12 +328,15 @@ class CallableLoss(LossFunction):
 
     ``fn`` gets the two float arrays of :meth:`LossFunction.eval_batch` as
     they are and must broadcast them itself (elementwise numpy does).
+    ``separable`` declares ``fn`` a sum of one term per coordinate.
     """
 
-    def __init__(self, dim, domain, fn, name="loss", has_diagonal_kinks=False):
+    def __init__(self, dim, domain, fn, name="loss", has_diagonal_kinks=False,
+                 separable=False):
         super().__init__(dim, domain, name)
         self._fn = fn
         self.has_diagonal_kinks = has_diagonal_kinks
+        self.separable = separable
 
     def eval_batch(self, T, Y):
         return self._fn(np.asarray(T, float), np.asarray(Y, float))
@@ -331,7 +344,7 @@ class CallableLoss(LossFunction):
     def reverse(self) -> "CallableLoss":
         fn = self._fn
         return CallableLoss(self.dim, self.domain, lambda T, Y: fn(Y, T),
-                            f"reverse({self.name})", self.has_diagonal_kinks)
+                            f"reverse({self.name})", self.has_diagonal_kinks, self.separable)
 
 
 def _require_dim(loss: LossFunction, dim: int, what: str) -> None:

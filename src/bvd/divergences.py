@@ -64,11 +64,13 @@ class Generator:
 
 @dataclass(frozen=True)
 class Mapping:
-    """Invertible coordinate map with forward and inverse."""
+    """Invertible coordinate map with forward and inverse; ``coordinatewise``
+    when each output coordinate depends only on the same input coordinate."""
 
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
     is_identity: bool = False
+    coordinatewise: bool = False
 
 
 def identity_mapping() -> Mapping:
@@ -76,6 +78,7 @@ def identity_mapping() -> Mapping:
         forward=lambda y: np.asarray(y, dtype=float),
         inverse=lambda u: np.asarray(u, dtype=float),
         is_identity=True,
+        coordinatewise=True,
     )
 
 
@@ -184,6 +187,8 @@ class GBregmanDivergence(LossFunction):
         passes it float arrays.
     check_boundary : optional validator raising BoundaryError for points
         where evaluation cannot work (names the offending coordinate).
+    separable : whether the divergence is a sum of one term per coordinate
+        (:attr:`LossFunction.separable`); ``reverse()`` keeps it.
     """
 
     def __init__(
@@ -197,6 +202,7 @@ class GBregmanDivergence(LossFunction):
         params: dict | None = None,
         direct_eval: Callable | None = None,
         check_boundary: Callable | None = None,
+        separable: bool = False,
     ):
         super().__init__(domain.dim, domain, name)
         self.gen = gen
@@ -207,6 +213,7 @@ class GBregmanDivergence(LossFunction):
         self.params = dict(params or {})
         self._direct_eval = direct_eval
         self._check_boundary = check_boundary
+        self.separable = separable
 
     # -- evaluation ---------------------------------------------------
 
@@ -305,6 +312,7 @@ class GBregmanDivergence(LossFunction):
             params=self.params,
             direct_eval=lambda T, Y: forward(Y, T),
             check_boundary=swapped,
+            separable=self.separable,
         )
 
     # -- metadata -----------------------------------------------------
@@ -334,11 +342,13 @@ class GBregmanDivergence(LossFunction):
 def _clamp(vals: np.ndarray) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
     with np.errstate(invalid="ignore"):
-        bad = np.isfinite(vals) & (vals < -CLAMP_TOL)
-    if np.any(bad):
-        worst = float(np.min(vals[bad]))
+        negative = np.isfinite(vals) & (vals < 0)
+    if not negative.any():
+        return vals
+    worst = float(np.min(vals[negative]))
+    if worst < -CLAMP_TOL:
         raise ConvexityError(f"divergence evaluated to {worst:.3e} < -{CLAMP_TOL}")
-    return np.where(np.isfinite(vals) & (vals < 0), 0.0, vals)
+    return np.where(negative, 0.0, vals)
 
 
 # -- boundary validators ------------------------------------------------
@@ -430,7 +440,8 @@ def make_sq_euclidean(dim: int, bound: float = 10.0) -> GBregmanDivergence:
 def make_g_mahalanobis(
     mapping: Mapping, K, domain: Domain, name: str = "g_mahalanobis"
 ) -> GBregmanDivergence:
-    """Squared Mahalanobis distance after an invertible change of variables."""
+    """Squared Mahalanobis distance after an invertible change of variables;
+    separable when K is diagonal, the map coordinatewise and the domain a box."""
     K, gen, quad_dual_gen, quad_dual_map = _quadratic_pair(K)
 
     def f_forward(y):
@@ -451,6 +462,10 @@ def make_g_mahalanobis(
         name=name,
         params={"K": K},
         direct_eval=direct,
+        # K is diagonal when all its nonzeros are on the diagonal; counting
+        # them needs no d x d temporary.
+        separable=bool(np.count_nonzero(K) == np.count_nonzero(np.diagonal(K))
+                       and mapping.coordinatewise and domain.n_constraints == 0),
     )
 
 
@@ -486,6 +501,7 @@ def _log_mapping() -> Mapping:
     return Mapping(
         forward=forward,
         inverse=lambda u: np.exp(np.asarray(u, dtype=float)),
+        coordinatewise=True,
     )
 
 
@@ -526,6 +542,7 @@ def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
         params={"dim": dim, "simplex": simplex},
         direct_eval=_kl_direct,
         check_boundary=check_boundary,
+        separable=not simplex,
     )
 
 
@@ -584,6 +601,7 @@ def make_alpha(alpha: float, dim: int, simplex: bool = False) -> GBregmanDiverge
         name="alpha",
         params={"alpha": a, "dim": dim, "simplex": simplex},
         direct_eval=direct,
+        separable=not simplex,
     )
 
 
@@ -724,6 +742,7 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         params={},
         direct_eval=direct,
         check_boundary=check_boundary,
+        separable=True,
     )
 
 
@@ -747,6 +766,7 @@ def make_minkowski(epsilon: float, dim: int, bound: float = 10.0) -> LossFunctio
         fn,
         name=f"minkowski({epsilon:g})",
         has_diagonal_kinks=True,
+        separable=True,
     )
     loss.params = {"epsilon": epsilon, "dim": dim, "bound": bound}
     return loss
@@ -815,6 +835,10 @@ def catalog_from_json(obj: dict) -> LossFunction:
     if "K" in params:
         params["K"] = np.asarray(params["K"], dtype=float)
     if obj.get("name") == "g_mahalanobis":
+        unknown = [key for key in params if key not in ("K", "domain", "g")]
+        if unknown:
+            raise TypeError(f"g_mahalanobis got an unexpected parameter {unknown[0]!r} "
+                            "(allowed: K, domain, g)")
         gname = params.pop("g", "log")
         domain = Domain.from_json(params.pop("domain"))
         if gname == "log":

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from bvd import Domain, InfeasibleMeanError, catalog, centroids, make_ensemble
+from bvd import CallableLoss, Domain, InfeasibleMeanError, catalog, centroids, make_ensemble
 from bvd.centroids import (
     brute_force_centroid,
     central_label,
@@ -20,7 +20,14 @@ from bvd.centroids import (
     g_mean_label,
     power_mean_centroids,
 )
-from bvd.divergences import GBregmanDivergence, _log_mapping, make_g_mahalanobis
+from bvd.core import side_expectation
+from bvd.divergences import (
+    GBregmanDivergence,
+    Mapping,
+    _log_mapping,
+    identity_mapping,
+    make_g_mahalanobis,
+)
 
 from conftest import make_entry, sample_ensemble, sample_simplex_ensemble
 
@@ -448,7 +455,8 @@ class TestBruteForce:
     def test_oversized_grid_refused_before_allocation(self):
         # 41^5 grid points x 5 support points x d = 5 would need several GB.
         # Under a 2 GB address-space limit a regression raises MemoryError
-        # here instead of exhausting the machine.
+        # here instead of exhausting the machine. A non-diagonal K makes the
+        # loss non-separable, so the search needs the full grid.
         code = textwrap.dedent(
             """
             import resource
@@ -460,13 +468,14 @@ class TestBruteForce:
 
             rng = np.random.default_rng(0)
             ens = make_ensemble(rng.uniform(0.1, 0.9, (5, 5)), np.ones(5))
+            loss = catalog("mahalanobis", K=np.eye(5) + 0.5 * np.ones((5, 5)))
             for side in ("first_arg", "second_arg"):
                 try:
-                    brute_force_centroid(catalog("kl", dim=5), ens, side)
+                    brute_force_centroid(loss, ens, side)
                 except ValueError as exc:
                     print(exc)
             centroids.GRID_RESOLUTION = 9
-            coarse = brute_force_centroid(catalog("kl", dim=5), ens, "first_arg")
+            coarse = brute_force_centroid(loss, ens, "first_arg")
             print("coarse", coarse.method)
             """
         )
@@ -516,6 +525,7 @@ class TestBruteForce:
             ("minkowski", {"epsilon": 1.5}, [[-3.0, 1.0], [2.5, -0.5], [0.5, 4.0]], "first_arg"),
             ("sq_euclidean", {}, [[-1.38, -2.75], [-2.9, 1.88], [2.48, 0.64], [1.38, 0.26]],
              "first_arg"),
+            ("kl", {}, [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1], [0.1, 0.1, 0.8]], "second_arg"),
         ],
     )
     def test_blocks_do_not_change_answers(self, monkeypatch, name, params, points, side):
@@ -542,6 +552,147 @@ class TestBruteForce:
         loss = catalog("sq_euclidean", dim=1)
         with pytest.raises(ValueError, match="side"):
             brute_force_centroid(loss, make_ensemble([[0.0]], [1]), "both")
+
+
+def _full_grid_twin(loss):
+    """The same evaluator, not declared separable: the oracle's full grid."""
+    return CallableLoss(loss.dim, loss.domain, loss.eval_batch, f"full({loss.name})",
+                        loss.has_diagonal_kinks)
+
+
+def _separable_entry(name, d, rng):
+    """A separable catalog loss of dimension d and a sampler of its points."""
+    if name == "mahalanobis":
+        return catalog("mahalanobis", K=np.diag(rng.uniform(0.5, 2.0, d))), (-3.0, 3.0)
+    if name == "g_mahalanobis":
+        K = np.diag(rng.uniform(0.5, 2.0, d))
+        domain = Domain.box(0.05 * np.ones(d), 3.0 * np.ones(d))
+        return make_g_mahalanobis(_log_mapping(), K, domain), (0.1, 2.5)
+    if name in ("kl", "reverse_kl"):
+        return catalog(name, dim=d), (0.1, 0.9)
+    if name == "alpha":
+        return catalog("alpha", alpha=0.3, dim=d), (0.1, 0.9)
+    if name == "bernoulli_kl":
+        return catalog("bernoulli_kl"), (0.1, 0.9)
+    if name.startswith("minkowski"):
+        return catalog("minkowski", epsilon=float(name.split("_")[1]), dim=d), (-3.0, 3.0)
+    return catalog(name, dim=d), (-3.0, 3.0)
+
+
+SEPARABLE_NAMES = ["sq_euclidean", "mahalanobis", "g_mahalanobis", "kl", "reverse_kl",
+                   "alpha", "l1", "minkowski_1.5", "minkowski_1.25"]
+
+
+class TestSeparableSearch:
+    """The per-axis search of separable losses against the full grid, which
+    a non-separable twin of the same evaluator gets."""
+
+    @pytest.mark.parametrize("name", SEPARABLE_NAMES)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_full_grid(self, name, d):
+        rng = np.random.default_rng([d, SEPARABLE_NAMES.index(name)])
+        loss, (lo, hi) = _separable_entry(name, d, rng)
+        assert loss.separable
+        twin = _full_grid_twin(loss)
+        for side in ("first_arg", "second_arg"):
+            for _ in range(2):
+                n = int(rng.integers(2, 7))
+                ens = make_ensemble(rng.uniform(lo, hi, (n, d)), rng.uniform(0.1, 1.1, n))
+                fast = brute_force_centroid(loss, ens, side)
+                full = brute_force_centroid(twin, ens, side)
+                tol = 1e-9 if name == "l1" else 1e-6
+                assert np.max(np.abs(fast.point - full.point)) <= tol, (side, ens.points)
+                assert fast.objective <= full.objective + 1e-12 * (1 + abs(full.objective))
+                assert fast.non_unique == full.non_unique
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_flat_l1_ties_factor_per_axis(self, d):
+        # Even supports with equal weights on grid values: every coordinate
+        # has a flat interval of minimizers, and the full grid's
+        # lexicographically smallest tie is the corner of their product.
+        rng = np.random.default_rng(d)
+        loss = catalog("l1", dim=d)
+        for n in (2, 4, 4):
+            ens = make_ensemble(rng.integers(-6, 7, (n, d)) / 2.0, np.ones(n))
+            for side in ("first_arg", "second_arg"):
+                fast = brute_force_centroid(loss, ens, side)
+                full = brute_force_centroid(_full_grid_twin(loss), ens, side)
+                lows = np.sort(ens.points, axis=0)[n // 2 - 1]
+                assert np.max(np.abs(fast.point - full.point)) <= 1e-9
+                np.testing.assert_array_equal(fast.point, lows)
+                assert fast.objective <= full.objective + 1e-12 * (1 + abs(full.objective))
+                assert fast.non_unique == full.non_unique == bool(
+                    np.any(np.sort(ens.points, axis=0)[n // 2] > lows))
+
+    @pytest.mark.parametrize("name", SEPARABLE_NAMES + ["bernoulli_kl"])
+    def test_one_axis_is_byte_identical(self, name):
+        rng = np.random.default_rng(1)
+        loss, (lo, hi) = _separable_entry(name, 1, rng)
+        twin = _full_grid_twin(loss)
+        for side in ("first_arg", "second_arg"):
+            for n in (2, 5):
+                ens = make_ensemble(rng.uniform(lo, hi, (n, 1)), rng.uniform(0.1, 1.1, n))
+                fast = brute_force_centroid(loss, ens, side)
+                full = brute_force_centroid(twin, ens, side)
+                assert fast.point.tobytes() == full.point.tobytes()
+                assert repr(fast.objective) == repr(full.objective)
+                assert fast.non_unique == full.non_unique
+
+    def test_kl_at_d5_runs_on_both_sides(self):
+        rng = np.random.default_rng(5)
+        P, w = rng.uniform(0.1, 0.9, (5, 5)), rng.uniform(0.1, 1.1, 5)
+        ens = make_ensemble(P, w)
+        kl = catalog("kl", dim=5)
+        w = w / w.sum()
+        prediction = brute_force_centroid(kl, ens, "first_arg")
+        label = brute_force_centroid(kl, ens, "second_arg")
+        np.testing.assert_allclose(prediction.point, np.exp(w @ np.log(P)), rtol=0, atol=1e-5)
+        np.testing.assert_allclose(label.point, w @ P, rtol=0, atol=1e-5)
+
+    def test_l1_at_d50_is_the_weighted_median(self):
+        rng = np.random.default_rng(50)
+        P, w = rng.uniform(-3, 3, (7, 50)), rng.uniform(0.1, 1.1, 7)
+        ens = make_ensemble(P, w)
+        res = brute_force_centroid(catalog("l1", dim=50), ens, "first_arg")
+        order = np.argsort(P, axis=0)
+        cum = np.cumsum(ens.weights[order], axis=0)
+        median = P[order[np.argmax(cum >= 0.5, axis=0), np.arange(50)], np.arange(50)]
+        np.testing.assert_array_equal(res.point, median)
+        assert not res.non_unique
+        assert res.objective == side_expectation(catalog("l1", dim=50), median, ens, "first_arg")
+
+    def test_simplex_face_is_followed(self):
+        # The minimizer [0.5, 0.5, 0] lies on a face of the box that the
+        # null-space axes of the simplex cut obliquely.
+        kl = catalog("kl", dim=3, simplex=True)
+        ens = make_ensemble([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1, 1])
+        res = brute_force_centroid(kl, ens, "second_arg")
+        assert abs(res.objective - np.log(2)) <= 1e-9
+        np.testing.assert_allclose(res.point, [0.5, 0.5, 0.0], atol=1e-6)
+
+    def test_catalog_declares_separability(self):
+        diag, full = np.diag([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+        box, simplex = Domain.box([0.05, 0.05], [3.0, 3.0]), Domain.simplex(2)
+        separable = [
+            catalog("l1", dim=2), catalog("minkowski", epsilon=1.5, dim=2),
+            catalog("minkowski", epsilon=2.0, dim=2), catalog("sq_euclidean", dim=2),
+            catalog("mahalanobis", K=diag), catalog("kl", dim=2),
+            catalog("reverse_kl", dim=2), catalog("alpha", alpha=0.3, dim=2),
+            catalog("bernoulli_kl"), make_g_mahalanobis(_log_mapping(), diag, box),
+            make_g_mahalanobis(identity_mapping(), diag, box),
+        ]
+        coupled = [
+            catalog("kl", dim=2, simplex=True), catalog("reverse_kl", dim=2, simplex=True),
+            catalog("alpha", alpha=0.3, dim=2, simplex=True), catalog("mahalanobis", K=full),
+            make_g_mahalanobis(_log_mapping(), full, box),
+            make_g_mahalanobis(_log_mapping(), diag, simplex),
+            make_g_mahalanobis(Mapping(np.log, np.exp), diag, box),
+            catalog("gaussian_canonical"), catalog("zero_one_grid", dim=2),
+        ]
+        for loss in separable:
+            assert loss.separable and loss.reverse().separable, loss
+        for loss in coupled:
+            assert not loss.separable and not loss.reverse().separable, loss
 
 
 class TestOracleEquivalence:

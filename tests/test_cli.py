@@ -401,13 +401,29 @@ class TestErrorHandling:
             ("sed", {"command": "classify", "sed": 3}),
             ("labels.weights", {"labels": {"points": [[0.5, 0.5]]}}),
             ("divergence.name", {"divergence": {"params": {"dim": 2}}}),
+            ("domain", {"domain": {"dim": 2, "lowr": [0, 0], "upper": [1, 1]}}),
+            ("domain", {"domain": {"dim": 2, "lower": [0, 0], "upper": [1, 1],
+                                   "eq": {"W": [[1, 1]], "b": [1], "c": 1}}}),
+            ("divergence.params",
+             {"divergence": {"name": "g_mahalanobis",
+                             "params": {"K": [[1.0, 0.0], [0.0, 1.0]], "gg": "log",
+                                        "domain": {"dim": 2, "lower": [0.05, 0.05],
+                                                   "upper": [3, 3]}}}}),
+            ("sweep.values",
+             {"command": "sweep", "plot": True,
+              "divergence": {"name": "g_mahalanobis",
+                             "params": {"K": [[1.0, 0.0], [0.0, 1.0]],
+                                        "domain": {"dim": 2, "lower": [0.05, 0.05],
+                                                   "upper": [3, 3]}}},
+              "sweep": {"param": "g", "values": ["log", "identity"]}}),
         ],
         ids=["divergence", "domain", "output", "string_dim", "unknown_param",
              "g_mahalanobis_domain", "string_seed", "float_seed", "bool_seed",
              "string_simplex", "int_sweep_param", "float_domain_dim", "float_levels",
              "string_plot", "centroid_csv", "classify_csv", "top_level_array",
              "sweep_json", "sweep_svg", "classify_typo", "labels_no_weights",
-             "divergence_no_name"],
+             "divergence_no_name", "domain_typo", "domain_eq_typo", "g_mahalanobis_typo",
+             "plot_string_values"],
     )
     def test_malformed_field_named_without_traceback(self, tmp_path, field, override):
         # An override that is not an object replaces the whole spec; the
@@ -442,14 +458,16 @@ class TestErrorHandling:
         assert (out_a / "kl_simplex.csv").read_bytes() == (out_b / "kl_simplex.csv").read_bytes()
 
     def test_refused_oracle_grid_exits_one(self, tmp_path):
-        # l1 is not g-Bregman, so its centroids come from the grid oracle,
-        # which refuses a 41^5-point grid with a ValueError naming it.
+        # zero_one_grid is not g-Bregman, so its centroids come from the grid
+        # oracle; a max over coordinates is not separable, so the oracle
+        # needs the full grid and refuses 41^5 points with a ValueError
+        # naming it.
         point = [[0.2, 0.2, 0.2, 0.2, 0.2]]
         spec = write_spec(
             tmp_path,
             {
                 "command": "decompose",
-                "divergence": {"name": "l1", "params": {"dim": 5}},
+                "divergence": {"name": "zero_one_grid", "params": {"dim": 5}},
                 "labels": {"points": point, "weights": [1.0]},
                 "preds": {"points": point, "weights": [1.0]},
             },
@@ -458,6 +476,25 @@ class TestErrorHandling:
         assert proc.returncode == 1
         assert "brute-force grid of 41^5" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_separable_oracle_at_d5_exits_zero(self, tmp_path):
+        # l1 is a sum over coordinates, so the oracle searches one axis at
+        # a time and d = 5 runs; each coordinate's weighted median is an atom.
+        spec = write_spec(
+            tmp_path,
+            {
+                "command": "decompose",
+                "divergence": {"name": "l1", "params": {"dim": 5}},
+                "labels": {"points": [[0.2] * 5, [1.0] * 5, [3.0] * 5], "weights": [1, 1, 1]},
+                "preds": {"points": [[0.5] * 5, [-1.0] * 5], "weights": [2, 1]},
+                "output": {"format": "json"},
+            },
+        )
+        proc = run_cli(["decompose", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "out" / "decompose.json").read_text())["report"]
+        assert report["central_label"] == [1.0] * 5
+        assert report["central_prediction"] == [0.5] * 5
 
     def test_command_mismatch_rejected(self, tmp_path):
         spec = write_spec(
