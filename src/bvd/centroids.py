@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     Domain,
     InfeasibleMeanError,
@@ -36,10 +37,6 @@ N_RESTARTS = 5
 TIE_TOL = 1e-9
 # Ties farther apart than this (max-abs) mark the minimizer as non-unique.
 DISTINCT_TOL = 1e-4
-# The oracle evaluates its candidates in blocks of at most this many
-# (rows x support x d) float64s (512 KiB), so its memory does not grow with
-# the grid.
-BLOCK_FLOATS = 2**16
 # The pattern search evaluates this many successive halvings of each step
 # per loss evaluation.
 PATTERN_LEVELS = 4
@@ -238,10 +235,15 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     3-point stencil instead of 41^d with a 3^d one.
 
     Ties within 1e-9 of the best objective resolve to the
-    lexicographically smallest point and set ``non_unique`` when the tied
-    candidates are more than 1e-4 apart (per axis, for a separable loss).
+    lexicographically smallest tied candidate that the search evaluated
+    (grid points, support points and pattern-search points), not the
+    smallest minimizer of the loss: a flat region's corner that is not a
+    candidate is not found, so a separable loss and a non-separable twin
+    of it may pick different points of equal objective. ``non_unique`` is
+    set when the tied candidates are more than 1e-4 apart (per axis, for a
+    separable loss).
 
-    Candidates go through the loss in blocks of at most ``BLOCK_FLOATS``
+    Candidates go through the loss in blocks of at most ``core.BLOCK_FLOATS``
     (rows x support x d) floats and only their objective values are kept,
     so memory is bounded by the block size plus a few floats per candidate;
     the answer does not depend on the block size. ``MAX_GRID_FLOATS``
@@ -317,7 +319,7 @@ def _search(loss, ens, box, origin, basis, support, lo, hi, edges):
     """
     n_problems, m = lo.shape
     d = box.dim
-    block = max(1, BLOCK_FLOATS // (ens.size * d))
+    block = max(1, core.BLOCK_FLOATS // (ens.size * d))
 
     def objective_batch(n, rows):
         """Objective at rows 0..n-1, where ``rows(i, j)`` gives the points

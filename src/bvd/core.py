@@ -27,6 +27,12 @@ FEASIBILITY_TOL = 1e-10
 # Weights must sum to one within this tolerance after normalization.
 WEIGHT_TOL = 1e-12
 
+# Batched evaluations (pair expectations, the oracle's candidates) hand
+# ``eval_batch`` at most this many (rows x support x d) float64s (512 KiB)
+# at a time, so their temporaries do not grow with the input. Read at call
+# time.
+BLOCK_FLOATS = 2**16
+
 
 class BoundaryError(ValueError):
     """Evaluation hit the boundary of a divergence's domain (e.g. log of 0)."""
@@ -266,12 +272,13 @@ class LossFunction:
     Subclasses implement ``eval_batch(T, Y)``, the one evaluation contract:
     the last axis of both arrays is d, their leading axes broadcast against
     each other under numpy's rules, and the result has the broadcast leading
-    shape. Callers pass each support point once, e.g. (n, 1, d) labels
-    against (1, m, d) predictions for the (n, m) product, so a per-point
-    transform (g(t), log y) runs once per point and only the final pairing
-    is full size. Non-finite outputs signal boundary trouble without
-    raising, which lets grid searches mask bad points. The scalar
-    :meth:`eval` path validates feasibility and raises instead.
+    shape. Callers pass each support point once per call, e.g. (n, 1, d)
+    labels against (1, m, d) predictions for the (n, m) product, so a
+    per-point transform (g(t), log y) runs once per point and call and
+    only the final pairing is full size. Non-finite outputs signal
+    boundary trouble without raising, which lets grid searches mask bad
+    points. The scalar :meth:`eval` path validates feasibility and raises
+    instead.
     """
 
     def __init__(self, dim: int, domain: Domain, name: str = "loss"):
@@ -358,14 +365,26 @@ def pair_expectation(
     """E over independent (label, prediction) pairs of the loss.
 
     Evaluates the broadcast support product, (nt, 1, d) labels against
-    (1, ny, d) predictions, in one vectorized call; the reduction order is
-    fixed, so repeated runs agree to the last bit. Both ensembles must have
-    the loss's dimension (``ValueError`` otherwise).
+    (1, ny, d) predictions, in blocks of label rows of at most
+    ``BLOCK_FLOATS`` (rows x ny x d) floats, at least one row per block; a
+    product that fits in one block is one call. Each label is mapped once
+    and the predictions once per block. The per-pair values fill one
+    (nt, ny) matrix whose weighted sum has a fixed order, so the result
+    does not depend on the block size and repeated runs agree to the last
+    bit. Both ensembles must have the loss's dimension (``ValueError``
+    otherwise).
     """
     _require_dim(loss, labels.dim, "label")
     _require_dim(loss, preds.dim, "prediction")
+    T, Y = labels.points[:, None, :], preds.points[None, :, :]
+    rows = max(1, BLOCK_FLOATS // (preds.size * loss.dim))
     with np.errstate(all="ignore"):
-        values = loss.eval_batch(labels.points[:, None, :], preds.points[None, :, :])
+        if labels.size <= rows:
+            values = loss.eval_batch(T, Y)
+        else:
+            values = np.empty((labels.size, preds.size))
+            for i in range(0, labels.size, rows):
+                values[i : i + rows] = loss.eval_batch(T[i : i + rows], Y)
     if not np.all(np.isfinite(values)):
         raise BoundaryError(f"{loss.name} is not finite on the support product")
     w = labels.weights[:, None] * preds.weights[None, :]

@@ -514,12 +514,17 @@ def _prob_domain(dim: int, simplex: bool) -> Domain:
 def _kl_direct(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """sum t (log t - log y) + y - t over the last axis, 0 log 0 = 0.
 
-    The logs are taken per point, before ``T`` and ``Y`` broadcast. ``(Y - T)``
-    stays parenthesised: numpy reuses that temporary for the sum, where
-    ``terms + Y - T`` would hold a third full-size array."""
+    The logs are taken per point, before ``T`` and ``Y`` broadcast. The
+    pairing is computed in place in one full-size buffer; ``Y - T`` is
+    added to it as one term, the only other full-size array."""
+    pos = T > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(T > 0, T * (np.log(np.where(T > 0, T, 1.0)) - np.log(Y)), 0.0)
-    return np.sum(terms + (Y - T), axis=-1)
+        buf = np.log(np.where(pos, T, 1.0)) - np.log(Y)
+        buf *= T
+    if not pos.all():
+        np.copyto(buf, 0.0, where=~pos)
+    buf += Y - T
+    return np.sum(buf, axis=-1)
 
 
 def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from bvd import CallableLoss, Domain, InfeasibleMeanError, catalog, centroids, make_ensemble
+from bvd import CallableLoss, Domain, InfeasibleMeanError, catalog, core, make_ensemble
 from bvd.centroids import (
     brute_force_centroid,
     central_label,
@@ -533,7 +533,7 @@ class TestBruteForce:
         loss = catalog(name, dim=ens.dim, **params)
         whole = brute_force_centroid(loss, ens, side)
         # Four rows per block: a 9-point stencil leaves one row in the last.
-        monkeypatch.setattr(centroids, "BLOCK_FLOATS", 4 * ens.size * ens.dim)
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 4 * ens.size * ens.dim)
         blocked = brute_force_centroid(loss, ens, side)
         assert blocked.point.tobytes() == whole.point.tobytes()
         assert repr(blocked.objective) == repr(whole.objective)
@@ -623,6 +623,22 @@ class TestSeparableSearch:
                 assert fast.objective <= full.objective + 1e-12 * (1 + abs(full.objective))
                 assert fast.non_unique == full.non_unique == bool(
                     np.any(np.sort(ens.points, axis=0)[n // 2] > lows))
+
+    def test_ties_resolve_among_evaluated_candidates(self):
+        # Every point of [0.3, 0.9] x [0.2, 0.7] ties at objective 0.55. Per
+        # axis the flat interval's ends are support coordinates, so the
+        # search finds the corner [0.3, 0.2]; on the full grid that corner
+        # is never a candidate, and the smallest evaluated tie is the atom
+        # [0.3, 0.7].
+        loss = catalog("l1", dim=2)
+        ens = make_ensemble([[0.3, 0.7], [0.9, 0.2]], [1, 1])
+        fast = brute_force_centroid(loss, ens, "first_arg")
+        full = brute_force_centroid(_full_grid_twin(loss), ens, "first_arg")
+        np.testing.assert_array_equal(fast.point, [0.3, 0.2])
+        np.testing.assert_array_equal(full.point, [0.3, 0.7])
+        for res in (fast, full):
+            assert res.objective == pytest.approx(0.55, rel=1e-12)
+            assert res.non_unique
 
     @pytest.mark.parametrize("name", SEPARABLE_NAMES + ["bernoulli_kl"])
     def test_one_axis_is_byte_identical(self, name):

@@ -1,13 +1,58 @@
 """Tests for ensembles, domains, and pair/side expectations."""
 
 import json
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from bvd import Domain, WeightedEnsemble, make_ensemble
+from bvd import Domain, WeightedEnsemble, core, decompose, make_ensemble
 from bvd.core import pair_expectation, side_expectation
-from bvd.divergences import catalog
+from bvd.divergences import catalog, catalog_from_json
+
+from conftest import random_spd
+
+
+def _box(lo, hi):
+    return lambda rng, n, d: rng.uniform(lo, hi, (n, d))
+
+
+def _grid(rng, n, d):
+    return rng.integers(0, 3, (n, d)).astype(float)
+
+
+def _simplex(rng, n, d):
+    return rng.dirichlet(np.full(d, 2.0), n)
+
+
+def _gaussian(rng, n, d):
+    return np.hstack([rng.uniform(-1.0, 1.0, (n, 1)), rng.uniform(0.3, 2.5, (n, 1))])
+
+
+# Every catalog entry, plus the wide cases of the benchmark: (loss, sampler).
+BLOCK_CASES = {
+    "sq_euclidean": (lambda: catalog("sq_euclidean", dim=3), _box(-3.0, 3.0)),
+    "mahalanobis": (lambda: catalog("mahalanobis", K=random_spd(np.random.default_rng(7), 3)),
+                    _box(-3.0, 3.0)),
+    "kl": (lambda: catalog("kl", dim=3), _box(0.1, 0.9)),
+    "reverse_kl": (lambda: catalog("reverse_kl", dim=3), _box(0.1, 0.9)),
+    "alpha": (lambda: catalog("alpha", alpha=0.3, dim=3), _box(0.1, 0.9)),
+    "gaussian_canonical": (lambda: catalog("gaussian_canonical"), _gaussian),
+    "bernoulli_kl": (lambda: catalog("bernoulli_kl"), _box(0.1, 0.9)),
+    "g_mahalanobis": (
+        lambda: catalog_from_json({"name": "g_mahalanobis", "params": {
+            "K": random_spd(np.random.default_rng(8), 3).tolist(),
+            "domain": {"dim": 3, "lower": [0.01] * 3, "upper": [10.0] * 3}}}),
+        _box(0.1, 5.0),
+    ),
+    "minkowski": (lambda: catalog("minkowski", epsilon=1.5, dim=2), _box(-3.0, 3.0)),
+    "l1": (lambda: catalog("l1", dim=2), _box(-3.0, 3.0)),
+    "zero_one_grid": (lambda: catalog("zero_one_grid", dim=2, levels=3), _grid),
+    "kl_simplex_d1000": (lambda: catalog("kl", dim=1000, simplex=True), _simplex),
+    "sq_euclidean_d1000": (lambda: catalog("sq_euclidean", dim=1000), _box(-3.0, 3.0)),
+}
 
 
 class TestMakeEnsemble:
@@ -183,7 +228,7 @@ class TestPairExpectation:
             with pytest.raises(ValueError, match="point dimension: expected 3 .* got 1"):
                 side_expectation(loss, np.array([0.5]), ens, side)
 
-    def test_each_support_point_mapped_once(self, rng):
+    def test_each_support_point_mapped_once(self, rng, monkeypatch):
         from bvd.divergences import Mapping, make_g_mahalanobis
 
         mapped = []
@@ -198,13 +243,21 @@ class TestPairExpectation:
         preds = make_ensemble(rng.uniform(0.1, 0.9, (8, 3)), np.ones(8))
         pair_expectation(loss, labels, preds)
         assert sum(mapped) == (6 + 8) * 3
+        # Blocks of 4 and 2 label rows: each label is still mapped once, the
+        # predictions once per block.
+        mapped.clear()
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 4 * 8 * 3)
+        pair_expectation(loss, labels, preds)
+        assert sum(mapped) == (6 + 2 * 8) * 3
 
     def test_kl_pair_peak_memory(self, rng):
-        """The KL kernel holds at most two and a half full (nt, ny, d)
-        arrays at once: logs per point, one temporary reused for the sum."""
+        """The KL kernel holds at most two and a half blocks of
+        ``BLOCK_FLOATS`` floats at once: logs per point, one buffer reused
+        in place and ``Y - T``; the (nt, ny) matrices are small here."""
         import tracemalloc
 
         d, nt, ny = 1000, 16, 64
+        assert ny * d <= core.BLOCK_FLOATS  # one label row per block
         loss = catalog("kl", dim=d, simplex=True)
         labels = make_ensemble(rng.dirichlet(np.ones(d), nt), np.ones(nt))
         preds = make_ensemble(rng.dirichlet(np.ones(d), ny), np.ones(ny))
@@ -214,4 +267,68 @@ class TestPairExpectation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * nt * ny * d * 8
+        assert peak <= 2.5 * core.BLOCK_FLOATS * 8
+
+    @pytest.mark.parametrize("name", list(BLOCK_CASES))
+    def test_block_size_does_not_change_results(self, rng, monkeypatch, name):
+        build, sample = BLOCK_CASES[name]
+        loss = build()
+        d, nt, ny = loss.dim, 7, 5
+        labels = make_ensemble(sample(rng, nt, d), rng.random(nt) + 0.1)
+        preds = make_ensemble(sample(rng, ny, d), rng.random(ny) + 0.1)
+        assert nt * ny * d <= core.BLOCK_FLOATS  # one block by default
+        whole = repr(pair_expectation(loss, labels, preds))
+        report = json.dumps(decompose(loss, labels, preds).to_json())
+
+        calls = []
+        batch = loss.eval_batch
+
+        def counting(T, Y):
+            calls.append(T.shape[0])
+            return batch(T, Y)
+
+        # One-row blocks, then blocks of 3, 3 and 1 rows.
+        for rows, sizes in ((1, [1] * nt), (3, [3, 3, 1])):
+            monkeypatch.setattr(core, "BLOCK_FLOATS", rows * ny * d)
+            calls.clear()
+            monkeypatch.setattr(loss, "eval_batch", counting)
+            assert repr(pair_expectation(loss, labels, preds)) == whole
+            assert calls == sizes
+            monkeypatch.setattr(loss, "eval_batch", batch)
+            assert json.dumps(decompose(loss, labels, preds).to_json()) == report
+
+    def test_wide_kl_product_runs_in_bounded_memory(self):
+        # 512 x 512 pairs at d = 1000 are 2.1e9 bytes per full-size
+        # temporary; streamed in blocks of label rows they fit under a
+        # 1 GiB address-space limit.
+        code = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+            import numpy as np
+            from bvd import catalog, make_ensemble
+            from bvd.core import pair_expectation
+
+            rng = np.random.default_rng(0)
+            d, n = 1000, 512
+            T, Y = rng.dirichlet(np.full(d, 2.0), n), rng.dirichlet(np.full(d, 2.0), n)
+            wt, wy = rng.random(n) + 0.1, rng.random(n) + 0.1
+            got = pair_expectation(catalog("kl", dim=d, simplex=True),
+                                   make_ensemble(T, wt), make_ensemble(Y, wy))
+            # KL(t, y) = t.log t - t.log y + sum y - sum t, 64 labels at a time.
+            wt, wy = wt / wt.sum(), wy / wy.sum()
+            log_y, want = np.log(Y), 0.0
+            for i in range(0, n, 64):
+                t = T[i : i + 64]
+                kl = (np.sum(t * np.log(t), axis=1)[:, None] - t @ log_y.T
+                      + Y.sum(axis=1)[None, :] - t.sum(axis=1)[:, None])
+                want += wt[i : i + 64] @ kl @ wy
+            print(got, want)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        got, want = map(float, proc.stdout.split())
+        assert got == pytest.approx(want, rel=1e-12)
