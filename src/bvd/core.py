@@ -366,9 +366,9 @@ def pair_expectation(
 
     Evaluates the broadcast support product, (nt, 1, d) labels against
     (1, ny, d) predictions, in blocks of label rows of at most
-    ``BLOCK_FLOATS`` (rows x ny x d) floats, at least one row per block; a
-    product that fits in one block is one call. Each label is mapped once
-    and the predictions once per block. The per-pair values fill one
+    ``BLOCK_FLOATS`` (rows x ny x d) floats, at least one row per block, one
+    ``eval_batch`` call each. Each label is mapped once and the predictions
+    once per block. The per-pair values fill one
     (nt, ny) matrix whose weighted sum has a fixed order, so the result
     does not depend on the block size and repeated runs agree to the last
     bit. Both ensembles must have the loss's dimension (``ValueError``
@@ -378,13 +378,10 @@ def pair_expectation(
     _require_dim(loss, preds.dim, "prediction")
     T, Y = labels.points[:, None, :], preds.points[None, :, :]
     rows = max(1, BLOCK_FLOATS // (preds.size * loss.dim))
+    values = np.empty((labels.size, preds.size))
     with np.errstate(all="ignore"):
-        if labels.size <= rows:
-            values = loss.eval_batch(T, Y)
-        else:
-            values = np.empty((labels.size, preds.size))
-            for i in range(0, labels.size, rows):
-                values[i : i + rows] = loss.eval_batch(T[i : i + rows], Y)
+        for i in range(0, labels.size, rows):
+            values[i : i + rows] = loss.eval_batch(T[i : i + rows], Y)
     if not np.all(np.isfinite(values)):
         raise BoundaryError(f"{loss.name} is not finite on the support product")
     w = labels.weights[:, None] * preds.weights[None, :]

@@ -521,8 +521,7 @@ def _kl_direct(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         buf = np.log(np.where(pos, T, 1.0)) - np.log(Y)
         buf *= T
-    if not pos.all():
-        np.copyto(buf, 0.0, where=~pos)
+    np.copyto(buf, 0.0, where=~pos)
     buf += Y - T
     return np.sum(buf, axis=-1)
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,11 +13,7 @@ from bvd import Domain, WeightedEnsemble, core, decompose, make_ensemble
 from bvd.core import pair_expectation, side_expectation
 from bvd.divergences import catalog, catalog_from_json
 
-from conftest import random_spd
-
-
-def _box(lo, hi):
-    return lambda rng, n, d: rng.uniform(lo, hi, (n, d))
+from conftest import GBREGMAN_FAMILIES, make_entry, random_spd, sample_points
 
 
 def _grid(rng, n, d):
@@ -27,32 +24,26 @@ def _simplex(rng, n, d):
     return rng.dirichlet(np.full(d, 2.0), n)
 
 
-def _gaussian(rng, n, d):
-    return np.hstack([rng.uniform(-1.0, 1.0, (n, 1)), rng.uniform(0.3, 2.5, (n, 1))])
-
-
 # Every catalog entry, plus the wide cases of the benchmark: (loss, sampler).
 BLOCK_CASES = {
-    "sq_euclidean": (lambda: catalog("sq_euclidean", dim=3), _box(-3.0, 3.0)),
-    "mahalanobis": (lambda: catalog("mahalanobis", K=random_spd(np.random.default_rng(7), 3)),
-                    _box(-3.0, 3.0)),
-    "kl": (lambda: catalog("kl", dim=3), _box(0.1, 0.9)),
-    "reverse_kl": (lambda: catalog("reverse_kl", dim=3), _box(0.1, 0.9)),
-    "alpha": (lambda: catalog("alpha", alpha=0.3, dim=3), _box(0.1, 0.9)),
-    "gaussian_canonical": (lambda: catalog("gaussian_canonical"), _gaussian),
-    "bernoulli_kl": (lambda: catalog("bernoulli_kl"), _box(0.1, 0.9)),
+    name: (partial(make_entry, name, dims[-1]), partial(sample_points, name))
+    for name, dims in GBREGMAN_FAMILIES
+}
+BLOCK_CASES.update({
     "g_mahalanobis": (
         lambda: catalog_from_json({"name": "g_mahalanobis", "params": {
             "K": random_spd(np.random.default_rng(8), 3).tolist(),
             "domain": {"dim": 3, "lower": [0.01] * 3, "upper": [10.0] * 3}}}),
-        _box(0.1, 5.0),
+        partial(sample_points, "kl"),
     ),
-    "minkowski": (lambda: catalog("minkowski", epsilon=1.5, dim=2), _box(-3.0, 3.0)),
-    "l1": (lambda: catalog("l1", dim=2), _box(-3.0, 3.0)),
+    "minkowski": (lambda: catalog("minkowski", epsilon=1.5, dim=2),
+                  partial(sample_points, "sq_euclidean")),
+    "l1": (lambda: catalog("l1", dim=2), partial(sample_points, "sq_euclidean")),
     "zero_one_grid": (lambda: catalog("zero_one_grid", dim=2, levels=3), _grid),
     "kl_simplex_d1000": (lambda: catalog("kl", dim=1000, simplex=True), _simplex),
-    "sq_euclidean_d1000": (lambda: catalog("sq_euclidean", dim=1000), _box(-3.0, 3.0)),
-}
+    "sq_euclidean_d1000": (lambda: catalog("sq_euclidean", dim=1000),
+                           partial(sample_points, "sq_euclidean")),
+})
 
 
 class TestMakeEnsemble:
