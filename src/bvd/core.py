@@ -368,11 +368,10 @@ def pair_expectation(
     (1, ny, d) predictions, in blocks of label rows of at most
     ``BLOCK_FLOATS`` (rows x ny x d) floats, at least one row per block, one
     ``eval_batch`` call each. Each label is mapped once and the predictions
-    once per block. The per-pair values fill one
-    (nt, ny) matrix whose weighted sum has a fixed order, so the result
-    does not depend on the block size and repeated runs agree to the last
-    bit. Both ensembles must have the loss's dimension (``ValueError``
-    otherwise).
+    once per block. The per-pair values fill one (nt, ny) matrix whose
+    weighted sum has a fixed order, so the result does not depend on the
+    block size and repeated runs agree to the last bit. Both ensembles must
+    have the loss's dimension (``ValueError`` otherwise).
     """
     _require_dim(loss, labels.dim, "label")
     _require_dim(loss, preds.dim, "prediction")
