@@ -16,7 +16,7 @@ exact for a loss; each label-side solve is the prediction-side solve of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,6 +87,19 @@ def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> Centr
     constraints (use the constrained solver then), or on the simplex when
     the expected divergence is infinite everywhere.
     """
+    return _scored(div, _f_mean_point(div, preds), preds)
+
+
+def _scored(loss: LossFunction, res: CentroidResult, ens: WeightedEnsemble) -> CentroidResult:
+    """``res`` with its objective, E loss(res.point, .) over ``ens``, unless
+    it has one (the oracle's whole result)."""
+    if not np.isnan(res.objective):
+        return res
+    return replace(res, objective=side_expectation(loss, res.point, ens, "first_arg"))
+
+
+def _f_mean_point(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
+    """The point step of :func:`f_mean_prediction` (objective nan)."""
     f, mean = _mean_f(div, preds)
     point = np.asarray(f.inverse(mean), dtype=float)
     simplex = _simplex_family(div)
@@ -105,8 +118,7 @@ def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> Centr
     if simplex and div.map_is_identity:  # f(y*) - E f(Y) = lam wherever y* > 0
         with np.errstate(invalid="ignore"):
             lam = np.array([np.mean((f.forward(point) - mean)[point > 0])])
-    objective = side_expectation(div, point, preds, point_side="first_arg")
-    return CentroidResult(point, lam, objective, "closed_form")
+    return CentroidResult(point, lam, np.nan, "closed_form")
 
 
 def g_mean_label(div: GBregmanDivergence, labels: WeightedEnsemble) -> CentroidResult:
@@ -144,6 +156,11 @@ def constrained_central_prediction(
     Requires a standard Bregman divergence (identity coordinate map): the
     minimizer satisfies f(y*) = mean f(Y) + W^T lam with W y* = b.
     """
+    return _scored(div, _lagrange_point(div, preds), preds)
+
+
+def _lagrange_point(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
+    """The point step of :func:`constrained_central_prediction` (objective nan)."""
     if not div.map_is_identity:
         raise ValueError(
             "constrained centroids need an identity map on the solved side; "
@@ -156,8 +173,7 @@ def constrained_central_prediction(
             f"constrained centroid {point} violates the box bounds; active-set "
             "handling of inequality constraints is not supported"
         )
-    objective = side_expectation(div, point, preds, point_side="first_arg")
-    return CentroidResult(point, lam, objective, "lagrange")
+    return CentroidResult(point, lam, np.nan, "lagrange")
 
 
 def constrained_central_label(
@@ -181,11 +197,17 @@ def central_prediction(loss: LossFunction, preds: WeightedEnsemble) -> CentroidR
     the domain (:meth:`Domain.require_points`), so an ensemble of the wrong
     dimension or with an infeasible point raises ``ValueError`` naming it.
     """
+    return _scored(loss, central_point(loss, preds), preds)
+
+
+def central_point(loss: LossFunction, preds: WeightedEnsemble) -> CentroidResult:
+    """The point step of the solver :func:`central_prediction` picks (objective
+    nan), or the oracle's whole result: its search costs far more."""
     if isinstance(loss, GBregmanDivergence):
         if loss.domain.n_constraints == 0 or loss.dual_map_is_identity or _simplex_family(loss):
-            return f_mean_prediction(loss, preds)
+            return _f_mean_point(loss, preds)
         if loss.map_is_identity:
-            return constrained_central_prediction(loss, preds)
+            return _lagrange_point(loss, preds)
         warnings.warn(f"{loss.name}: neither coordinate map is the identity; the constrained "
                       "problem may be nonconvex -- falling back to brute-force centroids")
     return brute_force_centroid(loss, preds, "first_arg")

@@ -112,11 +112,12 @@ class Domain:
         """Mask over the rows of the (..., d) array ``Y``: which lie in the
         domain within ``tol``. Rows with a non-finite coordinate never do."""
         Y = np.asarray(Y, dtype=float)
-        ok = np.isfinite(Y).all(axis=-1)
+        ok = np.isfinite(Y)
         if self.lower is not None:
-            ok &= (Y >= self.lower - tol).all(axis=-1)
+            ok &= Y >= self.lower - tol
         if self.upper is not None:
-            ok &= (Y <= self.upper + tol).all(axis=-1)
+            ok &= Y <= self.upper + tol
+        ok = ok.all(axis=-1)
         if self.eq_lhs is not None:
             with np.errstate(invalid="ignore"):  # inf - inf in a row already masked
                 resid = Y @ self.eq_lhs.T - self.eq_rhs
@@ -321,9 +322,7 @@ class LossFunction:
         with np.errstate(all="ignore"):
             v = float(batch(t, y))
         if not np.isfinite(v):
-            raise BoundaryError(
-                f"{self.name} is not finite at label={t}, prediction={y}"
-            )
+            _not_finite(self, t, y)
         return v
 
     def __repr__(self):
@@ -359,30 +358,51 @@ def _require_dim(loss: LossFunction, dim: int, what: str) -> None:
         raise ValueError(f"{what} dimension: expected {loss.dim} for {loss.name}, got {dim}")
 
 
+def _not_finite(loss: LossFunction, t: np.ndarray, y: np.ndarray):
+    """Raise ``BoundaryError`` for a pair, from ``_check_boundary`` if it can."""
+    if loss._check_boundary is not None:
+        loss._check_boundary(t, y)
+    raise BoundaryError(f"{loss.name} is not finite at label={t}, prediction={y}")
+
+
+def support_product(loss: LossFunction, T: np.ndarray, Y: np.ndarray, used=None) -> np.ndarray:
+    """The (nt, ny) matrix of loss(T[i], Y[j]), from ``eval_batch`` calls on
+    blocks of at most ``BLOCK_FLOATS`` (rows x ny x d) floats, at least one
+    row each: rows are mapped once, columns once per block, and no value
+    depends on the block size. Only the cells the boolean mask ``used``
+    sets (all by default) are needed: a block evaluates the columns from
+    its first to its last used cell, or none, and the others stay nan. A
+    used value that is not finite raises ``BoundaryError`` naming the
+    first such pair in row order."""
+    rows = max(1, BLOCK_FLOATS // (Y.shape[0] * loss.dim))
+    values = np.full((T.shape[0], Y.shape[0]), np.nan)
+    used = np.ones(values.shape, dtype=bool) if used is None else used
+    with np.errstate(all="ignore"):
+        for i in range(0, T.shape[0], rows):
+            cols = np.flatnonzero(used[i : i + rows].any(axis=0))
+            if cols.size:
+                c = slice(cols[0], cols[-1] + 1)
+                values[i : i + rows, c] = loss.eval_batch(T[i : i + rows, None, :], Y[None, c])
+    bad = used & ~np.isfinite(values)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        _not_finite(loss, T[i], Y[j])
+    return values
+
+
 def pair_expectation(
     loss: LossFunction, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> float:
     """E over independent (label, prediction) pairs of the loss.
 
-    Evaluates the broadcast support product, (nt, 1, d) labels against
-    (1, ny, d) predictions, in blocks of label rows of at most
-    ``BLOCK_FLOATS`` (rows x ny x d) floats, at least one row per block, one
-    ``eval_batch`` call each. Each label is mapped once and the predictions
-    once per block. The per-pair values fill one (nt, ny) matrix whose
-    weighted sum has a fixed order, so the result does not depend on the
-    block size and repeated runs agree to the last bit. Both ensembles must
-    have the loss's dimension (``ValueError`` otherwise).
+    The weighted sum, in a fixed order, of the :func:`support_product` of
+    the labels against the predictions, so the result does not depend on
+    the block size and repeated runs agree to the last bit. Both ensembles
+    must have the loss's dimension (``ValueError`` otherwise).
     """
     _require_dim(loss, labels.dim, "label")
     _require_dim(loss, preds.dim, "prediction")
-    T, Y = labels.points[:, None, :], preds.points[None, :, :]
-    rows = max(1, BLOCK_FLOATS // (preds.size * loss.dim))
-    values = np.empty((labels.size, preds.size))
-    with np.errstate(all="ignore"):
-        for i in range(0, labels.size, rows):
-            values[i : i + rows] = loss.eval_batch(T[i : i + rows], Y)
-    if not np.all(np.isfinite(values)):
-        raise BoundaryError(f"{loss.name} is not finite on the support product")
+    values = support_product(loss, labels.points, preds.points)
     w = labels.weights[:, None] * preds.weights[None, :]
     return float(np.sum(w * values))
 
@@ -390,18 +410,16 @@ def pair_expectation(
 def side_expectation(
     loss: LossFunction, point: np.ndarray, ens: WeightedEnsemble, point_side: str
 ) -> float:
-    """E over the ensemble of loss(point, .) or loss(., point). The point and
+    """E over the ensemble of loss(point, .) or loss(., point), from the
+    :func:`support_product` of the point with the ensemble. The point and
     the ensemble must have the loss's dimension (``ValueError`` otherwise)."""
-    P = np.asarray(point, dtype=float).reshape(-1)
-    _require_dim(loss, P.size, "point")
+    P = np.asarray(point, dtype=float).reshape(1, -1)
+    _require_dim(loss, P.shape[1], "point")
     _require_dim(loss, ens.dim, "ensemble")
-    with np.errstate(all="ignore"):
-        if point_side == "first_arg":
-            values = loss.eval_batch(P[None, :], ens.points)
-        elif point_side == "second_arg":
-            values = loss.eval_batch(ens.points, P[None, :])
-        else:
-            raise ValueError("point_side must be 'first_arg' or 'second_arg'")
-    if not np.all(np.isfinite(values)):
-        raise BoundaryError(f"{loss.name} is not finite on the ensemble support")
+    if point_side == "first_arg":
+        values = support_product(loss, P, ens.points)[0]
+    elif point_side == "second_arg":
+        values = support_product(loss, ens.points, P)[:, 0]
+    else:
+        raise ValueError("point_side must be 'first_arg' or 'second_arg'")
     return float(np.sum(ens.weights * values))

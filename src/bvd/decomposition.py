@@ -13,18 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossFunction, WeightedEnsemble, pair_expectation, side_expectation
+from .core import LossFunction, WeightedEnsemble, side_expectation, support_product
 from .divergences import (  # noqa: F401 (gaussian_log_partition is re-exported)
     GBregmanDivergence,
     Generator,
     gaussian_log_partition,
 )
-from .centroids import (
-    CentroidResult,
-    brute_force_centroid,
-    central_label,
-    central_prediction,
-)
+from .centroids import CentroidResult, brute_force_centroid, central_point
 
 TERM_FLOOR = -1e-10
 
@@ -78,18 +73,27 @@ def _report(
     t_star: CentroidResult,
     y_star: CentroidResult,
 ) -> DecompositionReport:
-    """The decomposition at the given central label and prediction.
-
-    Intrinsic noise and variance are the centroids' objectives,
-    E D(T, t*) and E D(y*, Y): means of non-negative values that need no
-    cancellation of potentials. Under linear equality constraints they
-    equal the potential differences with the lam . b correction by the
-    generalized Pythagorean identity (Banerjee et al., JMLR 2005).
+    """The decomposition at the given central points from one evaluation of
+    the loss, rows [T; t*; y*] against columns [Y; t*; y*]: E D(T, Y) is the
+    weighted (T, Y) block, the noise E D(T, t*) the t* column, the bias
+    D(t*, y*) one cell and the variance E D(y*, Y) the y* row. Only these
+    cells must be finite (KL's unused D(y*, t*) may be infinite). Noise and
+    variance need no cancellation of potentials; under linear equality
+    constraints they equal the potential differences with the lam . b
+    correction (generalized Pythagorean identity, Banerjee et al. 2005).
     """
-    expected = pair_expectation(loss, labels, preds)
-    noise = t_star.objective
-    bias = loss.eval(t_star.point, y_star.point)
-    variance = y_star.objective
+    n, m = labels.size, preds.size
+    centres = np.vstack([t_star.point, y_star.point])
+    used = np.zeros((n + 2, m + 2), dtype=bool)
+    used[:n, : m + 1] = used[n, m + 1] = used[n + 1, :m] = True
+    V = support_product(loss, np.vstack([labels.points, centres]),
+                        np.vstack([preds.points, centres]), used)
+    if loss._check_boundary is not None:
+        loss._check_boundary(t_star.point, y_star.point)
+    expected = float(np.sum(labels.weights[:, None] * preds.weights[None, :] * V[:n, :m]))
+    noise = float(np.sum(labels.weights * V[:n, m]))
+    bias = float(V[n, m + 1])
+    variance = float(np.sum(preds.weights * V[n + 1, :m]))
     _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
     lams = [r.multipliers for r in (t_star, y_star) if r.multipliers.size]
     return DecompositionReport(
@@ -108,11 +112,11 @@ def _report(
 def decompose(
     loss: LossFunction, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> DecompositionReport:
-    """Decompose any loss at the centroids of :func:`central_label` and
-    :func:`central_prediction` (closed form, Lagrange, or the oracle)."""
-    return _report(
-        loss, labels, preds, central_label(loss, labels), central_prediction(loss, preds)
-    )
+    """Decompose any loss at the centroids of :func:`~bvd.centroids.central_label`
+    and :func:`~bvd.centroids.central_prediction` (closed form, Lagrange, or
+    the oracle), taking only their points."""
+    return _report(loss, labels, preds, central_point(loss.reverse(), labels),
+                   central_point(loss, preds))
 
 
 def decompose_generic(

@@ -341,11 +341,10 @@ class GBregmanDivergence(LossFunction):
 
 def _clamp(vals: np.ndarray) -> np.ndarray:
     vals = np.asarray(vals, dtype=float)
-    with np.errstate(invalid="ignore"):
-        negative = np.isfinite(vals) & (vals < 0)
-    if not negative.any():
+    if not (vals < 0).any():  # nan compares false
         return vals
-    worst = float(np.min(vals[negative]))
+    negative = np.isfinite(vals) & (vals < 0)
+    worst = float(np.min(vals, where=negative, initial=0.0))
     if worst < -CLAMP_TOL:
         raise ConvexityError(f"divergence evaluated to {worst:.3e} < -{CLAMP_TOL}")
     return np.where(negative, 0.0, vals)

@@ -327,6 +327,24 @@ class TestErrorHandling:
         proc = run_cli(["decompose", "--spec", str(spec)])
         assert proc.returncode == 1
 
+    def test_non_finite_pair_exits_two_naming_coordinate(self, tmp_path):
+        # A prediction's zero against a positive label coordinate: KL is
+        # infinite there, and the error names the coordinate.
+        spec = write_spec(
+            tmp_path,
+            {
+                "command": "decompose",
+                "divergence": {"name": "kl", "params": {"dim": 2}},
+                "labels": {"points": [[0.2, 0.4]], "weights": [1.0]},
+                "preds": {"points": [[0.0, 0.5], [0.1, 0.3]], "weights": [1.0, 1.0]},
+            },
+        )
+        proc = run_cli(["decompose", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert "BoundaryError: kl: prediction coordinate 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_exits_two(self, tmp_path):
         # Feasible points whose moment mean exceeds the variance box: the
         # closed-form central prediction fails numerically.

@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bvd import Domain, WeightedEnsemble, core, decompose, make_ensemble
+from bvd import BoundaryError, CallableLoss, Domain, WeightedEnsemble, core, decompose, make_ensemble
 from bvd.core import pair_expectation, side_expectation
 from bvd.divergences import catalog, catalog_from_json
 
@@ -152,6 +152,35 @@ class TestDomain:
         assert mask.tolist() == want
         assert [domain.contains(r) for r in rows] == want
 
+    @pytest.mark.parametrize(
+        "domain",
+        [Domain.box([0, -1], [1, 2]), Domain(2, lower=np.array([0.0, -np.inf])), Domain.simplex(2)],
+        ids=["box", "half_bounded", "simplex"],
+    )
+    def test_feasible_mask_matches_per_bound_reductions(self, domain):
+        # The one combined mask equals one reduction per bound.
+        tol = core.FEASIBILITY_TOL
+        lo = np.array([0.0, -1.0]) if domain.lower is None else domain.lower
+        hi = np.array([1.0, 2.0]) if domain.upper is None else domain.upper
+        bounds = np.concatenate([lo, hi])
+        bounds = bounds[np.isfinite(bounds)]
+        values = np.concatenate([[np.nan, np.inf, -np.inf, 0.5],
+                                 *(bounds + k * tol for k in (-2, -1, 0, 1, 2))])
+        Y = np.stack(np.meshgrid(values, values, indexing="ij"), axis=-1).reshape(-1, 2)
+        with np.errstate(invalid="ignore"):
+            want = np.isfinite(Y).all(axis=-1)
+            if domain.lower is not None:
+                want &= (Y >= domain.lower - tol).all(axis=-1)
+            if domain.upper is not None:
+                want &= (Y <= domain.upper + tol).all(axis=-1)
+            if domain.eq_lhs is not None:
+                want &= np.abs(Y @ domain.eq_lhs.T - domain.eq_rhs).max(axis=-1) <= tol
+        got = domain.feasible(Y)
+        assert got.tolist() == want.tolist()
+        assert got.any() and not got.all()
+        assert domain.feasible(Y.reshape(len(values), len(values), 2)).tolist() == (
+            want.reshape(len(values), len(values)).tolist())
+
     def test_rank_deficient_constraints_rejected(self):
         with pytest.raises(ValueError, match="rank"):
             Domain(2, eq_lhs=[[1, 1], [2, 2]], eq_rhs=[1, 2])
@@ -211,6 +240,42 @@ class TestPairExpectation:
             pair_expectation(loss, labels, preds)
         with pytest.raises(ValueError, match="prediction dimension: expected 3 .* got 1"):
             pair_expectation(loss, preds, labels)
+
+    def test_non_finite_pair_is_named(self):
+        # A label coordinate against a prediction's zero: the error names the
+        # coordinate, as kl.eval does on the same pair.
+        kl = catalog("kl", dim=2)
+        labels = make_ensemble([[0.2, 0.4]], [1])
+        preds = make_ensemble([[0.0, 0.5], [0.1, 0.3]], [1, 1])
+        with pytest.raises(BoundaryError, match="prediction coordinate 0") as caught:
+            kl.eval(labels.points[0], preds.points[0])
+        for fn in (pair_expectation, decompose,
+                   lambda kl, labels, preds: side_expectation(kl, labels.points[0], preds,
+                                                              "first_arg")):
+            with pytest.raises(BoundaryError) as exc:
+                fn(kl, labels, preds)
+            assert str(exc.value) == str(caught.value)
+
+    def test_non_finite_pair_without_boundary_check_is_named(self, monkeypatch):
+        # A loss with no _check_boundary names the first pair in row order.
+        loss = CallableLoss(1, Domain.box([0.0], [2.0]),
+                            lambda T, Y: np.where(T[..., 0] + Y[..., 0] >= 2.5, np.inf, 0.0))
+        labels = make_ensemble([[0.5], [1.5], [2.0]], [1, 1, 1])
+        preds = make_ensemble([[0.5], [1.25]], [1, 1])
+        with pytest.raises(BoundaryError, match=r"label=\[1.5\], prediction=\[1.25\]"):
+            pair_expectation(loss, labels, preds)
+        # Only the used cells must be finite. A block evaluates the columns
+        # its used cells span (here one block of all three rows), a block
+        # without used cells none.
+        used = np.array([[1, 0], [0, 0], [0, 1]], dtype=bool)
+        with pytest.raises(BoundaryError, match=r"label=\[2.\], prediction=\[1.25\]"):
+            core.support_product(loss, labels.points, preds.points, used)
+        used[2, 1] = False
+        values = core.support_product(loss, labels.points, preds.points, used)
+        np.testing.assert_array_equal(values, [[0.0, np.nan], [0.0, np.nan], [np.inf, np.nan]])
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 2)  # one-row blocks
+        values = core.support_product(loss, labels.points, preds.points, used)
+        np.testing.assert_array_equal(values, [[0.0, np.nan], [np.nan, np.nan], [np.nan, np.nan]])
 
     def test_side_dimension_mismatch_is_named(self, rng):
         loss = catalog("kl", dim=3)

@@ -1,11 +1,19 @@
 """Tests for the bias-variance decomposition reports."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bvd import Domain, catalog, make_ensemble
+from bvd import BoundaryError, Domain, catalog, catalog_from_json, core, make_ensemble
 from bvd.core import pair_expectation
-from bvd.centroids import power_mean_centroids
+from bvd.centroids import (
+    brute_force_centroid,
+    central_label,
+    central_prediction,
+    power_mean_centroids,
+)
 from bvd.divergences import _log_mapping, make_g_mahalanobis
 from bvd.decomposition import (
     decompose,
@@ -21,7 +29,9 @@ from bvd.decomposition import (
 from conftest import (
     GBREGMAN_FAMILIES,
     make_entry,
+    random_spd,
     sample_ensemble,
+    sample_points,
     sample_simplex_ensemble,
 )
 
@@ -450,3 +460,113 @@ class TestReportJson:
         assert obj["multipliers"] is not None
         r2 = decompose_gbregman(catalog("kl", dim=2), labels, preds)
         assert r2.to_json()["multipliers"] is None
+
+
+def _simplex_points(rng, n, d):
+    P = rng.uniform(0.1, 0.9, (n, d))
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def _sq_euclidean_on_simplex():
+    loss = catalog("sq_euclidean", dim=3)
+    loss.domain = Domain.simplex(3)  # no closed form: the Lagrange solve
+    return loss
+
+
+# (loss, point sampler, solver): every catalog entry (the counterexample
+# losses reach the oracle through the dispatcher), the simplex families,
+# the Lagrange solve, and decompose_generic.
+BORDERED_CASES = {
+    **{name: (lambda name=name, d=dims[-1]: make_entry(name, d),
+              lambda rng, n, d, name=name: sample_points(name, rng, n, d), "dispatch")
+       for name, dims in GBREGMAN_FAMILIES},
+    **{f"{name}_simplex": (lambda name=name, extra=extra: catalog(name, dim=3, simplex=True,
+                                                                    **extra),
+                           _simplex_points, "dispatch")
+       for name, extra in (("kl", {}), ("reverse_kl", {}), ("alpha", {"alpha": 0.3}))},
+    "lagrange": (_sq_euclidean_on_simplex, _simplex_points, "dispatch"),
+    "g_mahalanobis": (
+        lambda: catalog_from_json({"name": "g_mahalanobis", "params": {
+            "K": random_spd(np.random.default_rng(8), 3).tolist(),
+            "domain": {"dim": 3, "lower": [0.01] * 3, "upper": [10.0] * 3}}}),
+        lambda rng, n, d: rng.uniform(0.2, 5.0, (n, d)), "dispatch"),
+    "minkowski": (lambda: catalog("minkowski", epsilon=1.5, dim=2),
+                  lambda rng, n, d: rng.uniform(-3.0, 3.0, (n, d)), "dispatch"),
+    "l1": (lambda: catalog("l1", dim=2),
+           lambda rng, n, d: rng.uniform(-3.0, 3.0, (n, d)), "dispatch"),
+    "zero_one_grid": (lambda: catalog("zero_one_grid", dim=2, levels=3),
+                      lambda rng, n, d: rng.integers(0, 3, (n, d)).astype(float), "dispatch"),
+    "generic_l1": (lambda: catalog("l1", dim=1),
+                   lambda rng, n, d: rng.uniform(-3.0, 3.0, (n, d)), "generic"),
+    "generic_kl": (lambda: catalog("kl", dim=2),
+                   lambda rng, n, d: rng.uniform(0.1, 0.9, (n, d)), "generic"),
+}
+
+
+class TestBorderedProduct:
+    """decompose reads all four terms from one loss evaluation; the answers
+    are those of the four-call composition it replaced."""
+
+    @staticmethod
+    def composed(loss, labels, preds, solver):
+        """The report of centroid objectives, pair_expectation and loss.eval."""
+        if solver == "generic":
+            t_star = brute_force_centroid(loss, labels, "second_arg")
+            y_star = brute_force_centroid(loss, preds, "first_arg")
+            report = decompose_generic(loss, labels, preds)
+        else:
+            t_star, y_star = central_label(loss, labels), central_prediction(loss, preds)
+            report = decompose(loss, labels, preds)
+        expected = pair_expectation(loss, labels, preds)
+        noise, variance = t_star.objective, y_star.objective
+        bias = loss.eval(t_star.point, y_star.point)
+        want = replace(report, expected_loss=expected, intrinsic_noise=noise, bias=bias,
+                       variance=variance, gap=expected - noise - bias - variance,
+                       central_label=t_star.point, central_prediction=y_star.point)
+        return report, want
+
+    @pytest.mark.parametrize("name", list(BORDERED_CASES))
+    def test_byte_identical_to_composition(self, rng, monkeypatch, name):
+        build, sample, solver = BORDERED_CASES[name]
+        loss = build()
+        d, n, m = loss.dim, 4, 5
+        labels = make_ensemble(sample(rng, n, d), rng.random(n) + 0.1)
+        preds = make_ensemble(sample(rng, m, d), rng.random(m) + 0.1)
+        # Two blocks of 3 of the n + 2 = 6 rows of the bordered product.
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 3 * (m + 2) * d)
+        report, want = self.composed(loss, labels, preds, solver)
+        assert json.dumps(report.to_json()) == json.dumps(want.to_json())
+        if name == "lagrange":
+            assert report.method == "lagrange"
+
+    def test_one_row_blocks_evaluate_only_used_cells(self, rng, monkeypatch):
+        # In one-row blocks (wide inputs) each row evaluates only the columns
+        # its terms use: a label row Y and t*, the t* row y*, the y* row Y.
+        kl = catalog("kl", dim=2)
+        n, m = 4, 5
+        labels = make_ensemble(rng.uniform(0.1, 0.9, (n, 2)), rng.random(n) + 0.1)
+        preds = make_ensemble(rng.uniform(0.1, 0.9, (m, 2)), rng.random(m) + 0.1)
+        whole = json.dumps(decompose(kl, labels, preds).to_json())
+        shapes = []
+        batch = kl.eval_batch
+
+        def recording(T, Y):
+            shapes.append(np.broadcast_shapes(T.shape, Y.shape)[:-1])
+            return batch(T, Y)
+
+        monkeypatch.setattr(kl, "eval_batch", recording)
+        monkeypatch.setattr(core, "BLOCK_FLOATS", (m + 2) * 2)
+        assert json.dumps(decompose(kl, labels, preds).to_json()) == whole
+        assert shapes == [(1, m + 1)] * n + [(1, 1), (1, m)]
+
+    def test_unused_infinite_cell(self):
+        # Both labels are 0 on coordinate 0, so t* is too, while y* is not:
+        # KL's D(y*, t*) is infinite, a cell no term uses.
+        kl = catalog("kl", dim=2)
+        labels = make_ensemble([[0.0, 0.5], [0.0, 0.3]], [1, 1])
+        preds = make_ensemble([[0.2, 0.3], [0.4, 0.1]], [1, 1])
+        report, want = self.composed(kl, labels, preds, "dispatch")
+        assert json.dumps(report.to_json()) == json.dumps(want.to_json())
+        with pytest.raises(BoundaryError, match="prediction coordinate 0"):
+            kl.eval(report.central_prediction, report.central_label)
+        assert abs(report.gap) <= 1e-12

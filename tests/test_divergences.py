@@ -7,9 +7,11 @@ import scipy.optimize
 import scipy.stats
 
 from bvd import BoundaryError, Domain, catalog
+from bvd.core import ConvexityError
 from bvd.divergences import (
     GBregmanDivergence,
     Generator,
+    _clamp,
     identity_mapping,
     newton_invert,
     catalog_from_json,
@@ -387,6 +389,25 @@ class TestBoundariesAndErrors:
         with pytest.raises(ValueError, match="epsilon"):
             catalog("minkowski", epsilon=2.5, dim=1)
 
+
+    @pytest.mark.parametrize(
+        "vals, want",
+        [
+            ([0.5, np.nan, 0.0], [0.5, np.nan, 0.0]),  # nan passes through
+            ([0.5, -np.inf], [0.5, -np.inf]),  # -inf is not clamped
+            ([-1e-12, -1e-13, 0.25], [0.0, 0.0, 0.25]),  # noise in [-1e-12, 0) becomes 0
+            ([0.5, -2e-12], ConvexityError),  # anything more negative raises
+        ],
+        ids=["nan", "minus_inf", "noise", "negative"],
+    )
+    def test_clamp(self, vals, want):
+        if want is ConvexityError:
+            with pytest.raises(ConvexityError, match="-2.000e-12"):
+                _clamp(np.array(vals))
+            return
+        got = _clamp(np.array(vals))
+        np.testing.assert_array_equal(got, want)
+        assert not np.signbit(got[np.isfinite(got) & (got == 0)]).any()
 
     def test_non_symmetric_matrix_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
