@@ -91,10 +91,7 @@ def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> Centr
 
 
 def _scored(loss: LossFunction, res: CentroidResult, ens: WeightedEnsemble) -> CentroidResult:
-    """``res`` with its objective, E loss(res.point, .) over ``ens``, unless
-    it has one (the oracle's whole result)."""
-    if not np.isnan(res.objective):
-        return res
+    """``res`` with its objective, E loss(res.point, .) over ``ens``."""
     return replace(res, objective=side_expectation(loss, res.point, ens, "first_arg"))
 
 
@@ -201,8 +198,7 @@ def central_prediction(loss: LossFunction, preds: WeightedEnsemble) -> CentroidR
 
 
 def central_point(loss: LossFunction, preds: WeightedEnsemble) -> CentroidResult:
-    """The point step of the solver :func:`central_prediction` picks (objective
-    nan), or the oracle's whole result: its search costs far more."""
+    """:func:`central_prediction` without the objective, unless the oracle ran."""
     if isinstance(loss, GBregmanDivergence):
         if loss.domain.n_constraints == 0 or loss.dual_map_is_identity or _simplex_family(loss):
             return _f_mean_point(loss, preds)

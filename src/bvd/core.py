@@ -366,14 +366,11 @@ def _not_finite(loss: LossFunction, t: np.ndarray, y: np.ndarray):
 
 
 def support_product(loss: LossFunction, T: np.ndarray, Y: np.ndarray, used=None) -> np.ndarray:
-    """The (nt, ny) matrix of loss(T[i], Y[j]), from ``eval_batch`` calls on
-    blocks of at most ``BLOCK_FLOATS`` (rows x ny x d) floats, at least one
-    row each: rows are mapped once, columns once per block, and no value
-    depends on the block size. Only the cells the boolean mask ``used``
-    sets (all by default) are needed: a block evaluates the columns from
-    its first to its last used cell, or none, and the others stay nan. A
-    used value that is not finite raises ``BoundaryError`` naming the
-    first such pair in row order."""
+    """The (nt, ny) matrix of loss(T[i], Y[j]), one ``eval_batch`` call per
+    block of at most ``BLOCK_FLOATS`` (rows x ny x d) floats, one row at
+    least; no value depends on the block size. A block evaluates only the
+    column span of its cells in the mask ``used`` (all by default), the rest
+    stay nan; the first used non-finite value, in row order, raises ``BoundaryError``."""
     rows = max(1, BLOCK_FLOATS // (Y.shape[0] * loss.dim))
     values = np.full((T.shape[0], Y.shape[0]), np.nan)
     used = np.ones(values.shape, dtype=bool) if used is None else used

@@ -74,20 +74,15 @@ def _report(
     y_star: CentroidResult,
 ) -> DecompositionReport:
     """The decomposition at the given central points from one evaluation of
-    the loss, rows [T; t*; y*] against columns [Y; t*; y*]: E D(T, Y) is the
-    weighted (T, Y) block, the noise E D(T, t*) the t* column, the bias
-    D(t*, y*) one cell and the variance E D(y*, Y) the y* row. Only these
-    cells must be finite (KL's unused D(y*, t*) may be infinite). Noise and
-    variance need no cancellation of potentials; under linear equality
-    constraints they equal the potential differences with the lam . b
-    correction (generalized Pythagorean identity, Banerjee et al. 2005).
-    """
-    n, m = labels.size, preds.size
-    centres = np.vstack([t_star.point, y_star.point])
+    the loss, rows [T; t*; y*] against columns [Y; t*; y*]: E D(T, Y), the
+    noise E D(T, t*), the bias D(t*, y*) and the variance E D(y*, Y) are
+    weighted sums of the cells they use, and only those must be finite.
+    Under linear equality constraints noise and variance equal the potential
+    differences with the lam . b correction (Banerjee et al. 2005)."""
+    n, m, c = labels.size, preds.size, [t_star.point, y_star.point]
     used = np.zeros((n + 2, m + 2), dtype=bool)
     used[:n, : m + 1] = used[n, m + 1] = used[n + 1, :m] = True
-    V = support_product(loss, np.vstack([labels.points, centres]),
-                        np.vstack([preds.points, centres]), used)
+    V = support_product(loss, np.vstack([labels.points, *c]), np.vstack([preds.points, *c]), used)
     if loss._check_boundary is not None:
         loss._check_boundary(t_star.point, y_star.point)
     expected = float(np.sum(labels.weights[:, None] * preds.weights[None, :] * V[:n, :m]))
@@ -112,9 +107,8 @@ def _report(
 def decompose(
     loss: LossFunction, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> DecompositionReport:
-    """Decompose any loss at the centroids of :func:`~bvd.centroids.central_label`
-    and :func:`~bvd.centroids.central_prediction` (closed form, Lagrange, or
-    the oracle), taking only their points."""
+    """Decompose any loss at the points of :func:`~bvd.centroids.central_label`
+    and :func:`~bvd.centroids.central_prediction` (closed form, Lagrange, oracle)."""
     return _report(loss, labels, preds, central_point(loss.reverse(), labels),
                    central_point(loss, preds))
 
