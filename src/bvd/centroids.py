@@ -25,6 +25,7 @@ from .core import (
     Domain,
     InfeasibleMeanError,
     LossFunction,
+    Record,
     WeightedEnsemble,
     side_expectation,
 )
@@ -45,10 +46,13 @@ PATTERN_LEVELS = 4
 # loss, which this refuses from d = 5 on (that search would take about 40x as
 # long as at d = 4), or the d x 41 axis candidates of a separable one.
 MAX_GRID_FLOATS = 2**27
+# The ``method`` of a centroid: the solvers from cheapest to costliest. A
+# decomposition report names the costlier of its two centroids' methods.
+SOLVERS = ("closed_form", "lagrange", "brute_force")
 
 
 @dataclass(frozen=True)
-class CentroidResult:
+class CentroidResult(Record):
     """A centroid with its multipliers, objective value, and provenance."""
 
     point: np.ndarray
@@ -56,15 +60,6 @@ class CentroidResult:
     objective: float
     method: str
     non_unique: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "point": np.asarray(self.point).tolist(),
-            "multipliers": np.asarray(self.multipliers).tolist(),
-            "objective": self.objective,
-            "method": self.method,
-            "non_unique": self.non_unique,
-        }
 
 
 def _mean_f(div: GBregmanDivergence, ens: WeightedEnsemble) -> tuple[Mapping, np.ndarray]:
@@ -92,7 +87,7 @@ def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> Centr
 
 def _scored(loss: LossFunction, res: CentroidResult, ens: WeightedEnsemble) -> CentroidResult:
     """``res`` with its objective, E loss(res.point, .) over ``ens``."""
-    return replace(res, objective=side_expectation(loss, res.point, ens, "first_arg"))
+    return replace(res, objective=side_expectation(loss, res.point, ens))
 
 
 def _f_mean_point(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
@@ -306,7 +301,7 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
         W, b = domain.eq_lhs, domain.eq_rhs
         origin = np.linalg.lstsq(W, b, rcond=None)[0]
         if m == 0:
-            obj = side_expectation(loss, origin, ens, point_side="first_arg")
+            obj = side_expectation(loss, origin, ens)
             return CentroidResult(origin, np.zeros(0), obj, "brute_force")
         # The last d - k right singular vectors span the null space of W.
         null = np.linalg.svd(W)[2][W.shape[0]:].T
@@ -322,7 +317,7 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     chosen, non_unique = _search(loss, ens, domain.without_equalities(),
                                  origin, basis, support, lo, hi, edges)
     point = np.diagonal(chosen).copy() if separable else chosen[0]
-    obj = side_expectation(loss, point, ens, point_side="first_arg")
+    obj = side_expectation(loss, point, ens)
     return CentroidResult(point, np.zeros(0), obj, "brute_force", non_unique)
 
 

@@ -15,7 +15,7 @@ solvers and the CLI call, are its cases. Every scalar ``eval`` goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -198,8 +198,21 @@ class Domain:
         )
 
 
+def json_value(value):
+    """``value`` as JSON: a numpy array as nested lists, anything else as is."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+class Record:
+    """Base of the result dataclasses: :meth:`to_json` writes every field in
+    declaration order, numpy arrays as nested lists."""
+
+    def to_json(self) -> dict:
+        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class WeightedEnsemble:
+class WeightedEnsemble(Record):
     """Finite discrete distribution over points in d-dimensional space.
 
     ``points`` has shape (n, d) and ``weights`` shape (n,) with nonnegative
@@ -238,9 +251,6 @@ class WeightedEnsemble:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    def to_json(self) -> dict:
-        return {"points": self.points.tolist(), "weights": self.weights.tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "WeightedEnsemble":
@@ -404,19 +414,12 @@ def pair_expectation(
     return float(np.sum(w * values))
 
 
-def side_expectation(
-    loss: LossFunction, point: np.ndarray, ens: WeightedEnsemble, point_side: str
-) -> float:
-    """E over the ensemble of loss(point, .) or loss(., point), from the
-    :func:`support_product` of the point with the ensemble. The point and
-    the ensemble must have the loss's dimension (``ValueError`` otherwise)."""
+def side_expectation(loss: LossFunction, point: np.ndarray, ens: WeightedEnsemble) -> float:
+    """E over the ensemble of loss(point, .), from the :func:`support_product`
+    of the point with the ensemble; E loss(., point) is the expectation of
+    ``loss.reverse()``. The point and the ensemble must have the loss's
+    dimension (``ValueError`` otherwise)."""
     P = np.asarray(point, dtype=float).reshape(1, -1)
     _require_dim(loss, P.shape[1], "point")
     _require_dim(loss, ens.dim, "ensemble")
-    if point_side == "first_arg":
-        values = support_product(loss, P, ens.points)[0]
-    elif point_side == "second_arg":
-        values = support_product(loss, ens.points, P)[:, 0]
-    else:
-        raise ValueError("point_side must be 'first_arg' or 'second_arg'")
-    return float(np.sum(ens.weights * values))
+    return float(np.sum(ens.weights * support_product(loss, P, ens.points)[0]))

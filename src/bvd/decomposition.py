@@ -13,19 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossFunction, WeightedEnsemble, side_expectation, support_product
+from .core import LossFunction, Record, WeightedEnsemble, side_expectation, support_product
 from .divergences import (  # noqa: F401 (gaussian_log_partition is re-exported)
     GBregmanDivergence,
     Generator,
     gaussian_log_partition,
 )
-from .centroids import CentroidResult, brute_force_centroid, central_point
+from .centroids import SOLVERS, CentroidResult, brute_force_centroid, central_point
 
 TERM_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(Record):
     expected_loss: float
     intrinsic_noise: float
     bias: float
@@ -36,21 +36,6 @@ class DecompositionReport:
     multipliers: np.ndarray | None = None
     method: str = "generic"
 
-    def to_json(self) -> dict:
-        return {
-            "expected_loss": self.expected_loss,
-            "intrinsic_noise": self.intrinsic_noise,
-            "bias": self.bias,
-            "variance": self.variance,
-            "gap": self.gap,
-            "central_label": np.asarray(self.central_label).tolist(),
-            "central_prediction": np.asarray(self.central_prediction).tolist(),
-            "multipliers": None
-            if self.multipliers is None
-            else np.asarray(self.multipliers).tolist(),
-            "method": self.method,
-        }
-
 
 def _gap(expected: float, noise: float, bias: float, variance: float) -> float:
     return expected - noise - bias - variance
@@ -60,10 +45,6 @@ def _check_terms(**terms: float):
     for name, value in terms.items():
         if value < TERM_FLOOR:
             raise ArithmeticError(f"{name} = {value:.3e} is significantly negative")
-
-
-# Centroid solvers from cheapest to costliest; a report names the costliest.
-_SOLVER_COST = {"closed_form": 0, "lagrange": 1, "brute_force": 2}
 
 
 def _report(
@@ -100,7 +81,7 @@ def _report(
         central_label=t_star.point,
         central_prediction=y_star.point,
         multipliers=lams[0] if lams else None,
-        method=max(t_star.method, y_star.method, key=_SOLVER_COST.__getitem__),
+        method=max(t_star.method, y_star.method, key=SOLVERS.index),
     )
 
 
@@ -163,11 +144,11 @@ def ordering_violation_gap(
     t_star, y_star = r.central_label, r.central_prediction
     noise, bias, variance = r.intrinsic_noise, r.bias, r.variance
     if "noise" in swap:
-        noise = side_expectation(div, t_star, labels, point_side="first_arg")
+        noise = side_expectation(div, t_star, labels)
     if "bias" in swap:
         bias = div.eval(y_star, t_star)
     if "variance" in swap:
-        variance = side_expectation(div, y_star, preds, point_side="second_arg")
+        variance = side_expectation(div.reverse(), y_star, preds)
     return _gap(r.expected_loss, noise, bias, variance)
 
 
@@ -214,8 +195,7 @@ def exp_family_loglik_decompose(
     bias = float(-(theta_star @ phi) + b_star - log_h)
     variance = float(w @ b_vals - b_star)
     noise = 0.0
-    if variance < TERM_FLOOR:
-        raise ArithmeticError(f"variance = {variance:.3e} is significantly negative")
+    _check_terms(variance=variance)
     return DecompositionReport(
         expected_loss=expected,
         intrinsic_noise=noise,

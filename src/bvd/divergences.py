@@ -29,6 +29,7 @@ from .core import (
     ConvexityError,
     Domain,
     LossFunction,
+    json_value,
 )
 
 # Divergence values in [-CLAMP_TOL, 0) are treated as floating-point noise
@@ -179,12 +180,13 @@ class GBregmanDivergence(LossFunction):
     gen, mapping : the pair {A, g}.
     domain : common domain of labels and predictions.
     dual_gen, dual_map : closed-form dual pair {B, f} when known; otherwise
-        derived on demand (f by composing grad A with g, its inverse and B
-        by Newton-based inversion of grad A).
+        derived here, at construction (f by composing grad A with g, its
+        inverse and B by Newton-based inversion of grad A; Newton runs only
+        when they are called).
     direct_eval : optional numerically-stable closed form of the defining
         expression (used for batch evaluation, e.g. to honor the
         0 log 0 = 0 convention at boundary labels); :meth:`eval_batch`
-        passes it float arrays.
+        passes it float arrays. Defaults to :meth:`eval_defining_batch`.
     check_boundary : optional validator raising BoundaryError for points
         where evaluation cannot work (names the offending coordinate).
     separable : whether the divergence is a sum of one term per coordinate
@@ -207,11 +209,10 @@ class GBregmanDivergence(LossFunction):
         super().__init__(domain.dim, domain, name)
         self.gen = gen
         self.map = mapping
-        self._dual_gen = dual_gen
-        self._dual_map = dual_map
         self._dual_closed_form = dual_gen is not None and dual_map is not None
+        self._dual = (dual_gen, dual_map) if self._dual_closed_form else self._derive_dual()
         self.params = dict(params or {})
-        self._direct_eval = direct_eval
+        self._direct_eval = direct_eval or self.eval_defining_batch
         self._check_boundary = check_boundary
         self.separable = separable
 
@@ -233,9 +234,7 @@ class GBregmanDivergence(LossFunction):
         return self._eval_scalar(self.eval_defining_batch, t, y)
 
     def eval_batch(self, T, Y):
-        if self._direct_eval is not None:
-            return _clamp(self._direct_eval(np.asarray(T, float), np.asarray(Y, float)))
-        return self.eval_defining_batch(T, Y)
+        return _clamp(self._direct_eval(np.asarray(T, float), np.asarray(Y, float)))
 
     def eval_concise(self, t, y) -> float:
         """Mixed-coordinate form A(g(t)) - f(y) . g(t) + B(f(y))."""
@@ -251,9 +250,7 @@ class GBregmanDivergence(LossFunction):
 
     def dual_pair(self) -> tuple[Generator, Mapping]:
         """The pair {B, f}: moment map f = grad A o g and conjugate B of A."""
-        if self._dual_gen is None or self._dual_map is None:
-            self._dual_gen, self._dual_map = self._derive_dual()
-        return self._dual_gen, self._dual_map
+        return self._dual
 
     @property
     def dual_is_closed_form(self) -> bool:
@@ -299,7 +296,7 @@ class GBregmanDivergence(LossFunction):
         ``eval_batch`` swaps this divergence's own evaluator, finite wherever
         it is (0 log 0 included); ``eval_defining_batch`` runs on {B, f}."""
         dual_gen, dual_map = self.dual_pair()
-        forward = self._direct_eval or self.eval_defining_batch
+        forward = self._direct_eval
         check = self._check_boundary
         swapped = None if check is None else (lambda t, y: check(y, t))
         return GBregmanDivergence(
@@ -323,15 +320,12 @@ class GBregmanDivergence(LossFunction):
 
     @property
     def dual_map_is_identity(self) -> bool:
-        return self._dual_map is not None and self._dual_map.is_identity
+        return self._dual[1].is_identity
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "params": {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.params.items()
-            },
+            "params": {k: json_value(v) for k, v in self.params.items()},
             "domain": self.domain.to_json(),
             "metadata": {
                 "dual": "closed_form" if self._dual_closed_form else "newton",

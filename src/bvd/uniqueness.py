@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossFunction, make_ensemble
+from .core import LossFunction, Record, make_ensemble
 from .decomposition import decompose_generic
 
 DEFAULT_STEP_SCALE = 1e-4
@@ -56,7 +56,7 @@ class MixedHessianSample:
 
 
 @dataclass(frozen=True)
-class SeparabilityVerdict:
+class SeparabilityVerdict(Record):
     numerical_rank: int
     singular_values: np.ndarray
     threshold: float
@@ -65,18 +65,6 @@ class SeparabilityVerdict:
     n_samples: int
     n_unreliable: int
     witness: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "numerical_rank": self.numerical_rank,
-            "singular_values": np.asarray(self.singular_values).tolist(),
-            "threshold": self.threshold,
-            "separable": self.separable,
-            "dim": self.dim,
-            "n_samples": self.n_samples,
-            "n_unreliable": self.n_unreliable,
-            "witness": self.witness,
-        }
 
 
 def _mixed_hessian_batch(
@@ -247,12 +235,9 @@ class ClassifierConfig:
 
 
 @dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Record):
     verdict: str  # consistent_with_gbregman | not_gbregman | inconclusive
     evidence: dict
-
-    def to_json(self) -> dict:
-        return {"verdict": self.verdict, "evidence": self.evidence}
 
 
 def _sample_grid(rng, lo, hi, n):

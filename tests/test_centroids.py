@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from bvd import CallableLoss, Domain, InfeasibleMeanError, catalog, core, make_ensemble
+from bvd import CallableLoss, Domain, InfeasibleMeanError, catalog, centroids, core, make_ensemble
 from bvd.centroids import (
     brute_force_centroid,
     central_label,
@@ -553,6 +553,31 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="side"):
             brute_force_centroid(loss, make_ensemble([[0.0]], [1]), "both")
 
+    def test_restart_window_grows_past_duplicates(self, monkeypatch):
+        # 200 copies of one support point tie with the grid point 0.5 and
+        # use up the first window of restarts, so the window doubles.
+        sizes, stable_prefix = [], centroids._stable_prefix
+
+        def recording(vals, k):
+            sizes.append(k)
+            return stable_prefix(vals, k)
+
+        monkeypatch.setattr(centroids, "_stable_prefix", recording)
+        res = brute_force_centroid(catalog("l1", dim=1),
+                                   make_ensemble([[0.5]] * 200, np.ones(200)), "first_arg")
+        np.testing.assert_array_equal(res.point, [0.5])
+        assert not res.non_unique
+        assert len(sizes) > 1 and sizes[1] > sizes[0]
+
+    def test_as_many_equalities_as_dimensions(self):
+        # Two equality rows in 2-D leave one feasible point, the search none.
+        dom = Domain(2, lower=np.zeros(2), upper=np.ones(2), eq_lhs=[[1.0, 1.0], [1.0, -1.0]],
+                     eq_rhs=[1.0, 0.0])
+        loss = CallableLoss(2, dom, lambda T, Y: np.sum((T - Y) ** 2, axis=-1))
+        res = brute_force_centroid(loss, make_ensemble([[0.5, 0.5]], [1]), "first_arg")
+        np.testing.assert_allclose(res.point, [0.5, 0.5], rtol=0, atol=1e-12)
+        assert res.method == "brute_force"
+
 
 def _full_grid_twin(loss):
     """The same evaluator, not declared separable: the oracle's full grid."""
@@ -675,7 +700,7 @@ class TestSeparableSearch:
         median = P[order[np.argmax(cum >= 0.5, axis=0), np.arange(50)], np.arange(50)]
         np.testing.assert_array_equal(res.point, median)
         assert not res.non_unique
-        assert res.objective == side_expectation(catalog("l1", dim=50), median, ens, "first_arg")
+        assert res.objective == side_expectation(catalog("l1", dim=50), median, ens)
 
     def test_simplex_face_is_followed(self):
         # The minimizer [0.5, 0.5, 0] lies on a face of the box that the

@@ -405,6 +405,7 @@ class TestErrorHandling:
             ("sweep.param", {"command": "sweep", "sweep": {"param": 5, "values": [0.5]}}),
             ("domain", {"divergence": {"name": "sq_euclidean", "params": {"dim": 2}},
                         "domain": {"dim": 2.7, "lower": [0, 0], "upper": [1, 1]}}),
+            ("domain", {"domain": {"dim": 3, "lower": [0, 0, 0], "upper": [1, 1, 1]}}),
             ("divergence", {"divergence": {"name": "zero_one_grid",
                                            "params": {"dim": 2, "levels": 2.5}}}),
             ("plot", {"command": "sweep", "sweep": {"param": "dim", "values": [2]},
@@ -437,7 +438,8 @@ class TestErrorHandling:
         ],
         ids=["divergence", "domain", "output", "string_dim", "unknown_param",
              "g_mahalanobis_domain", "string_seed", "float_seed", "bool_seed",
-             "string_simplex", "int_sweep_param", "float_domain_dim", "float_levels",
+             "string_simplex", "int_sweep_param", "float_domain_dim", "domain_dim_mismatch",
+             "float_levels",
              "string_plot", "centroid_csv", "classify_csv", "top_level_array",
              "sweep_json", "sweep_svg", "classify_typo", "labels_no_weights",
              "divergence_no_name", "domain_typo", "domain_eq_typo", "g_mahalanobis_typo",
@@ -461,6 +463,27 @@ class TestErrorHandling:
                         "--out", str(tmp_path / "out")])
         assert proc.returncode == 1
         assert (f"field '{field}'" if field else "the spec must be a JSON object") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, spec_text, message",
+        [
+            ("decompose", None, "spec file not found"),
+            ("decompose", '{"command": "decompose",', "spec is not valid JSON"),
+            ("centroid", json.dumps({"command": "centroid",
+                                     "divergence": {"name": "kl", "params": {"dim": 2}}}),
+             "centroid spec needs 'labels' and/or 'preds'"),
+        ],
+        ids=["missing_file", "invalid_json", "centroid_without_ensembles"],
+    )
+    def test_unusable_spec_named_without_traceback(self, tmp_path, command, spec_text, message):
+        path = tmp_path / "spec.json"
+        if spec_text is not None:  # None: no spec file
+            path.write_text(spec_text)
+        proc = run_cli([command, "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert f"bvd: spec validation failed: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 

@@ -1,5 +1,6 @@
 """Tests for ensembles, domains, and pair/side expectations."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from bvd import BoundaryError, CallableLoss, Domain, WeightedEnsemble, core, decompose, make_ensemble
+from bvd import CentroidResult, DecompositionReport, SeparabilityVerdict
+from bvd.uniqueness import ClassificationResult
 from bvd.core import pair_expectation, side_expectation
 from bvd.divergences import catalog, catalog_from_json
 
@@ -213,6 +216,36 @@ class TestEnsembleJson:
         np.testing.assert_array_equal(again.weights, ens.weights)
 
 
+class TestRecordJson:
+    # One fixed instance of each result type and its JSON, byte for byte.
+    RECORDS = [
+        (CentroidResult(np.array([0.25, 0.75]), np.array([-0.5]), 0.125, "lagrange", True),
+         '{"point": [0.25, 0.75], "multipliers": [-0.5], "objective": 0.125, '
+         '"method": "lagrange", "non_unique": true}'),
+        (DecompositionReport(1.5, 0.25, 0.5, 0.75, 0.0, np.array([0.5, 0.5]),
+                             np.array([0.25, 0.75])),
+         '{"expected_loss": 1.5, "intrinsic_noise": 0.25, "bias": 0.5, "variance": 0.75, '
+         '"gap": 0.0, "central_label": [0.5, 0.5], "central_prediction": [0.25, 0.75], '
+         '"multipliers": null, "method": "generic"}'),
+        (SeparabilityVerdict(2, np.array([3.0, 1e-3]), 1e-6, False, 1, 9, 0,
+                             {"labels": [0.1, 0.2], "predictions": [0.3, 0.4],
+                              "determinant": -0.5}),
+         '{"numerical_rank": 2, "singular_values": [3.0, 0.001], "threshold": 1e-06, '
+         '"separable": false, "dim": 1, "n_samples": 9, "n_unreliable": 0, "witness": '
+         '{"labels": [0.1, 0.2], "predictions": [0.3, 0.4], "determinant": -0.5}}'),
+        (ClassificationResult("inconclusive", {"seed": 0, "failures": ["gap trial 0: x"]}),
+         '{"verdict": "inconclusive", "evidence": {"seed": 0, "failures": ["gap trial 0: x"]}}'),
+        (make_ensemble([[0.0, 1.0], [2.0, 3.0]], [1, 3]),
+         '{"points": [[0.0, 1.0], [2.0, 3.0]], "weights": [0.25, 0.75]}'),
+    ]
+
+    @pytest.mark.parametrize("record, want", RECORDS,
+                             ids=["centroid", "report", "verdict", "classification", "ensemble"])
+    def test_fields_in_order_and_bytes(self, record, want):
+        assert list(record.to_json()) == [f.name for f in dataclasses.fields(record)]
+        assert json.dumps(record.to_json()) == want
+
+
 class TestPairExpectation:
     def test_matches_double_loop(self, rng):
         loss = catalog("sq_euclidean", dim=2)
@@ -230,7 +263,7 @@ class TestPairExpectation:
         ens = make_ensemble(rng.uniform(-2, 2, (4, 1)), rng.random(4) + 0.1)
         x = np.array([0.3])
         direct = sum(w * loss.eval(x, p) for p, w in zip(ens.points, ens.weights))
-        assert side_expectation(loss, x, ens, "first_arg") == pytest.approx(direct)
+        assert side_expectation(loss, x, ens) == pytest.approx(direct)
 
     def test_pair_dimension_mismatch_is_named(self, rng):
         loss = catalog("kl", dim=3)
@@ -250,8 +283,7 @@ class TestPairExpectation:
         with pytest.raises(BoundaryError, match="prediction coordinate 0") as caught:
             kl.eval(labels.points[0], preds.points[0])
         for fn in (pair_expectation, decompose,
-                   lambda kl, labels, preds: side_expectation(kl, labels.points[0], preds,
-                                                              "first_arg")):
+                   lambda kl, labels, preds: side_expectation(kl, labels.points[0], preds)):
             with pytest.raises(BoundaryError) as exc:
                 fn(kl, labels, preds)
             assert str(exc.value) == str(caught.value)
@@ -280,9 +312,9 @@ class TestPairExpectation:
     def test_side_dimension_mismatch_is_named(self, rng):
         loss = catalog("kl", dim=3)
         ens = make_ensemble(rng.uniform(0.1, 0.9, (5, 3)), np.ones(5))
-        for side in ("first_arg", "second_arg"):
+        for side_loss in (loss, loss.reverse()):  # the second argument's side
             with pytest.raises(ValueError, match="point dimension: expected 3 .* got 1"):
-                side_expectation(loss, np.array([0.5]), ens, side)
+                side_expectation(side_loss, np.array([0.5]), ens)
 
     def test_each_support_point_mapped_once(self, rng, monkeypatch):
         from bvd.divergences import Mapping, make_g_mahalanobis

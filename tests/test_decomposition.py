@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bvd import BoundaryError, Domain, catalog, catalog_from_json, core, make_ensemble
+from bvd import BoundaryError, CallableLoss, Domain, catalog, catalog_from_json, core, make_ensemble
 from bvd.core import pair_expectation
 from bvd.centroids import (
     brute_force_centroid,
@@ -447,6 +447,17 @@ class TestExpFamilyDecomposition:
             assert r.expected_loss == pytest.approx(direct, rel=1e-12)
             assert abs(r.gap) <= 1e-12 * (1 + abs(r.expected_loss))
             assert r.variance >= 0
+
+
+class TestTermFloor:
+    def test_significantly_negative_term_raises(self):
+        # -|t - y| is no divergence: its noise term is -0.5.
+        loss = CallableLoss(1, Domain.unit_box(1), lambda T, Y: -np.abs(T - Y)[..., 0])
+        labels = make_ensemble([[0.2], [0.8]], [1, 1])
+        preds = make_ensemble([[0.1], [0.9]], [1, 1])
+        with pytest.raises(ArithmeticError,
+                           match="^intrinsic_noise = -5.000e-01 is significantly negative$"):
+            decompose(loss, labels, preds)
 
 
 class TestReportJson:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from bvd import catalog
+from bvd import CallableLoss, Domain, catalog
 from bvd.uniqueness import (
+    N_GAP_TRIALS,
+    N_SEPARABILITY_TRIALS,
     ClassifierConfig,
     UnreliableHessianError,
     classify_loss,
@@ -168,6 +170,14 @@ class TestClassifier:
     def test_zero_one_grid_not_gbregman(self):
         result = classify_loss(catalog("zero_one_grid", dim=1, levels=2), ClassifierConfig(seed=5))
         assert result.verdict == "not_gbregman"
+
+    def test_failing_evaluations_are_inconclusive(self):
+        # A loss that is nan everywhere fails every probe: both separability
+        # trials and all six gap trials.
+        loss = CallableLoss(1, Domain.unit_box(1), lambda T, Y: np.nan * (T - Y)[..., 0])
+        result = classify_loss(loss)
+        assert result.verdict == "inconclusive"
+        assert len(result.evidence["failures"]) == N_SEPARABILITY_TRIALS + N_GAP_TRIALS == 8
 
     def test_verdict_is_reproducible(self):
         loss = catalog("minkowski", epsilon=1.5, dim=1)
