@@ -376,16 +376,28 @@ def _not_finite(loss: LossFunction, t: np.ndarray, y: np.ndarray):
 
 
 def support_product(loss: LossFunction, T: np.ndarray, Y: np.ndarray, used=None) -> np.ndarray:
-    """The (nt, ny) matrix of loss(T[i], Y[j]), one ``eval_batch`` call per
-    block of at most ``BLOCK_FLOATS`` (rows x ny x d) floats, one row at
-    least; no value depends on the block size. A block evaluates only the
-    column span of its cells in the mask ``used`` (all by default), the rest
-    stay nan; the first used non-finite value, in row order, raises ``BoundaryError``."""
-    rows = max(1, BLOCK_FLOATS // (Y.shape[0] * loss.dim))
-    values = np.full((T.shape[0], Y.shape[0]), np.nan)
-    used = np.ones(values.shape, dtype=bool) if used is None else used
+    """The (nt, ny) matrix of loss(T[i], Y[j]) at the cells of the mask
+    ``used`` (all by default). Inputs of at most ``BLOCK_FLOATS``
+    (nt x ny x d) floats take one ``eval_batch`` call. Wider ones take a
+    g-Bregman divergence's ``three_point_product``, two direct vectors and
+    one matrix product, and give the same values up to float noise; the
+    cells it leaves non-finite, and every cell of other losses, go through
+    ``eval_batch`` in blocks of at most ``BLOCK_FLOATS`` floats, one row at
+    least. A block evaluates only the column span of its cells in ``used``,
+    the rest stay nan; the first used non-finite value, in row order,
+    raises ``BoundaryError``."""
+    nt, ny = T.shape[0], Y.shape[0]
+    rows = max(1, BLOCK_FLOATS // (ny * loss.dim))
+    used = np.ones((nt, ny), dtype=bool) if used is None else used
+    if rows < nt and hasattr(loss, "three_point_product"):
+        values = loss.three_point_product(T, Y, used)
+        used = used & ~np.isfinite(values)  # what the blocks still evaluate
+        if not used.any():
+            return values
+    else:
+        values = np.full((nt, ny), np.nan)
     with np.errstate(all="ignore"):
-        for i in range(0, T.shape[0], rows):
+        for i in range(0, nt, rows):
             cols = np.flatnonzero(used[i : i + rows].any(axis=0))
             if cols.size:
                 c = slice(cols[0], cols[-1] + 1)
@@ -403,9 +415,12 @@ def pair_expectation(
     """E over independent (label, prediction) pairs of the loss.
 
     The weighted sum, in a fixed order, of the :func:`support_product` of
-    the labels against the predictions, so the result does not depend on
-    the block size and repeated runs agree to the last bit. Both ensembles
-    must have the loss's dimension (``ValueError`` otherwise).
+    the labels against the predictions, so repeated runs agree to the last
+    bit. The block size does not change the result of a loss that is not
+    g-Bregman; a g-Bregman divergence's product wider than one block comes
+    from the three-point identity, within float noise of the one-block
+    value. Both ensembles must have the loss's dimension (``ValueError``
+    otherwise).
     """
     _require_dim(loss, labels.dim, "label")
     _require_dim(loss, preds.dim, "prediction")

@@ -33,7 +33,8 @@ from .core import (
 )
 
 # Divergence values in [-CLAMP_TOL, 0) are treated as floating-point noise
-# and clamped to zero; anything more negative raises ConvexityError.
+# and clamped to zero; anything more negative raises ConvexityError. The
+# three-point product scales the bound by the magnitude of its terms.
 CLAMP_TOL = 1e-12
 
 # Coordinates below this are considered "at the boundary" for log/exp forms.
@@ -245,6 +246,43 @@ class GBregmanDivergence(LossFunction):
             return _clamp(self.gen.value(gt) - fy @ gt + B.value(fy))
 
         return self._eval_scalar(concise, t, y)
+
+    def three_point_product(self, T, Y, used) -> np.ndarray:
+        """The (nt, ny) matrix of D(T[i], Y[j]) from the three-point identity
+
+            D(t, y) = D(t, c) + D(c, y) - (g(t) - g(c)) . (f(y) - f(c))
+
+        at c = Y[-1]: two direct vectors from :meth:`eval_batch` and one
+        matrix product of the mapped points, so no (nt, ny, d) temporary
+        (f = grad A o g is closed form even for a derived dual, so Newton
+        never runs). Cells outside the mask ``used`` are nan, as
+        are the rows and columns whose mapped coordinates or direct value are
+        not finite, and every cell when c's mapped coordinates are not. A used
+        cell below zero by at most ``CLAMP_TOL`` times the sum of its three
+        terms' magnitudes is clamped to zero; one further below raises
+        :class:`ConvexityError`."""
+        c, f = Y[-1:], self._dual[1].forward
+        with np.errstate(all="ignore"):
+            gc, fc = self.map.forward(c), f(c)
+            if not (np.isfinite(gc).all() and np.isfinite(fc).all()):
+                return np.full((T.shape[0], Y.shape[0]), np.nan)
+            to_c, from_c = self.eval_batch(T, c), self.eval_batch(c, Y)
+            # Out of place: the identity map returns its input array.
+            G, F = self.map.forward(T) - gc, f(Y) - fc
+            rows = np.isfinite(G).all(axis=1) & np.isfinite(to_c)
+            cols = np.isfinite(F).all(axis=1) & np.isfinite(from_c)
+            G[~rows], F[~cols] = 0.0, 0.0
+            inner = G @ F.T
+        keep = used & rows[:, None] & cols[None, :]
+        values = np.where(keep, to_c[:, None] + from_c[None, :] - inner, np.nan)
+        negative = values < 0  # nan compares false
+        if negative.any():
+            terms = np.abs(to_c)[:, None] + np.abs(from_c)[None, :] + np.abs(inner)
+            if np.any(values[negative] < -CLAMP_TOL * terms[negative]):
+                raise ConvexityError(f"divergence evaluated to {values[negative].min():.3e}, below "
+                                     f"-{CLAMP_TOL} times the magnitude of its three-point terms")
+            values[negative] = 0.0
+        return values
 
     # -- duality ------------------------------------------------------
 

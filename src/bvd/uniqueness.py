@@ -31,7 +31,8 @@ RELIABILITY_TOL = 1e-4
 MAX_UNRELIABLE_FRACTION = 0.10
 KINK_MARGIN_STEPS = 10.0
 
-# The classifier's probe sizes and gap threshold.
+# The classifier's probe sizes and gap threshold, the latter relative to the
+# expected loss, so that the verdict does not depend on the loss's unit.
 GRID_SIZE = 8
 N_SEPARABILITY_TRIALS = 2
 N_GAP_TRIALS = 6
@@ -258,10 +259,10 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
        centroids.
 
     ``not_gbregman`` requires a reliable witness (a non-separable rank
-    verdict or a gap above ``GAP_THRESHOLD``); ``consistent_with_gbregman``
-    means every probe passed. Evaluation failures make the result
-    ``inconclusive``. The verdict is empirical evidence at these sizes,
-    never a proof.
+    verdict or a gap above ``GAP_THRESHOLD`` times the expected loss);
+    ``consistent_with_gbregman`` means every probe passed. Evaluation
+    failures make the result ``inconclusive``. The verdict is empirical
+    evidence at these sizes, never a proof.
     """
     config = config or ClassifierConfig()
     rng = np.random.default_rng(config.seed)
@@ -325,7 +326,7 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
             "expected_loss": report.expected_loss,
         }
         evidence["gap_search"].append(entry)
-        if abs(report.gap) > GAP_THRESHOLD:
+        if abs(report.gap) > GAP_THRESHOLD * abs(report.expected_loss):
             witness_found = True
 
     if witness_found:

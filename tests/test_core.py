@@ -10,11 +10,12 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bvd import BoundaryError, CallableLoss, Domain, WeightedEnsemble, core, decompose, make_ensemble
+from bvd import BoundaryError, CallableLoss, ConvexityError, Domain, WeightedEnsemble, core, decompose
+from bvd import make_ensemble
 from bvd import CentroidResult, DecompositionReport, SeparabilityVerdict
 from bvd.uniqueness import ClassificationResult
 from bvd.core import pair_expectation, side_expectation
-from bvd.divergences import catalog, catalog_from_json
+from bvd.divergences import GBregmanDivergence, catalog, catalog_from_json
 
 from conftest import GBREGMAN_FAMILIES, make_entry, random_spd, sample_points
 
@@ -43,6 +44,11 @@ BLOCK_CASES.update({
                   partial(sample_points, "sq_euclidean")),
     "l1": (lambda: catalog("l1", dim=2), partial(sample_points, "sq_euclidean")),
     "zero_one_grid": (lambda: catalog("zero_one_grid", dim=2, levels=3), _grid),
+    # Not g-Bregman, so wide products keep the block loop.
+    "kl_callable": (lambda: CallableLoss(3, catalog("kl", dim=3).domain,
+                                         catalog("kl", dim=3).eval_batch, name="kl",
+                                         separable=True),
+                    partial(sample_points, "kl")),
     "kl_simplex_d1000": (lambda: catalog("kl", dim=1000, simplex=True), _simplex),
     "sq_euclidean_d1000": (lambda: catalog("sq_euclidean", dim=1000),
                            partial(sample_points, "sq_euclidean")),
@@ -331,17 +337,22 @@ class TestPairExpectation:
         preds = make_ensemble(rng.uniform(0.1, 0.9, (8, 3)), np.ones(8))
         pair_expectation(loss, labels, preds)
         assert sum(mapped) == (6 + 8) * 3
-        # Blocks of 4 and 2 label rows: each label is still mapped once, the
-        # predictions once per block.
-        mapped.clear()
-        monkeypatch.setattr(core, "BLOCK_FLOATS", 4 * 8 * 3)
-        pair_expectation(loss, labels, preds)
-        assert sum(mapped) == (6 + 2 * 8) * 3
+        # A product wider than one block takes the three-point form: every
+        # label and prediction is mapped twice (its direct vector and its
+        # mapped coordinates) and the reference point c four times more,
+        # whatever the block budget.
+        for rows in (4, 1):
+            mapped.clear()
+            monkeypatch.setattr(core, "BLOCK_FLOATS", rows * 8 * 3)
+            pair_expectation(loss, labels, preds)
+            assert sum(mapped) == (2 * (6 + 8) + 4) * 3
 
     def test_kl_pair_peak_memory(self, rng):
-        """The KL kernel holds at most two and a half blocks of
-        ``BLOCK_FLOATS`` floats at once: logs per point, one buffer reused
-        in place and ``Y - T``; the (nt, ny) matrices are small here."""
+        """A KL product wider than one block holds at most two and a half
+        blocks of ``BLOCK_FLOATS`` floats at once: the three-point form's
+        direct vectors (logs per point, one buffer reused in place and
+        ``Y - T``), then log Y and its difference from log c; the (nt, ny)
+        matrices are small here."""
         import tracemalloc
 
         d, nt, ny = 1000, 16, 64
@@ -375,15 +386,33 @@ class TestPairExpectation:
             calls.append(T.shape[0])
             return batch(T, Y)
 
-        # One-row blocks, then blocks of 3, 3 and 1 rows.
+        # One-row blocks, then blocks of 3, 3 and 1 rows. A g-Bregman
+        # divergence runs no blocks under either budget: its three-point
+        # product makes two direct-vector calls, the nt labels against c
+        # and c against the ny predictions, and gives the one-block values
+        # up to float noise.
+        three_point = isinstance(loss, GBregmanDivergence)
+        runs = []
         for rows, sizes in ((1, [1] * nt), (3, [3, 3, 1])):
             monkeypatch.setattr(core, "BLOCK_FLOATS", rows * ny * d)
             calls.clear()
             monkeypatch.setattr(loss, "eval_batch", counting)
-            assert repr(pair_expectation(loss, labels, preds)) == whole
-            assert calls == sizes
+            got = pair_expectation(loss, labels, preds)
             monkeypatch.setattr(loss, "eval_batch", batch)
-            assert json.dumps(decompose(loss, labels, preds).to_json()) == report
+            got_report = decompose(loss, labels, preds).to_json()
+            runs.append(repr(got) + json.dumps(got_report))
+            if not three_point:
+                assert repr(got) == whole
+                assert calls == sizes
+                assert json.dumps(got_report) == report
+                continue
+            assert calls == [nt, 1]
+            assert abs(got - float(whole)) <= 1e-13 * (1 + abs(float(whole)))
+            want = json.loads(report)
+            scale = 1 + abs(want["expected_loss"])
+            for term in ("expected_loss", "intrinsic_noise", "bias", "variance", "gap"):
+                assert abs(got_report[term] - want[term]) <= 1e-13 * scale, term
+        assert runs[0] == runs[1]  # byte-identical across the two budgets
 
     def test_wide_kl_product_runs_in_bounded_memory(self):
         # 512 x 512 pairs at d = 1000 are 2.1e9 bytes per full-size
@@ -420,3 +449,177 @@ class TestPairExpectation:
         assert proc.returncode == 0, proc.stderr
         got, want = map(float, proc.stdout.split())
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _three_point(monkeypatch, loss, T, Y, used=None):
+    """``support_product`` under a one-row budget, which a g-Bregman
+    divergence answers with its three-point product."""
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "BLOCK_FLOATS", 1)
+        return core.support_product(loss, T, Y, used)
+
+
+def _log_map_mahalanobis():
+    return catalog_from_json({"name": "g_mahalanobis", "params": {
+        "K": random_spd(np.random.default_rng(8), 3).tolist(), "g": "log",
+        "domain": {"dim": 3, "lower": [0.01] * 3, "upper": [10.0] * 3}}})
+
+
+# (loss, sampler) pairs the three-point product must reproduce cell by cell.
+THREE_POINT_CASES = {
+    **{f"{name}_d{d}": (partial(make_entry, name, d), partial(sample_points, name))
+       for name, dims in GBREGMAN_FAMILIES for d in dims},
+    **{f"{name}_simplex": (partial(catalog, name, dim=4, simplex=True), _simplex)
+       for name in ("kl", "reverse_kl")},
+    "g_mahalanobis_log": (_log_map_mahalanobis, lambda rng, n, d: rng.uniform(0.2, 5.0, (n, d))),
+}
+
+
+class TestThreePointProduct:
+    """Products wider than one block of a g-Bregman divergence come from
+    D(t, y) = D(t, c) + D(c, y) - (g(t) - g(c)) . (f(y) - f(c)) at the last
+    column c; every cell is the direct form's up to float noise."""
+
+    @staticmethod
+    def assert_close(got, direct):
+        assert np.isfinite(got).all()
+        err = np.abs(got - direct) / (1 + np.abs(direct))
+        assert err.max() <= 1e-13, err.max()
+
+    @pytest.mark.parametrize("name", list(THREE_POINT_CASES))
+    def test_cells_match_the_direct_form(self, rng, monkeypatch, name):
+        build, sample = THREE_POINT_CASES[name]
+        loss = build()
+        assert isinstance(loss, GBregmanDivergence)
+        for _ in range(20):
+            T, Y = sample(rng, 6, loss.dim), sample(rng, 9, loss.dim)
+            direct = loss.eval_batch(T[:, None], Y[None])
+            self.assert_close(_three_point(monkeypatch, loss, T, Y), direct)
+
+    @pytest.mark.parametrize("scale", [1e4, 1e6])
+    def test_large_scale_tight_points(self, monkeypatch, scale):
+        # K = scale * I, points 1e-8 apart: the potentials are ~1e7 times
+        # the cells, and differences from c keep them out of the sums.
+        loss = catalog("mahalanobis", K=scale * np.eye(3))
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            centres = rng.uniform(-5.0, 5.0, (2, 3))
+            T = centres[0] + 1e-8 * rng.standard_normal((6, 3))
+            Y = centres[rng.integers(2)] + 1e-8 * rng.standard_normal((9, 3))
+            direct = loss.eval_batch(T[:, None], Y[None])
+            self.assert_close(_three_point(monkeypatch, loss, T, Y), direct)
+
+    def test_takes_two_direct_vectors(self, rng, monkeypatch):
+        loss = catalog("kl", dim=3)
+        T, Y = sample_points("kl", rng, 6, 3), sample_points("kl", rng, 9, 3)
+        shapes = []
+        batch = loss.eval_batch
+
+        def recording(T, Y):
+            shapes.append(np.broadcast_shapes(T.shape, Y.shape)[:-1])
+            return batch(T, Y)
+
+        monkeypatch.setattr(loss, "eval_batch", recording)
+        _three_point(monkeypatch, loss, T, Y)
+        assert shapes == [(6,), (9,)]
+
+    def test_unused_cells_are_nan(self, rng, monkeypatch):
+        loss = catalog("sq_euclidean", dim=2)
+        T, Y = rng.uniform(-3, 3, (4, 2)), rng.uniform(-3, 3, (5, 2))
+        used = rng.random((4, 5)) < 0.5
+        got = _three_point(monkeypatch, loss, T, Y, used)
+        assert np.array_equal(np.isnan(got), ~used)
+        self.assert_close(got[used], loss.eval_batch(T[:, None], Y[None])[used])
+
+    def test_caller_arrays_unchanged(self, rng, monkeypatch):
+        # The identity map returns its input, so g(t) - g(c) must not be
+        # formed in place.
+        for loss, sample in ((catalog("sq_euclidean", dim=3), partial(sample_points, "sq_euclidean")),
+                             (catalog("kl", dim=3), partial(sample_points, "kl")),
+                             (catalog("reverse_kl", dim=3), partial(sample_points, "reverse_kl"))):
+            T, Y = sample(rng, 6, 3), sample(rng, 9, 3)
+            T0, Y0 = T.copy(), Y.copy()
+            _three_point(monkeypatch, loss, T, Y)
+            assert np.array_equal(T, T0) and np.array_equal(Y, Y0)
+
+    def test_kl_labels_sharing_a_zero_coordinate(self, rng, monkeypatch):
+        # t* is 0 where every label is, so f(t*) = log t* is not finite: the
+        # t* column goes through the direct form, the rest does not.
+        kl = catalog("kl", dim=3, simplex=True)
+        L = np.column_stack([np.zeros(5), _simplex(rng, 5, 2)])
+        labels = make_ensemble(L, rng.random(5) + 0.1)
+        preds = make_ensemble(_simplex(rng, 7, 3), rng.random(7) + 0.1)
+        whole = decompose(kl, labels, preds)
+        shapes = []
+        batch = kl.eval_batch
+
+        def recording(T, Y):
+            shapes.append(np.broadcast_shapes(T.shape, Y.shape)[:-1])
+            return batch(T, Y)
+
+        monkeypatch.setattr(kl, "eval_batch", recording)
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
+        wide = decompose(kl, labels, preds)
+        # Two direct vectors, then one cell of the t* column per label row.
+        assert shapes[:2] == [(7,), (9,)] and shapes[2:] == [(1, 1)] * 5
+        scale = 1 + abs(whole.expected_loss)
+        for term in ("expected_loss", "intrinsic_noise", "bias", "variance", "gap"):
+            assert abs(getattr(wide, term) - getattr(whole, term)) <= 1e-13 * scale, term
+
+    def test_reverse_kl_predictions_sharing_a_zero_coordinate(self, rng, monkeypatch):
+        # y* = c is 0 where every prediction is, so g(c) = log c is not
+        # finite and the whole product goes through the blocks.
+        rkl = catalog("reverse_kl", dim=3, simplex=True)
+        labels = make_ensemble(_simplex(rng, 5, 3), rng.random(5) + 0.1)
+        P = np.column_stack([_simplex(rng, 7, 2), np.zeros(7)])
+        preds = make_ensemble(P, rng.random(7) + 0.1)
+        whole = json.dumps(decompose(rkl, labels, preds).to_json())
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
+        assert json.dumps(decompose(rkl, labels, preds).to_json()) == whole
+
+    def test_non_finite_pair_is_named(self, monkeypatch):
+        # The used infinite cell is in a column the three-point form leaves
+        # to the direct form, which names it as kl.eval does.
+        kl = catalog("kl", dim=2)
+        labels = make_ensemble([[0.2, 0.4], [0.3, 0.3]], [1, 1])
+        preds = make_ensemble([[0.0, 0.5], [0.1, 0.3]], [1, 1])
+        with pytest.raises(BoundaryError) as caught:
+            kl.eval(labels.points[0], preds.points[0])
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
+        for fn in (pair_expectation, decompose):
+            with pytest.raises(BoundaryError) as exc:
+                fn(kl, labels, preds)
+            assert str(exc.value) == str(caught.value)
+
+    def test_non_finite_pair_without_boundary_check_is_named(self, monkeypatch):
+        # A log-map Mahalanobis has no boundary check: the first used
+        # non-finite pair in row order is named, as in one block.
+        loss = _log_map_mahalanobis()
+        loss.domain = Domain.box(np.zeros(3), 10.0 * np.ones(3))
+        T = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        Y = np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 1.0]])
+        with pytest.raises(BoundaryError) as caught:
+            core.support_product(loss, T, Y)
+        with pytest.raises(BoundaryError) as exc:
+            _three_point(monkeypatch, loss, T, Y)
+        assert str(exc.value) == str(caught.value)
+        assert "label=[0. 1. 1.], prediction=[1. 1. 1.]" in str(exc.value)
+
+    def test_clamp_is_relative_and_only_on_used_cells(self, rng, monkeypatch):
+        # Equal points at d = 1000 with terms near 6000: the three-point
+        # diagonal is float noise around zero, clamped to it.
+        loss = catalog("sq_euclidean", dim=1000)
+        Y = rng.uniform(-3, 3, (4, 1000))
+        got = _three_point(monkeypatch, loss, Y.copy(), Y)
+        assert np.all(got >= 0) and np.all(np.diagonal(got) <= 1e-13 * 6000)
+        # A direct form inconsistent with the maps: the three-point cells
+        # go negative. Unused, they are left alone; used, they raise.
+        wrong = GBregmanDivergence(loss.gen, loss.map, loss.domain, *loss.dual_pair(),
+                                   direct_eval=lambda T, Y: np.zeros(np.broadcast_shapes(
+                                       T.shape, Y.shape)[:-1]))
+        T = Y[:2] + 1.0
+        used = np.zeros((2, 4), dtype=bool)
+        used[:, -1] = True  # the column of c, where the inner product is 0
+        assert np.array_equal(_three_point(monkeypatch, wrong, T, Y, used)[:, -1], [0.0, 0.0])
+        with pytest.raises(ConvexityError, match="three-point"):
+            _three_point(monkeypatch, wrong, T, Y)

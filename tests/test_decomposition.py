@@ -14,8 +14,9 @@ from bvd.centroids import (
     central_prediction,
     power_mean_centroids,
 )
-from bvd.divergences import _log_mapping, make_g_mahalanobis
+from bvd.divergences import GBregmanDivergence, _log_mapping, make_g_mahalanobis
 from bvd.decomposition import (
+    _report,
     decompose,
     decompose_constrained_bregman,
     decompose_gbregman,
@@ -543,31 +544,44 @@ class TestBorderedProduct:
         d, n, m = loss.dim, 4, 5
         labels = make_ensemble(sample(rng, n, d), rng.random(n) + 0.1)
         preds = make_ensemble(sample(rng, m, d), rng.random(m) + 0.1)
-        # Two blocks of 3 of the n + 2 = 6 rows of the bordered product.
-        monkeypatch.setattr(core, "BLOCK_FLOATS", 3 * (m + 2) * d)
         report, want = self.composed(loss, labels, preds, solver)
         assert json.dumps(report.to_json()) == json.dumps(want.to_json())
         if name == "lagrange":
             assert report.method == "lagrange"
+        # Two blocks of 3 of the n + 2 = 6 rows of the bordered product. A
+        # g-Bregman divergence takes its three-point product instead, which
+        # gives the one-block terms up to float noise.
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 3 * (m + 2) * d)
+        blocked, want = self.composed(loss, labels, preds, solver)
+        if isinstance(loss, GBregmanDivergence):
+            scale = 1 + abs(report.expected_loss)
+            for term in ("expected_loss", "intrinsic_noise", "bias", "variance", "gap"):
+                assert abs(getattr(blocked, term) - getattr(report, term)) <= 1e-13 * scale, term
+        else:
+            assert json.dumps(blocked.to_json()) == json.dumps(want.to_json())
 
     def test_one_row_blocks_evaluate_only_used_cells(self, rng, monkeypatch):
         # In one-row blocks (wide inputs) each row evaluates only the columns
         # its terms use: a label row Y and t*, the t* row y*, the y* row Y.
+        # KL wrapped as a plain callable keeps the blocks; the centroids are
+        # KL's, so the oracle does not run.
         kl = catalog("kl", dim=2)
+        loss = CallableLoss(2, kl.domain, kl.eval_batch, name="kl")
         n, m = 4, 5
         labels = make_ensemble(rng.uniform(0.1, 0.9, (n, 2)), rng.random(n) + 0.1)
         preds = make_ensemble(rng.uniform(0.1, 0.9, (m, 2)), rng.random(m) + 0.1)
-        whole = json.dumps(decompose(kl, labels, preds).to_json())
+        t_star, y_star = central_label(kl, labels), central_prediction(kl, preds)
+        whole = json.dumps(_report(loss, labels, preds, t_star, y_star).to_json())
         shapes = []
-        batch = kl.eval_batch
+        batch = loss.eval_batch
 
         def recording(T, Y):
             shapes.append(np.broadcast_shapes(T.shape, Y.shape)[:-1])
             return batch(T, Y)
 
-        monkeypatch.setattr(kl, "eval_batch", recording)
+        monkeypatch.setattr(loss, "eval_batch", recording)
         monkeypatch.setattr(core, "BLOCK_FLOATS", (m + 2) * 2)
-        assert json.dumps(decompose(kl, labels, preds).to_json()) == whole
+        assert json.dumps(_report(loss, labels, preds, t_star, y_star).to_json()) == whole
         assert shapes == [(1, m + 1)] * n + [(1, 1), (1, m)]
 
     def test_unused_infinite_cell(self):

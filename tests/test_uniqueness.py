@@ -190,3 +190,31 @@ class TestClassifier:
         ev = result.evidence
         assert ev["seed"] == 42
         assert "grid_size" in ev and "gap_threshold" in ev
+
+
+def _scaled(loss, s):
+    """s times ``loss`` as a plain callable with the same declared structure."""
+    return CallableLoss(loss.dim, loss.domain, lambda T, Y: s * loss.eval_batch(T, Y),
+                        name=f"{s:g}*{loss.name}", has_diagonal_kinks=loss.has_diagonal_kinks,
+                        separable=loss.separable)
+
+
+class TestScaleFreeGapWitness:
+    """The gap witness is relative to the expected loss, so multiplying a
+    loss by a large constant does not make it look non-Bregman, nor a small
+    one hide a counterexample."""
+
+    @pytest.mark.parametrize("name", ["sq_euclidean", "kl"])
+    def test_scaled_gbregman_is_consistent(self, name):
+        # 1e6 sq_euclidean is Mahalanobis with K = 1e6 I; its oracle gaps
+        # are float noise of a large expected loss.
+        result = classify_loss(_scaled(catalog(name, dim=2), 1e6))
+        assert result.verdict == "consistent_with_gbregman"
+        assert result.evidence["gap_threshold"] == 1e-3
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name, params", [("l1", {}), ("minkowski", {"epsilon": 1.5})])
+    def test_counterexamples_stay_not_gbregman(self, name, params, d, scale):
+        loss = _scaled(catalog(name, dim=d, **params), scale)
+        assert classify_loss(loss, ClassifierConfig(seed=3)).verdict == "not_gbregman"
