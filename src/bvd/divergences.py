@@ -7,7 +7,9 @@ A divergence here is determined by a strictly convex generating function
 
 Every divergence owns a dual pair ``{B, f}`` with ``f(y) = grad A(g(y))``
 and ``B(f(y)) = g(y) . f(y) - A(g(y))``; ``B`` is the convex conjugate of
-``A``. Swapping ``{A, g}`` with ``{B, f}`` reverses the argument order.
+``A``, so ``g(y) = grad B(f(y))``. Catalog entries therefore state ``A``
+and ``B`` by value and ``g`` and ``f`` as maps. Swapping ``{A, g}`` with
+``{B, f}`` reverses the argument order.
 
 The :func:`catalog` holds the standard closed-form instances (squared
 Euclidean/Mahalanobis, forward/reverse KL, alpha divergences, the Gaussian
@@ -55,13 +57,15 @@ def xlogx(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Generator:
-    """Strictly convex potential with value and gradient.
+    """Strictly convex potential, stated by its value.
 
-    ``value`` maps (..., d) arrays to (...) values, ``gradient`` to (..., d).
+    ``value`` maps (..., d) arrays to (...) values. ``gradient``, mapping
+    (..., d) to (..., d), is needed only to derive a dual pair that is not
+    given in closed form; a divergence's gradients are otherwise its maps.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -181,9 +185,10 @@ class GBregmanDivergence(LossFunction):
     gen, mapping : the pair {A, g}.
     domain : common domain of labels and predictions.
     dual_gen, dual_map : closed-form dual pair {B, f} when known; otherwise
-        derived here, at construction (f by composing grad A with g, its
-        inverse and B by Newton-based inversion of grad A; Newton runs only
-        when they are called).
+        derived here, at construction, from ``gen.gradient`` (f by composing
+        grad A with g, its inverse and B by Newton-based inversion of grad A;
+        Newton runs only when they are called). A generator with neither
+        raises ``ValueError``.
     direct_eval : optional numerically-stable closed form of the defining
         expression (used for batch evaluation, e.g. to honor the
         0 log 0 = 0 convention at boundary labels); :meth:`eval_batch`
@@ -211,6 +216,9 @@ class GBregmanDivergence(LossFunction):
         self.gen = gen
         self.map = mapping
         self._dual_closed_form = dual_gen is not None and dual_map is not None
+        if not self._dual_closed_form and gen.gradient is None:
+            raise ValueError(f"{name}: the generator has no gradient and no closed-form "
+                             "dual pair {B, f} is given")
         self._dual = (dual_gen, dual_map) if self._dual_closed_form else self._derive_dual()
         self.params = dict(params or {})
         self._direct_eval = direct_eval or self.eval_defining_batch
@@ -220,12 +228,13 @@ class GBregmanDivergence(LossFunction):
     # -- evaluation ---------------------------------------------------
 
     def eval_defining_batch(self, T, Y):
-        """Defining expression (g(y)-g(t)) . grad A(g(y)) - A(g(y)) + A(g(t))."""
+        """Defining expression (g(y)-g(t)) . grad A(g(y)) - A(g(y)) + A(g(t)),
+        with grad A(g(y)) = f(y)."""
+        Y = np.asarray(Y, dtype=float)
         gt = self.map.forward(np.asarray(T, dtype=float))
-        gy = self.map.forward(np.asarray(Y, dtype=float))
-        grad_y = self.gen.gradient(gy)
+        gy = self.map.forward(Y)
         vals = (
-            np.sum((gy - gt) * grad_y, axis=-1)
+            np.sum((gy - gt) * self._dual[1].forward(Y), axis=-1)
             - self.gen.value(gy)
             + self.gen.value(gt)
         )
@@ -320,7 +329,7 @@ class GBregmanDivergence(LossFunction):
 
             return batched
 
-        return Generator(per_row(b_row), per_row(grad_a_inverse)), Mapping(f_forward, f_inverse)
+        return Generator(per_row(b_row)), Mapping(f_forward, f_inverse)
 
     def _newton_start(self) -> np.ndarray:
         dom = self.domain
@@ -436,9 +445,8 @@ def _quadratic_pair(K):
 
         return apply
 
-    gen = Generator(value=quad(K), gradient=linear(K, 2.0))
     dual_value = quad(Kinv)
-    dual_gen = Generator(value=lambda v: 0.25 * dual_value(v), gradient=linear(Kinv, 0.5))
+    gen, dual_gen = Generator(quad(K)), Generator(lambda v: 0.25 * dual_value(v))
     dual_map = Mapping(forward=linear(K, 2.0), inverse=linear(Kinv, 0.5))
     return K, gen, dual_gen, dual_map
 
@@ -500,30 +508,6 @@ def make_g_mahalanobis(
     )
 
 
-def _neg_entropy_generator() -> Generator:
-    """sum u log u - sum u, the generator of the forward KL divergence."""
-
-    def value(u):
-        u = np.asarray(u, dtype=float)
-        return np.sum(xlogx(u) - u, axis=-1)
-
-    def gradient(u):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.asarray(u, dtype=float))
-
-    return Generator(value=value, gradient=gradient)
-
-
-def _sum_exp_generator() -> Generator:
-    def value(u):
-        return np.sum(np.exp(np.asarray(u, dtype=float)), axis=-1)
-
-    def gradient(u):
-        return np.exp(np.asarray(u, dtype=float))
-
-    return Generator(value=value, gradient=gradient)
-
-
 def _log_mapping() -> Mapping:
     def forward(y):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -560,18 +544,23 @@ def _kl_direct(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
     """Forward KL in proper form: sum t log(t/y) + sum y - sum t.
 
-    Labels may have zero coordinates (0 log 0 = 0); predictions must be
-    strictly positive.
+    Generated by the negative entropy sum u log u - sum u, whose conjugate
+    is sum exp(v). Labels may have zero coordinates (0 log 0 = 0);
+    predictions must be strictly positive.
     """
+
+    def neg_entropy(u):
+        u = np.asarray(u, dtype=float)
+        return np.sum(xlogx(u) - u, axis=-1)
 
     def check_boundary(t, y):
         _require_positive(y, t, "prediction", "kl")
 
     return GBregmanDivergence(
-        gen=_neg_entropy_generator(),
+        gen=Generator(neg_entropy),
         mapping=identity_mapping(),
         domain=_prob_domain(dim, simplex),
-        dual_gen=_sum_exp_generator(),
+        dual_gen=Generator(lambda v: np.sum(np.exp(np.asarray(v, dtype=float)), axis=-1)),
         dual_map=_log_mapping(),
         name="kl",
         params={"dim": dim, "simplex": simplex},
@@ -595,10 +584,7 @@ def _power_pair(p: float, q: float) -> tuple[Generator, Mapping]:
     for (p, q) = (a, 1 - a), its {B, f} for (1 - a, a). q is passed because
     1 - (1 - a) != a in floating point."""
     c = q ** (q / p)
-    gen = Generator(
-        value=lambda u: c * np.sum(np.asarray(u, float) ** (1.0 / p), axis=-1),
-        gradient=lambda u: (c / p) * np.asarray(u, float) ** (q / p),
-    )
+    gen = Generator(lambda u: c * np.sum(np.asarray(u, float) ** (1.0 / p), axis=-1))
     mapping = Mapping(
         forward=lambda y: np.asarray(y, float) ** p / q,
         inverse=lambda u: (q * np.asarray(u, float)) ** (1.0 / p),
@@ -654,12 +640,7 @@ def gaussian_log_partition() -> Generator:
         with np.errstate(divide="ignore", invalid="ignore"):
             return -(u1**2) / (4.0 * u2) - 0.5 * np.log(-u2 / np.pi)
 
-    def gradient(u):
-        u = np.asarray(u, dtype=float)
-        u1, u2 = u[..., 0], u[..., 1]
-        return np.stack([-u1 / (2.0 * u2), u1**2 / (4.0 * u2**2) - 0.5 / u2], axis=-1)
-
-    return Generator(value=value, gradient=gradient)
+    return Generator(value)
 
 
 def make_gaussian_canonical(
@@ -699,11 +680,6 @@ def make_gaussian_canonical(
         with np.errstate(divide="ignore", invalid="ignore"):
             return -0.5 * np.log(2.0 * np.pi * s) - 0.5
 
-    def b_gradient(v):
-        v = np.asarray(v, dtype=float)
-        s = v[..., 1] - v[..., 0] ** 2
-        return np.stack([v[..., 0] / s, -0.5 / s], axis=-1)
-
     def direct(T, Y):
         mt, st = T[..., 0], T[..., 1]
         my, sy = Y[..., 0], Y[..., 1]
@@ -726,7 +702,7 @@ def make_gaussian_canonical(
         gen=gaussian_log_partition(),
         mapping=Mapping(forward=g_forward, inverse=g_inverse),
         domain=domain,
-        dual_gen=Generator(value=b_value, gradient=b_gradient),
+        dual_gen=Generator(b_value),
         dual_map=Mapping(forward=f_forward, inverse=f_inverse),
         name="gaussian_canonical",
         params={"mean_bound": mean_bound, "var_min": var_min, "var_max": var_max},
@@ -742,7 +718,7 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         u = np.asarray(u, dtype=float)
         return np.sum(xlogx(u) + xlogx(1.0 - u), axis=-1)
 
-    def gradient(u):
+    def logit(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(u / (1.0 - u))
@@ -768,11 +744,11 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         _require_interior_unit(y, t, "prediction", "bernoulli_kl")
 
     return GBregmanDivergence(
-        gen=Generator(value=value, gradient=gradient),
+        gen=Generator(value),
         mapping=identity_mapping(),
         domain=Domain.unit_box(1),
-        dual_gen=Generator(value=b_value, gradient=lambda v: expit(v)),
-        dual_map=Mapping(forward=gradient, inverse=lambda v: expit(v)),
+        dual_gen=Generator(b_value),
+        dual_map=Mapping(forward=logit, inverse=expit),
         name="bernoulli_kl",
         params={},
         direct_eval=direct,

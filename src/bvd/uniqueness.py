@@ -241,15 +241,34 @@ class ClassificationResult(Record):
     evidence: dict
 
 
-def _sample_grid(rng, lo, hi, n):
-    return lo + (hi - lo) * rng.random((n, lo.size))
+def _sample_grid(rng, lo, hi, n, domain):
+    """n uniform rows of the box [lo, hi], projected onto the domain's
+    equality set {x : W x = b} when it has one; a projected row that leaves
+    the box is redrawn, up to 200 times (one left outside makes its trial
+    fail as infeasible)."""
+    X = lo + (hi - lo) * rng.random((n, lo.size))
+    if domain.n_constraints == 0:
+        return X
+    W, b = domain.eq_lhs, domain.eq_rhs
+
+    def project(X):
+        return X - np.linalg.solve(W @ W.T, (X @ W.T - b).T).T @ W
+
+    X = project(X)
+    for _ in range(200):
+        out = np.flatnonzero(((X < lo) | (X > hi)).any(axis=1))
+        if out.size == 0:
+            break
+        X[out] = project(lo + (hi - lo) * rng.random((out.size, lo.size)))
+    return X
 
 
 def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) -> ClassificationResult:
     """Empirically decide whether a loss behaves like a g-Bregman divergence.
 
     Two independent probes, both seeded and repeatable, on the domain's box
-    shrunk by ``INTERIOR_MARGIN`` of its width on each side:
+    shrunk by ``INTERIOR_MARGIN`` of its width on each side (points drawn on
+    the domain's equality set, when it has one):
 
     1. separability of the mixed second derivative on
        ``N_SEPARABILITY_TRIALS`` random pairs of ``GRID_SIZE``-point grids
@@ -289,15 +308,15 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
     kink_margin = KINK_MARGIN_STEPS * h_ref
 
     for trial in range(N_SEPARABILITY_TRIALS):
-        label_grid = _sample_grid(rng, lo, hi, max(GRID_SIZE, 2 * d))
-        pred_grid = _sample_grid(rng, lo, hi, max(GRID_SIZE, 2 * d))
+        label_grid = _sample_grid(rng, lo, hi, max(GRID_SIZE, 2 * d), domain)
+        pred_grid = _sample_grid(rng, lo, hi, max(GRID_SIZE, 2 * d), domain)
         if loss.has_diagonal_kinks:
             for row in range(pred_grid.shape[0]):
                 for _ in range(200):
                     seps = np.min(np.abs(label_grid - pred_grid[row]), axis=1)
                     if np.all(seps >= kink_margin):
                         break
-                    pred_grid[row] = lo + (hi - lo) * rng.random(d)
+                    pred_grid[row] = _sample_grid(rng, lo, hi, 1, domain)[0]
         try:
             verdict = separability_rank_test(loss, label_grid, pred_grid)
         except (UnreliableHessianError, ValueError, ArithmeticError) as exc:
@@ -310,9 +329,9 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
 
     for trial in range(N_GAP_TRIALS):
         n = int(rng.integers(2, SUPPORT_SIZE + 1))
-        labels = make_ensemble(_sample_grid(rng, lo, hi, n), rng.random(n) + 0.1)
+        labels = make_ensemble(_sample_grid(rng, lo, hi, n, domain), rng.random(n) + 0.1)
         m = int(rng.integers(2, SUPPORT_SIZE + 1))
-        preds = make_ensemble(_sample_grid(rng, lo, hi, m), rng.random(m) + 0.1)
+        preds = make_ensemble(_sample_grid(rng, lo, hi, m, domain), rng.random(m) + 0.1)
         try:
             report = decompose_generic(loss, labels, preds)
         except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -23,6 +23,7 @@ from bvd.centroids import (
 from bvd.core import side_expectation
 from bvd.divergences import (
     GBregmanDivergence,
+    Generator,
     Mapping,
     _log_mapping,
     identity_mapping,
@@ -220,7 +221,8 @@ class TestConstrainedCentroids:
         # and must find the catalog KL's closed-form centroid.
         kl = catalog("kl", dim=3, simplex=True)
         stripped = GBregmanDivergence(
-            gen=kl.gen, mapping=kl.map, domain=kl.domain, name="kl_stripped"
+            gen=Generator(kl.gen.value, gradient=np.log), mapping=kl.map,
+            domain=kl.domain, name="kl_stripped",
         )
         for _ in range(3):
             preds = sample_simplex_ensemble(rng, 4, 3)

@@ -108,6 +108,18 @@ class TestClassifyCommand:
         payload = json.loads((tmp_path / "minkowski_verdict.json").read_text())
         assert payload["verdict"] == "not_gbregman"
 
+    def test_kl_simplex_consistent(self, tmp_path):
+        # The gap trials draw their ensembles on the simplex.
+        spec = write_spec(tmp_path, {
+            "command": "classify",
+            "divergence": {"name": "kl", "params": {"dim": 3, "simplex": True}},
+            "output": {"path": "kl_verdict.json", "format": "json"},
+        })
+        assert main(["classify", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "kl_verdict.json").read_text())
+        assert payload["verdict"] == "consistent_with_gbregman"
+        assert payload["evidence"]["failures"] == []
+
     def test_witness_ensembles_round_trip(self, tmp_path):
         # Gap witnesses stored in the verdict re-parse through the ensemble
         # schema and reproduce the recorded gap.

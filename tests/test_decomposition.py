@@ -449,6 +449,30 @@ class TestExpFamilyDecomposition:
             assert abs(r.gap) <= 1e-12 * (1 + abs(r.expected_loss))
             assert r.variance >= 0
 
+    def test_poisson_family_with_base_measure(self, rng):
+        # Poisson: theta = log rate, log-partition e^theta (stated by value
+        # alone), sufficient statistic z, base measure log h(z) = -lgamma(z + 1).
+        from math import lgamma
+
+        from bvd.divergences import Generator
+
+        B = Generator(lambda u: np.exp(np.asarray(u, dtype=float)[..., 0]))
+        for _ in range(5):
+            rates = rng.uniform(0.2, 8.0, 4)
+            preds = make_ensemble(np.log(rates)[:, None], rng.random(4) + 0.1)
+            z = int(rng.integers(0, 12))
+            r = exp_family_loglik_decompose(
+                B, z, preds, sufficient_stat=lambda s: np.array([float(s)]),
+                log_base_measure=lambda s: -lgamma(s + 1),
+            )
+            direct = sum(
+                w * (rate - z * np.log(rate) + lgamma(z + 1))
+                for rate, w in zip(rates, preds.weights)
+            )
+            assert r.expected_loss == pytest.approx(direct, rel=1e-12)
+            assert abs(r.gap) <= 1e-12 * (1 + r.expected_loss)
+            assert r.variance >= 0
+
 
 class TestTermFloor:
     def test_significantly_negative_term_raises(self):

@@ -7,8 +7,10 @@ from bvd import CallableLoss, Domain, catalog
 from bvd.uniqueness import (
     N_GAP_TRIALS,
     N_SEPARABILITY_TRIALS,
+    GAP_THRESHOLD,
     ClassifierConfig,
     UnreliableHessianError,
+    _sample_grid,
     classify_loss,
     mixed_hessian_fd,
     separability_rank_test,
@@ -190,6 +192,61 @@ class TestClassifier:
         ev = result.evidence
         assert ev["seed"] == 42
         assert "grid_size" in ev and "gap_threshold" in ev
+
+
+class TestEqualityConstrainedClassifier:
+    """On a domain with equalities every probe point is drawn on the
+    equality set, so the gap trials' ensembles are feasible."""
+
+    @staticmethod
+    def _max_relative_gap(result):
+        return max(abs(g["gap"]) / abs(g["expected_loss"]) for g in result.evidence["gap_search"])
+
+    @pytest.mark.parametrize("name, d", [("kl", 2), ("kl", 3), ("reverse_kl", 3)])
+    def test_simplex_kl_consistent(self, name, d):
+        result = classify_loss(catalog(name, dim=d, simplex=True))
+        assert result.verdict == "consistent_with_gbregman"
+        assert result.evidence["failures"] == []
+        assert len(result.evidence["gap_search"]) == N_GAP_TRIALS
+        for entry in result.evidence["gap_search"]:
+            for side in ("labels", "preds"):
+                sums = np.sum(entry[side]["points"], axis=1)
+                np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+        assert self._max_relative_gap(result) < 1e-6
+
+    def test_simplex_alpha_not_gbregman(self):
+        # The alpha divergence constrained to the simplex has no additive split.
+        result = classify_loss(catalog("alpha", alpha=0.5, dim=3, simplex=True))
+        assert result.verdict == "not_gbregman"
+        assert result.evidence["failures"] == []
+        assert self._max_relative_gap(result) > GAP_THRESHOLD
+
+    def test_l1_on_simplex_not_gbregman(self):
+        loss = CallableLoss(3, Domain.simplex(3), lambda T, Y: np.sum(np.abs(T - Y), axis=-1),
+                            name="l1_simplex", has_diagonal_kinks=True, separable=True)
+        result = classify_loss(loss, ClassifierConfig(seed=3))
+        assert result.verdict == "not_gbregman"
+        assert result.evidence["failures"] == []
+
+    def test_box_domain_draws_are_plain_uniform(self):
+        # Without equalities the grid is the uniform draw itself and takes
+        # nothing more from the stream, so box-domain evidence is as before.
+        lo, hi = np.array([0.1, -1.0]), np.array([0.9, 2.0])
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        X = _sample_grid(a, lo, hi, 5, Domain.box(lo - 0.1, hi + 0.1))
+        np.testing.assert_array_equal(X, lo + (hi - lo) * b.random((5, 2)))
+        assert a.random() == b.random()
+
+    def test_empty_equality_set_in_box_fails_by_name(self):
+        # x1 + x2 = 1.9 misses the shrunk box [0.08, 0.92]^2: the draws give
+        # up after their attempts and every gap trial fails as infeasible.
+        domain = Domain(2, np.zeros(2), np.ones(2), np.ones((1, 2)), np.array([1.9]))
+        loss = CallableLoss(2, domain, lambda T, Y: np.sum((T - Y) ** 2, axis=-1))
+        result = classify_loss(loss)
+        assert result.verdict == "inconclusive"
+        gap_failures = [f for f in result.evidence["failures"] if f.startswith("gap trial")]
+        assert len(gap_failures) == N_GAP_TRIALS
+        assert all("infeasible" in f for f in gap_failures)
 
 
 def _scaled(loss, s):
