@@ -40,17 +40,12 @@ from .centroids import (
     brute_force_centroid,
     central_label,
     central_prediction,
-    constrained_central_label,
     constrained_central_prediction,
     f_mean_prediction,
-    g_mean_label,
-    power_mean_centroids,
 )
 from .decomposition import (
     DecompositionReport,
     decompose,
-    decompose_constrained_bregman,
-    decompose_gbregman,
     decompose_generic,
     exp_family_loglik_decompose,
     ordering_violation_gap,
@@ -89,19 +84,14 @@ __all__ = [
     "central_label",
     "central_prediction",
     "classify_loss",
-    "constrained_central_label",
     "constrained_central_prediction",
     "decompose",
-    "decompose_constrained_bregman",
-    "decompose_gbregman",
     "decompose_generic",
     "exp_family_loglik_decompose",
     "f_mean_prediction",
-    "g_mean_label",
     "identity_mapping",
     "make_ensemble",
     "mixed_hessian_fd",
     "ordering_violation_gap",
-    "power_mean_centroids",
     "separability_rank_test",
 ]

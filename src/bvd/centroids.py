@@ -67,7 +67,7 @@ def _mean_f(div: GBregmanDivergence, ens: WeightedEnsemble) -> tuple[Mapping, np
     points must lie in the domain."""
     div.domain.require_points(ens.points, "ensemble point")
     _, f = div.dual_pair()
-    return f, np.einsum("k,kd->d", ens.weights, np.asarray(f.forward(ens.points), float))
+    return f, np.einsum("k,kd->d", ens.weights, f.forward(ens.points))
 
 
 def f_mean_prediction(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
@@ -93,7 +93,7 @@ def _scored(loss: LossFunction, res: CentroidResult, ens: WeightedEnsemble) -> C
 def _f_mean_point(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
     """The point step of :func:`f_mean_prediction` (objective nan)."""
     f, mean = _mean_f(div, preds)
-    point = np.asarray(f.inverse(mean), dtype=float)
+    point = f.inverse(mean)
     simplex = _simplex_family(div)
     if simplex:
         total = point.sum()
@@ -107,7 +107,7 @@ def _f_mean_point(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidR
             f"closed-form centroid {point} is infeasible; use a constrained solver"
         )
     lam = np.zeros(0)
-    if simplex and div.map_is_identity:  # f(y*) - E f(Y) = lam wherever y* > 0
+    if simplex and div.map.is_identity:  # f(y*) - E f(Y) = lam wherever y* > 0
         with np.errstate(invalid="ignore"):
             lam = np.array([np.mean((f.forward(point) - mean)[point > 0])])
     return CentroidResult(point, lam, np.nan, "closed_form")
@@ -134,7 +134,7 @@ def _lagrange_solve(
         raise ValueError("domain has no equality constraints")
 
     def point_at(lam):
-        return np.asarray(mapping.inverse(mean_coords + W.T @ lam), dtype=float)
+        return mapping.inverse(mean_coords + W.T @ lam)
 
     lam = newton_invert(lambda l: W @ point_at(l), b, np.zeros(W.shape[0]), tol=LAGRANGE_TOL)
     return point_at(lam), lam
@@ -153,7 +153,7 @@ def constrained_central_prediction(
 
 def _lagrange_point(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidResult:
     """The point step of :func:`constrained_central_prediction` (objective nan)."""
-    if not div.map_is_identity:
+    if not div.map.is_identity:
         raise ValueError(
             "constrained centroids need an identity map on the solved side; "
             "for other divergences fall back to brute_force_centroid"
@@ -195,9 +195,10 @@ def central_prediction(loss: LossFunction, preds: WeightedEnsemble) -> CentroidR
 def central_point(loss: LossFunction, preds: WeightedEnsemble) -> CentroidResult:
     """:func:`central_prediction` without the objective, unless the oracle ran."""
     if isinstance(loss, GBregmanDivergence):
-        if loss.domain.n_constraints == 0 or loss.dual_map_is_identity or _simplex_family(loss):
+        if (loss.domain.n_constraints == 0 or loss.dual_pair()[1].is_identity
+                or _simplex_family(loss)):
             return _f_mean_point(loss, preds)
-        if loss.map_is_identity:
+        if loss.map.is_identity:
             return _lagrange_point(loss, preds)
         warnings.warn(f"{loss.name}: neither coordinate map is the identity; the constrained "
                       "problem may be nonconvex -- falling back to brute-force centroids")

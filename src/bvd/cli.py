@@ -115,11 +115,20 @@ def _check(obj: dict, table: dict, where: str = "") -> None:
         raise SpecError(f"unknown {', '.join(unknown)} (allowed: {', '.join(table)})")
 
 
+def _domain(obj, field: str) -> Domain:
+    try:
+        return Domain.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecError(f"field '{field}': {exc}")
+
+
 def _build_loss(spec: dict):
     div_spec = spec["divergence"]
     params = div_spec.get("params", {})
-    if div_spec["name"] == "g_mahalanobis" and not isinstance(params.get("domain"), dict):
-        raise SpecError("field 'divergence.params.domain' must be a JSON object")
+    if div_spec["name"] == "g_mahalanobis":
+        if not isinstance(params.get("domain"), dict):
+            raise SpecError("field 'divergence.params.domain' must be a JSON object")
+        _domain(params["domain"], "divergence.params.domain")
     try:
         loss = catalog_from_json(div_spec)
     except (KeyError, ValueError) as exc:
@@ -127,10 +136,7 @@ def _build_loss(spec: dict):
     except TypeError as exc:  # a parameter the entry does not take, or of a wrong type
         raise SpecError(f"field 'divergence.params': {exc}")
     if "domain" in spec:
-        try:
-            domain = Domain.from_json(spec["domain"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"field 'domain': {exc}")
+        domain = _domain(spec["domain"], "domain")
         if domain.dim != loss.dim:
             raise SpecError("field 'domain': dimension mismatch with divergence")
         loss.domain = domain

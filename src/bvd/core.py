@@ -80,7 +80,13 @@ class Domain:
                 b = np.asarray(b, dtype=float)
                 if b.shape != (self.dim,):
                     raise ValueError(f"{name} must have shape ({self.dim},)")
+                if np.isnan(b).any():
+                    raise ValueError(f"{name} bound of coordinate {np.argmax(np.isnan(b))} is nan")
                 object.__setattr__(self, name, b)
+        if self.lower is not None and self.upper is not None and (self.lower > self.upper).any():
+            i = np.argmax(self.lower > self.upper)
+            raise ValueError(f"coordinate {i} has lower bound {self.lower[i]:g} above "
+                             f"its upper bound {self.upper[i]:g}")
         if (self.eq_lhs is None) != (self.eq_rhs is None):
             raise ValueError("eq_lhs and eq_rhs must be given together")
         if self.eq_lhs is not None:
@@ -149,10 +155,7 @@ class Domain:
     @staticmethod
     def box(lower, upper) -> "Domain":
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if lower.shape != upper.shape or np.any(lower > upper):
-            raise ValueError("invalid box bounds")
-        return Domain(lower.size, lower, upper)
+        return Domain(lower.size, lower, np.atleast_1d(np.asarray(upper, dtype=float)))
 
     @staticmethod
     def unit_box(dim: int) -> "Domain":

@@ -34,9 +34,9 @@ from .core import (
     json_value,
 )
 
-# Divergence values in [-CLAMP_TOL, 0) are treated as floating-point noise
-# and clamped to zero; anything more negative raises ConvexityError. The
-# three-point product scales the bound by the magnitude of its terms.
+# Divergence values in [-CLAMP_TOL * scale, 0) are treated as floating-point
+# noise and clamped to zero; anything more negative raises ConvexityError.
+# ``_clamp`` is the one place that applies it and defines the scale.
 CLAMP_TOL = 1e-12
 
 # Coordinates below this are considered "at the boundary" for log/exp forms.
@@ -49,7 +49,6 @@ FD_STEP = 1e-7
 
 def xlogx(x: np.ndarray) -> np.ndarray:
     """x * log(x) with the 0 log 0 = 0 convention; negative x gives nan."""
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(x > 0, x * np.log(np.where(x > 0, x, 1.0)), 0.0)
     return np.where(x < 0, np.nan, out)
@@ -59,9 +58,10 @@ def xlogx(x: np.ndarray) -> np.ndarray:
 class Generator:
     """Strictly convex potential, stated by its value.
 
-    ``value`` maps (..., d) arrays to (...) values. ``gradient``, mapping
-    (..., d) to (..., d), is needed only to derive a dual pair that is not
-    given in closed form; a divergence's gradients are otherwise its maps.
+    ``value`` maps (..., d) float arrays to (...) values. ``gradient``,
+    mapping (..., d) to (..., d), is needed only to derive a dual pair that
+    is not given in closed form; a divergence's gradients are otherwise its
+    maps. Like :class:`Mapping`, neither converts its input.
     """
 
     value: Callable[[np.ndarray], np.ndarray]
@@ -71,7 +71,9 @@ class Generator:
 @dataclass(frozen=True)
 class Mapping:
     """Invertible coordinate map with forward and inverse; ``coordinatewise``
-    when each output coordinate depends only on the same input coordinate."""
+    when each output coordinate depends only on the same input coordinate.
+    Both take (..., d) float arrays as they are and return float arrays: the
+    public entry points (``eval``, ``eval_batch``, ...) convert outside input."""
 
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
@@ -81,17 +83,16 @@ class Mapping:
 
 def identity_mapping() -> Mapping:
     return Mapping(
-        forward=lambda y: np.asarray(y, dtype=float),
-        inverse=lambda u: np.asarray(u, dtype=float),
+        forward=lambda y: y,
+        inverse=lambda u: u,
         is_identity=True,
         coordinatewise=True,
     )
 
 
 def fd_jacobian(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a vector map at a single point, with
-    relative step ``FD_STEP``."""
-    x = np.asarray(x, dtype=float)
+    """Central-difference Jacobian of a vector map at one point, the (d,)
+    float array ``x``, with relative step ``FD_STEP``."""
     d = x.size
     J = np.empty((d, d))
     for j in range(d):
@@ -184,11 +185,12 @@ class GBregmanDivergence(LossFunction):
     ----------
     gen, mapping : the pair {A, g}.
     domain : common domain of labels and predictions.
-    dual_gen, dual_map : closed-form dual pair {B, f} when known; otherwise
-        derived here, at construction, from ``gen.gradient`` (f by composing
-        grad A with g, its inverse and B by Newton-based inversion of grad A;
-        Newton runs only when they are called). A generator with neither
-        raises ``ValueError``.
+    dual_gen, dual_map : closed-form dual pair {B, f} when known (both or
+        neither); otherwise derived here, at construction, from
+        ``gen.gradient`` (f by composing grad A with g, its inverse and B by
+        Newton-based inversion of grad A; Newton runs only when they are
+        called). One half alone, or neither with no gradient, raises
+        ``ValueError``.
     direct_eval : optional numerically-stable closed form of the defining
         expression (used for batch evaluation, e.g. to honor the
         0 log 0 = 0 convention at boundary labels); :meth:`eval_batch`
@@ -215,7 +217,10 @@ class GBregmanDivergence(LossFunction):
         super().__init__(domain.dim, domain, name)
         self.gen = gen
         self.map = mapping
-        self._dual_closed_form = dual_gen is not None and dual_map is not None
+        if (dual_gen is None) != (dual_map is None):
+            missing = "dual_map" if dual_map is None else "dual_gen"
+            raise ValueError(f"{name}: the closed-form dual pair {{B, f}} lacks its {missing}")
+        self._dual_closed_form = dual_gen is not None
         if not self._dual_closed_form and gen.gradient is None:
             raise ValueError(f"{name}: the generator has no gradient and no closed-form "
                              "dual pair {B, f} is given")
@@ -268,8 +273,8 @@ class GBregmanDivergence(LossFunction):
         are the rows and columns whose mapped coordinates or direct value are
         not finite, and every cell when c's mapped coordinates are not. A used
         cell below zero by at most ``CLAMP_TOL`` times the sum of its three
-        terms' magnitudes is clamped to zero; one further below raises
-        :class:`ConvexityError`."""
+        terms' magnitudes is clamped to zero by :func:`_clamp`; one further
+        below raises :class:`ConvexityError`."""
         c, f = Y[-1:], self._dual[1].forward
         with np.errstate(all="ignore"):
             gc, fc = self.map.forward(c), f(c)
@@ -284,14 +289,7 @@ class GBregmanDivergence(LossFunction):
             inner = G @ F.T
         keep = used & rows[:, None] & cols[None, :]
         values = np.where(keep, to_c[:, None] + from_c[None, :] - inner, np.nan)
-        negative = values < 0  # nan compares false
-        if negative.any():
-            terms = np.abs(to_c)[:, None] + np.abs(from_c)[None, :] + np.abs(inner)
-            if np.any(values[negative] < -CLAMP_TOL * terms[negative]):
-                raise ConvexityError(f"divergence evaluated to {values[negative].min():.3e}, below "
-                                     f"-{CLAMP_TOL} times the magnitude of its three-point terms")
-            values[negative] = 0.0
-        return values
+        return _clamp(values, to_c[:, None], from_c[None, :], inner)
 
     # -- duality ------------------------------------------------------
 
@@ -307,14 +305,14 @@ class GBregmanDivergence(LossFunction):
         gen, mapping = self.gen, self.map
 
         def f_forward(y):
-            return gen.gradient(mapping.forward(np.asarray(y, dtype=float)))
+            return gen.gradient(mapping.forward(y))
 
         def grad_a_inverse(v):
             x0 = self._newton_start()
             return newton_invert(gen.gradient, v, x0)
 
         def f_inverse(v):
-            return mapping.inverse(grad_a_inverse(np.asarray(v, dtype=float)))
+            return mapping.inverse(grad_a_inverse(v))
 
         def b_row(v):
             u = grad_a_inverse(v)
@@ -323,7 +321,6 @@ class GBregmanDivergence(LossFunction):
         def per_row(fn):
             # fn maps one (d,) point; stack its results over leading axes.
             def batched(v):
-                v = np.asarray(v, dtype=float)
                 out = [np.asarray(fn(row)) for row in v.reshape(-1, v.shape[-1])]
                 return np.stack(out).reshape(v.shape[:-1] + out[0].shape)
 
@@ -361,14 +358,6 @@ class GBregmanDivergence(LossFunction):
 
     # -- metadata -----------------------------------------------------
 
-    @property
-    def map_is_identity(self) -> bool:
-        return self.map.is_identity
-
-    @property
-    def dual_map_is_identity(self) -> bool:
-        return self._dual[1].is_identity
-
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -380,14 +369,21 @@ class GBregmanDivergence(LossFunction):
         }
 
 
-def _clamp(vals: np.ndarray) -> np.ndarray:
+def _clamp(vals: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """``vals`` with finite values in [-CLAMP_TOL * scale, 0) set to zero; one
+    further below raises :class:`ConvexityError`. The scale is the summed
+    magnitude of the ``terms`` the values were built from (broadcast against
+    them), 1 when none are given, and is summed only when a value is negative."""
     vals = np.asarray(vals, dtype=float)
     if not (vals < 0).any():  # nan compares false
         return vals
     negative = np.isfinite(vals) & (vals < 0)
-    worst = float(np.min(vals, where=negative, initial=0.0))
-    if worst < -CLAMP_TOL:
-        raise ConvexityError(f"divergence evaluated to {worst:.3e} < -{CLAMP_TOL}")
+    scale = np.broadcast_to(sum(np.abs(t) for t in terms) if terms else 1.0, vals.shape)
+    bad = negative & (vals < -CLAMP_TOL * scale)
+    if bad.any():
+        i = np.argmin(np.where(bad, vals, np.inf))
+        raise ConvexityError(f"divergence evaluated to {vals.flat[i]:.3e}, below "
+                             f"-{CLAMP_TOL} times its scale {scale.flat[i]:.3g}")
     return np.where(negative, 0.0, vals)
 
 
@@ -433,14 +429,12 @@ def _quadratic_pair(K):
 
     def quad(M):
         def value(u):
-            u = np.asarray(u, dtype=float)
             return np.einsum("...i,...i->...", u if identity else u @ M, u)
 
         return value
 
     def linear(M, c):
         def apply(x):
-            x = np.asarray(x, dtype=float)
             return c * x if identity else c * x @ M.T
 
         return apply
@@ -511,11 +505,11 @@ def make_g_mahalanobis(
 def _log_mapping() -> Mapping:
     def forward(y):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.asarray(y, dtype=float))
+            return np.log(y)
 
     return Mapping(
         forward=forward,
-        inverse=lambda u: np.exp(np.asarray(u, dtype=float)),
+        inverse=np.exp,
         coordinatewise=True,
     )
 
@@ -550,7 +544,6 @@ def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
     """
 
     def neg_entropy(u):
-        u = np.asarray(u, dtype=float)
         return np.sum(xlogx(u) - u, axis=-1)
 
     def check_boundary(t, y):
@@ -560,7 +553,7 @@ def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
         gen=Generator(neg_entropy),
         mapping=identity_mapping(),
         domain=_prob_domain(dim, simplex),
-        dual_gen=Generator(lambda v: np.sum(np.exp(np.asarray(v, dtype=float)), axis=-1)),
+        dual_gen=Generator(lambda v: np.sum(np.exp(v), axis=-1)),
         dual_map=_log_mapping(),
         name="kl",
         params={"dim": dim, "simplex": simplex},
@@ -584,11 +577,8 @@ def _power_pair(p: float, q: float) -> tuple[Generator, Mapping]:
     for (p, q) = (a, 1 - a), its {B, f} for (1 - a, a). q is passed because
     1 - (1 - a) != a in floating point."""
     c = q ** (q / p)
-    gen = Generator(lambda u: c * np.sum(np.asarray(u, float) ** (1.0 / p), axis=-1))
-    mapping = Mapping(
-        forward=lambda y: np.asarray(y, float) ** p / q,
-        inverse=lambda u: (q * np.asarray(u, float)) ** (1.0 / p),
-    )
+    gen = Generator(lambda u: c * np.sum(u ** (1.0 / p), axis=-1))
+    mapping = Mapping(forward=lambda y: y**p / q, inverse=lambda u: (q * u) ** (1.0 / p))
     return gen, mapping
 
 
@@ -635,7 +625,6 @@ def gaussian_log_partition() -> Generator:
     """
 
     def value(u):
-        u = np.asarray(u, dtype=float)
         u1, u2 = u[..., 0], u[..., 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             return -(u1**2) / (4.0 * u2) - 0.5 * np.log(-u2 / np.pi)
@@ -656,26 +645,21 @@ def make_gaussian_canonical(
     """
 
     def g_forward(y):
-        y = np.asarray(y, dtype=float)
         m, s = y[..., 0], y[..., 1]
         return np.stack([m / s, -0.5 / s], axis=-1)
 
     def g_inverse(u):
-        u = np.asarray(u, dtype=float)
         s = -0.5 / u[..., 1]
         return np.stack([u[..., 0] * s, s], axis=-1)
 
     def f_forward(y):
-        y = np.asarray(y, dtype=float)
         m, s = y[..., 0], y[..., 1]
         return np.stack([m, m**2 + s], axis=-1)
 
     def f_inverse(v):
-        v = np.asarray(v, dtype=float)
         return np.stack([v[..., 0], v[..., 1] - v[..., 0] ** 2], axis=-1)
 
     def b_value(v):
-        v = np.asarray(v, dtype=float)
         s = v[..., 1] - v[..., 0] ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             return -0.5 * np.log(2.0 * np.pi * s) - 0.5
@@ -715,16 +699,13 @@ def make_bernoulli_kl() -> GBregmanDivergence:
     """Binary KL t log(t/y) + (1-t) log((1-t)/(1-y)) on [0, 1]."""
 
     def value(u):
-        u = np.asarray(u, dtype=float)
         return np.sum(xlogx(u) + xlogx(1.0 - u), axis=-1)
 
     def logit(u):
-        u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(u / (1.0 - u))
 
     def expit(v):
-        v = np.asarray(v, dtype=float)
         out = np.empty_like(v)
         pos = v >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
@@ -733,7 +714,6 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         return out
 
     def b_value(v):
-        v = np.asarray(v, dtype=float)
         return np.sum(np.logaddexp(0.0, v), axis=-1)
 
     def direct(T, Y):

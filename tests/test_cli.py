@@ -160,6 +160,20 @@ class TestClassifyCommand:
             assert "classifier" in err and "Traceback" not in err, block
             assert not (tmp_path / "classify.json").exists(), block
 
+    @pytest.mark.parametrize("command", ["classify", "decompose"])
+    @pytest.mark.parametrize("lower", [[1, 1], [float("nan"), 0]], ids=["inverted", "nan"])
+    def test_inverted_or_nan_domain_named(self, tmp_path, capsys, command, lower):
+        spec = {"command": command,
+                "divergence": {"name": "sq_euclidean", "params": {"dim": 2}},
+                "domain": {"dim": 2, "lower": lower, "upper": [0, 0]}}
+        if command == "decompose":
+            spec["labels"] = spec["preds"] = {"points": [[0.0, 0.0]], "weights": [1.0]}
+        path = write_spec(tmp_path, spec)
+        assert main([command, "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "field 'domain'" in err and "coordinate 0" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepCommand:
     def test_alpha_sweep_gaps_stay_at_noise_level(self, tmp_path):
@@ -409,6 +423,11 @@ class TestErrorHandling:
             ("divergence.params", {"divergence": {"name": "kl", "params": {"dim": 2, "k": 1}}}),
             ("divergence.params.domain",
              {"divergence": {"name": "g_mahalanobis", "params": {"K": [[1.0]], "domain": "x"}}}),
+            ("divergence.params.domain",
+             {"divergence": {"name": "g_mahalanobis",
+                             "params": {"K": [[1.0, 0.0], [0.0, 1.0]],
+                                        "domain": {"dim": 2, "lower": [3, 0.05],
+                                                   "upper": [0.05, 3]}}}}),
             ("seed", {"command": "classify", "seed": "x"}),
             ("seed", {"command": "classify", "seed": 1.7}),
             ("seed", {"command": "classify", "seed": True}),
@@ -449,7 +468,8 @@ class TestErrorHandling:
               "sweep": {"param": "g", "values": ["log", "identity"]}}),
         ],
         ids=["divergence", "domain", "output", "string_dim", "unknown_param",
-             "g_mahalanobis_domain", "string_seed", "float_seed", "bool_seed",
+             "g_mahalanobis_domain", "g_mahalanobis_inverted_domain", "string_seed",
+             "float_seed", "bool_seed",
              "string_simplex", "int_sweep_param", "float_domain_dim", "domain_dim_mismatch",
              "float_levels",
              "string_plot", "centroid_csv", "classify_csv", "top_level_array",

@@ -198,6 +198,22 @@ class TestDomain:
         with pytest.raises(ValueError):
             Domain(2, eq_lhs=[[1, 0], [0, 1], [1, 1]], eq_rhs=[1, 1, 1])
 
+    @pytest.mark.parametrize(
+        "lower, upper, message",
+        [
+            ([1.0, 1.0], [0.0, 2.0], "coordinate 0 has lower bound 1 above its upper bound 0"),
+            ([0.0, np.nan], [1.0, 1.0], "lower bound of coordinate 1 is nan"),
+            ([0.0, 0.0], [np.nan, 1.0], "upper bound of coordinate 0 is nan"),
+        ],
+        ids=["inverted", "nan_lower", "nan_upper"],
+    )
+    def test_inverted_or_nan_bounds_rejected(self, lower, upper, message):
+        for build in (lambda: Domain(2, np.array(lower), np.array(upper)),
+                      lambda: Domain.box(lower, upper),
+                      lambda: Domain.from_json({"dim": 2, "lower": lower, "upper": upper})):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build()
+
     def test_unbounded_flag(self):
         assert not Domain(2).is_bounded
         assert Domain.box([0, 0], [1, 1]).is_bounded
@@ -621,5 +637,5 @@ class TestThreePointProduct:
         used = np.zeros((2, 4), dtype=bool)
         used[:, -1] = True  # the column of c, where the inner product is 0
         assert np.array_equal(_three_point(monkeypatch, wrong, T, Y, used)[:, -1], [0.0, 0.0])
-        with pytest.raises(ConvexityError, match="three-point"):
+        with pytest.raises(ConvexityError, match="times its scale"):
             _three_point(monkeypatch, wrong, T, Y)

@@ -287,7 +287,7 @@ class TestAdditivityProperties:
                     - B.value(f.forward(r.central_prediction))
                 if r.multipliers is not None:
                     correction = r.multipliers @ div.domain.eq_rhs
-                    if div.map_is_identity:
+                    if div.map.is_identity:
                         variance += correction
                     else:
                         noise += correction

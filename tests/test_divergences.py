@@ -9,6 +9,7 @@ import scipy.stats
 from bvd import BoundaryError, Domain, catalog
 from bvd.core import ConvexityError
 from bvd.divergences import (
+    CLAMP_TOL,
     GBregmanDivergence,
     Generator,
     _clamp,
@@ -412,6 +413,18 @@ class TestBoundariesAndErrors:
         np.testing.assert_array_equal(got, want)
         assert not np.signbit(got[np.isfinite(got) & (got == 0)]).any()
 
+    def test_clamp_scales_by_its_terms(self):
+        # The noise bound is CLAMP_TOL times the summed magnitude of the
+        # terms a value was built from, cell by cell.
+        a, b = np.array([3.0, -5.0]), np.array([[2.0], [-4.0]])
+        vals = -0.5 * CLAMP_TOL * (np.abs(a) + np.abs(b))
+        got = _clamp(vals, a, b)
+        np.testing.assert_array_equal(got, np.zeros((2, 2)))
+        assert not np.signbit(got).any()
+        vals[1, 0] = -2 * CLAMP_TOL * (3.0 + 4.0)
+        with pytest.raises(ConvexityError, match=f"{vals[1, 0]:.3e}, below .* scale 7$"):
+            _clamp(vals, a, b)
+
     def test_non_symmetric_matrix_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             catalog("mahalanobis", K=np.array([[2.0, 0.5], [0.0, 1.0]]))
@@ -445,6 +458,18 @@ class TestNewtonInversion:
         gen = Generator(value=lambda u: np.sum(u**4 / 4 + u**2 / 2, axis=-1))
         with pytest.raises(ValueError, match="^quartic: the generator has no gradient"):
             GBregmanDivergence(gen, identity_mapping(), Domain.box([-2], [2]), name="quartic")
+
+    @pytest.mark.parametrize("gradient", [np.log, None], ids=["gradient", "no_gradient"])
+    @pytest.mark.parametrize("given", ["dual_gen", "dual_map"])
+    def test_half_given_dual_pair_rejected(self, given, gradient):
+        # Half a closed-form pair {B, f} names the missing half, whether or
+        # not the generator has a gradient to derive a pair from.
+        kl = catalog("kl", dim=2)
+        half = dict(zip(("dual_gen", "dual_map"), kl.dual_pair()))
+        missing = "dual_map" if given == "dual_gen" else "dual_gen"
+        with pytest.raises(ValueError, match=f"^kl_half: .* lacks its {missing}$"):
+            GBregmanDivergence(Generator(kl.gen.value, gradient=gradient), kl.map, kl.domain,
+                               name="kl_half", **{given: half[given]})
 
     def test_bisection_fallback_on_singular_jacobian(self):
         # x^3 has a vanishing derivative at the start; Newton stalls and the
@@ -614,3 +639,31 @@ class TestBroadcastContract:
         tiled = loss.eval_batch(np.broadcast_to(T[:, None, :], shape),
                                 np.broadcast_to(Y[None, :, :], shape))
         np.testing.assert_allclose(outer, tiled, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("name,loss,sampler", CONTRACT_CASES,
+                             ids=[c[0] for c in CONTRACT_CASES])
+    def test_lists_and_integers_match_float_arrays(self, rng, name, loss, sampler, reverse):
+        # Maps and potentials take float arrays as they are: the entry
+        # points convert outside input once, so nested lists and integer
+        # arrays give the float arrays' values bit for bit.
+        loss = loss.reverse() if reverse else loss
+        T, Y = sampler(rng, 4), sampler(rng, 4)
+        forms = [(T.tolist(), Y.tolist())]
+        if name in ("l1", "zero_one_grid"):  # domains that hold integer points
+            T, Y = np.round(T), np.round(Y)
+            forms = [(T.tolist(), Y.tolist()), (T.astype(int), Y.astype(int))]
+
+        def values(T, Y):
+            out = {"eval": [loss.eval(t, y) for t, y in zip(T, Y)],
+                   "eval_batch": loss.eval_batch(T, Y)}
+            if isinstance(loss, GBregmanDivergence):
+                out["eval_concise"] = [loss.eval_concise(t, y) for t, y in zip(T, Y)]
+                out["eval_defining_batch"] = loss.eval_defining_batch(T, Y)
+            return out
+
+        want = values(T, Y)
+        for form in forms:
+            got = values(*form)
+            for key in want:
+                assert np.array_equal(got[key], want[key]), (key, type(form[0]))
