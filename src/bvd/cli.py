@@ -6,8 +6,8 @@ counts as absent, an unknown field is an error, and messages name the
 dotted field (``labels.weights``). All randomness is seeded from the spec
 and floats are serialized with shortest round-trip repr, so re-running a
 spec byte-reproduces its outputs. Exit code 1 flags a validation problem
-(bad spec, infeasible ensemble), exit code 2 a numerical failure, with the
-offending field or operation named on stderr.
+(bad spec, infeasible ensemble) or a lack of memory, exit code 2 a
+numerical failure, with the offending field or operation named on stderr.
 """
 
 from __future__ import annotations
@@ -323,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"bvd: validation failed in {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"bvd: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return 1
     for path in written:
         print(path)

@@ -380,25 +380,15 @@ def _not_finite(loss: LossFunction, t: np.ndarray, y: np.ndarray):
 
 def support_product(loss: LossFunction, T: np.ndarray, Y: np.ndarray, used=None) -> np.ndarray:
     """The (nt, ny) matrix of loss(T[i], Y[j]) at the cells of the mask
-    ``used`` (all by default). Inputs of at most ``BLOCK_FLOATS``
-    (nt x ny x d) floats take one ``eval_batch`` call. Wider ones take a
-    g-Bregman divergence's ``three_point_product``, two direct vectors and
-    one matrix product, and give the same values up to float noise; the
-    cells it leaves non-finite, and every cell of other losses, go through
-    ``eval_batch`` in blocks of at most ``BLOCK_FLOATS`` floats, one row at
-    least. A block evaluates only the column span of its cells in ``used``,
-    the rest stay nan; the first used non-finite value, in row order,
-    raises ``BoundaryError``."""
+    ``used`` (all by default), from ``eval_batch`` in blocks of at most
+    ``BLOCK_FLOATS`` (rows x ny x d) floats, one row at least. A block
+    evaluates only the column span of its cells in ``used``, the rest stay
+    nan; the first used non-finite value, in row order, raises
+    ``BoundaryError``."""
     nt, ny = T.shape[0], Y.shape[0]
     rows = max(1, BLOCK_FLOATS // (ny * loss.dim))
     used = np.ones((nt, ny), dtype=bool) if used is None else used
-    if rows < nt and hasattr(loss, "three_point_product"):
-        values = loss.three_point_product(T, Y, used)
-        used = used & ~np.isfinite(values)  # what the blocks still evaluate
-        if not used.any():
-            return values
-    else:
-        values = np.full((nt, ny), np.nan)
+    values = np.full((nt, ny), np.nan)
     with np.errstate(all="ignore"):
         for i in range(0, nt, rows):
             cols = np.flatnonzero(used[i : i + rows].any(axis=0))
@@ -412,24 +402,46 @@ def support_product(loss: LossFunction, T: np.ndarray, Y: np.ndarray, used=None)
     return values
 
 
+def wide_inner_term(loss: LossFunction, labels: WeightedEnsemble, preds: WeightedEnsemble,
+                    c: np.ndarray, border: int = 0) -> float | None:
+    """(E g(T) - g(c)) . (E f(Y) - f(c)) of a g-Bregman loss, so that E D(T, Y)
+    is E D(T, c) + E D(c, Y) minus it (the three-point identity in
+    expectation), from fixed-order einsum sums without BLAS; f is closed
+    form even for a derived dual. None, and the caller forms the product,
+    when the (n + border) x (m + border) product fits one block, when the
+    loss has no dual pair or when the term is not finite."""
+    if (labels.size + border) * (preds.size + border) * loss.dim <= BLOCK_FLOATS \
+            or not hasattr(loss, "dual_pair"):
+        return None
+    g, f, c = loss.map.forward, loss.dual_pair()[1].forward, c[None, :]
+    with np.errstate(all="ignore"):
+        # Differences before the sums keep the digits of tight points far out.
+        dg = np.einsum("i,id->d", labels.weights, g(labels.points) - g(c))
+        df = np.einsum("i,id->d", preds.weights, f(preds.points) - f(c))
+        inner = float(np.einsum("d,d->", dg, df))
+    return inner if np.isfinite(inner) else None
+
+
 def pair_expectation(
     loss: LossFunction, labels: WeightedEnsemble, preds: WeightedEnsemble
 ) -> float:
-    """E over independent (label, prediction) pairs of the loss.
-
-    The weighted sum, in a fixed order, of the :func:`support_product` of
-    the labels against the predictions, so repeated runs agree to the last
-    bit. The block size does not change the result of a loss that is not
-    g-Bregman; a g-Bregman divergence's product wider than one block comes
-    from the three-point identity, within float noise of the one-block
-    value. Both ensembles must have the loss's dimension (``ValueError``
-    otherwise).
+    """E over independent (label, prediction) pairs of the loss: the weighted
+    sum, in a fixed order, of the :func:`support_product` of the labels
+    against the predictions, or, where :func:`wide_inner_term` applies at c
+    the last prediction, E D(T, c) + E D(c, Y) minus that term, within float
+    noise of the product. Both ensembles must have the loss's dimension
+    (``ValueError`` otherwise).
     """
     _require_dim(loss, labels.dim, "label")
     _require_dim(loss, preds.dim, "prediction")
+    c = preds.points[-1:]
+    inner = wide_inner_term(loss, labels, preds, c[0])
+    if inner is not None:
+        to_c = support_product(loss, labels.points, c)[:, 0]
+        from_c = support_product(loss, c, preds.points)[0]
+        return float(np.sum(labels.weights * to_c) + np.sum(preds.weights * from_c) - inner)
     values = support_product(loss, labels.points, preds.points)
-    w = labels.weights[:, None] * preds.weights[None, :]
-    return float(np.sum(w * values))
+    return float(np.sum(labels.weights[:, None] * preds.weights[None, :] * values))
 
 
 def side_expectation(loss: LossFunction, point: np.ndarray, ens: WeightedEnsemble) -> float:

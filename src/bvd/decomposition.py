@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossFunction, Record, WeightedEnsemble, side_expectation, support_product
+from .core import (LossFunction, Record, WeightedEnsemble, side_expectation, support_product,
+                   wide_inner_term)
 from .divergences import (  # noqa: F401 (gaussian_log_partition is re-exported)
     GBregmanDivergence,
     Generator,
@@ -54,22 +55,34 @@ def _report(
     t_star: CentroidResult,
     y_star: CentroidResult,
 ) -> DecompositionReport:
-    """The decomposition at the given central points from one evaluation of
-    the loss, rows [T; t*; y*] against columns [Y; t*; y*]: E D(T, Y), the
-    noise E D(T, t*), the bias D(t*, y*) and the variance E D(y*, Y) are
-    weighted sums of the cells they use, and only those must be finite.
-    Under linear equality constraints noise and variance equal the potential
-    differences with the lam . b correction (Banerjee et al. 2005)."""
+    """The decomposition at the given central points, the loss evaluated
+    once per cell used of rows [T; t*; y*] against columns [Y; t*; y*]: the
+    expected loss, noise, bias and variance are weighted sums of cells, and
+    only those must be finite. Where :func:`~bvd.core.wide_inner_term`
+    applies at c = y*, the n x m cells are skipped: E D(T, Y) is
+    E D(T, y*) + variance minus the term. Under linear equality constraints
+    noise and variance equal the potential differences with the lam . b
+    correction (Banerjee et al. 2005)."""
     n, m, c = labels.size, preds.size, [t_star.point, y_star.point]
-    used = np.zeros((n + 2, m + 2), dtype=bool)
-    used[:n, : m + 1] = used[n, m + 1] = used[n + 1, :m] = True
-    V = support_product(loss, np.vstack([labels.points, *c]), np.vstack([preds.points, *c]), used)
+    lw, pw = labels.weights, preds.weights
+    inner = wide_inner_term(loss, labels, preds, y_star.point, border=2)
+    if inner is None:
+        used = np.zeros((n + 2, m + 2), dtype=bool)
+        used[:n, : m + 1] = used[n, m + 1] = used[n + 1, :m] = True
+        V = support_product(loss, np.vstack([labels.points, *c]),
+                            np.vstack([preds.points, *c]), used)
+        expected = float(np.sum(lw[:, None] * pw[None, :] * V[:n, :m]))
+        noise_col, bias, var_row = V[:n, m], float(V[n, m + 1]), V[n + 1, :m]
+    else:
+        used = np.ones((n + 1, 2), dtype=bool)
+        used[n, 0] = False  # D(t*, t*)
+        V = support_product(loss, np.vstack([labels.points, c[0]]), np.vstack(c), used)
+        noise_col, bias = V[:n, 0], float(V[n, 1])
+        var_row = support_product(loss, c[1][None, :], preds.points)[0]
+        expected = float(np.sum(lw * V[:n, 1]) + np.sum(pw * var_row)) - inner
     if loss._check_boundary is not None:
         loss._check_boundary(t_star.point, y_star.point)
-    expected = float(np.sum(labels.weights[:, None] * preds.weights[None, :] * V[:n, :m]))
-    noise = float(np.sum(labels.weights * V[:n, m]))
-    bias = float(V[n, m + 1])
-    variance = float(np.sum(preds.weights * V[n + 1, :m]))
+    noise, variance = float(np.sum(lw * noise_col)), float(np.sum(pw * var_row))
     _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
     lams = [r.multipliers for r in (t_star, y_star) if r.multipliers.size]
     return DecompositionReport(

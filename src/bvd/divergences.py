@@ -34,9 +34,9 @@ from .core import (
     json_value,
 )
 
-# Divergence values in [-CLAMP_TOL * scale, 0) are treated as floating-point
-# noise and clamped to zero; anything more negative raises ConvexityError.
-# ``_clamp`` is the one place that applies it and defines the scale.
+# Divergence values in [-CLAMP_TOL, 0) are treated as floating-point noise
+# and clamped to zero; anything more negative raises ConvexityError.
+# ``_clamp`` is the one place that applies it.
 CLAMP_TOL = 1e-12
 
 # Coordinates below this are considered "at the boundary" for log/exp forms.
@@ -195,8 +195,10 @@ class GBregmanDivergence(LossFunction):
         expression (used for batch evaluation, e.g. to honor the
         0 log 0 = 0 convention at boundary labels); :meth:`eval_batch`
         passes it float arrays. Defaults to :meth:`eval_defining_batch`.
-    check_boundary : optional validator raising BoundaryError for points
-        where evaluation cannot work (names the offending coordinate).
+    check_boundary : optional validator ``(t, y, name, roles)`` raising
+        BoundaryError where evaluation cannot work, naming the divergence,
+        the argument by its role (``roles`` names t and y; ``reverse()``
+        swaps both) and the coordinate.
     separable : whether the divergence is a sum of one term per coordinate
         (:attr:`LossFunction.separable`); ``reverse()`` keeps it.
     """
@@ -227,7 +229,10 @@ class GBregmanDivergence(LossFunction):
         self._dual = (dual_gen, dual_map) if self._dual_closed_form else self._derive_dual()
         self.params = dict(params or {})
         self._direct_eval = direct_eval or self.eval_defining_batch
-        self._check_boundary = check_boundary
+        self._validator = check_boundary
+        if check_boundary is not None:  # reads the name at call time
+            self._check_boundary = lambda t, y: check_boundary(
+                t, y, self.name, ("label", "prediction"))
         self.separable = separable
 
     # -- evaluation ---------------------------------------------------
@@ -260,36 +265,6 @@ class GBregmanDivergence(LossFunction):
             return _clamp(self.gen.value(gt) - fy @ gt + B.value(fy))
 
         return self._eval_scalar(concise, t, y)
-
-    def three_point_product(self, T, Y, used) -> np.ndarray:
-        """The (nt, ny) matrix of D(T[i], Y[j]) from the three-point identity
-
-            D(t, y) = D(t, c) + D(c, y) - (g(t) - g(c)) . (f(y) - f(c))
-
-        at c = Y[-1]: two direct vectors from :meth:`eval_batch` and one
-        matrix product of the mapped points, so no (nt, ny, d) temporary
-        (f = grad A o g is closed form even for a derived dual, so Newton
-        never runs). Cells outside the mask ``used`` are nan, as
-        are the rows and columns whose mapped coordinates or direct value are
-        not finite, and every cell when c's mapped coordinates are not. A used
-        cell below zero by at most ``CLAMP_TOL`` times the sum of its three
-        terms' magnitudes is clamped to zero by :func:`_clamp`; one further
-        below raises :class:`ConvexityError`."""
-        c, f = Y[-1:], self._dual[1].forward
-        with np.errstate(all="ignore"):
-            gc, fc = self.map.forward(c), f(c)
-            if not (np.isfinite(gc).all() and np.isfinite(fc).all()):
-                return np.full((T.shape[0], Y.shape[0]), np.nan)
-            to_c, from_c = self.eval_batch(T, c), self.eval_batch(c, Y)
-            # Out of place: the identity map returns its input array.
-            G, F = self.map.forward(T) - gc, f(Y) - fc
-            rows = np.isfinite(G).all(axis=1) & np.isfinite(to_c)
-            cols = np.isfinite(F).all(axis=1) & np.isfinite(from_c)
-            G[~rows], F[~cols] = 0.0, 0.0
-            inner = G @ F.T
-        keep = used & rows[:, None] & cols[None, :]
-        values = np.where(keep, to_c[:, None] + from_c[None, :] - inner, np.nan)
-        return _clamp(values, to_c[:, None], from_c[None, :], inner)
 
     # -- duality ------------------------------------------------------
 
@@ -341,8 +316,9 @@ class GBregmanDivergence(LossFunction):
         it is (0 log 0 included); ``eval_defining_batch`` runs on {B, f}."""
         dual_gen, dual_map = self.dual_pair()
         forward = self._direct_eval
-        check = self._check_boundary
-        swapped = None if check is None else (lambda t, y: check(y, t))
+        check = self._validator
+        swapped = None if check is None else (
+            lambda t, y, name, roles: check(y, t, name, roles[::-1]))
         return GBregmanDivergence(
             gen=dual_gen,
             mapping=dual_map,
@@ -369,44 +345,39 @@ class GBregmanDivergence(LossFunction):
         }
 
 
-def _clamp(vals: np.ndarray, *terms: np.ndarray) -> np.ndarray:
-    """``vals`` with finite values in [-CLAMP_TOL * scale, 0) set to zero; one
-    further below raises :class:`ConvexityError`. The scale is the summed
-    magnitude of the ``terms`` the values were built from (broadcast against
-    them), 1 when none are given, and is summed only when a value is negative."""
+def _clamp(vals: np.ndarray) -> np.ndarray:
+    """``vals`` with finite values in [-CLAMP_TOL, 0) set to zero; one further
+    below raises :class:`ConvexityError`."""
     vals = np.asarray(vals, dtype=float)
     if not (vals < 0).any():  # nan compares false
         return vals
     negative = np.isfinite(vals) & (vals < 0)
-    scale = np.broadcast_to(sum(np.abs(t) for t in terms) if terms else 1.0, vals.shape)
-    bad = negative & (vals < -CLAMP_TOL * scale)
-    if bad.any():
-        i = np.argmin(np.where(bad, vals, np.inf))
-        raise ConvexityError(f"divergence evaluated to {vals.flat[i]:.3e}, below "
-                             f"-{CLAMP_TOL} times its scale {scale.flat[i]:.3g}")
+    if (negative & (vals < -CLAMP_TOL)).any():
+        raise ConvexityError(f"divergence evaluated to {vals[negative].min():.3e}, "
+                             f"below -{CLAMP_TOL}")
     return np.where(negative, 0.0, vals)
 
 
 # -- boundary validators ------------------------------------------------
 
 
-def _require_positive(p: np.ndarray, other: np.ndarray, which: str, name: str):
-    """Coordinates of ``p`` may only vanish where ``other`` vanishes too
-    (the 0 log 0 = 0 convention covers exactly that case)."""
-    small = np.where((p < TINY) & (other >= TINY))[0]
+def _require_positive(t: np.ndarray, y: np.ndarray, name: str, roles: tuple[str, str]):
+    """Coordinates of ``y`` may only vanish where ``t`` vanishes too (the
+    0 log 0 = 0 convention covers exactly that case)."""
+    small = np.where((y < TINY) & (t >= TINY))[0]
     if small.size:
         raise BoundaryError(
-            f"{name}: {which} coordinate {int(small[0])} = {p[int(small[0])]:.3g} "
+            f"{name}: {roles[1]} coordinate {int(small[0])} = {y[int(small[0])]:.3g} "
             f"is at the domain boundary (needs > 0)"
         )
 
 
-def _require_interior_unit(p: np.ndarray, other: np.ndarray, which: str, name: str):
-    bad = np.where(((p < TINY) & (other >= TINY))
-                   | ((1.0 - p < TINY) & (1.0 - other >= TINY)))[0]
+def _require_interior_unit(t: np.ndarray, y: np.ndarray, name: str, roles: tuple[str, str]):
+    """Coordinates of ``y`` may only reach 0 or 1 where ``t`` does too."""
+    bad = np.where(((y < TINY) & (t >= TINY)) | ((1.0 - y < TINY) & (1.0 - t >= TINY)))[0]
     if bad.size:
         raise BoundaryError(
-            f"{name}: {which} coordinate {int(bad[0])} = {p[int(bad[0])]:.3g} "
+            f"{name}: {roles[1]} coordinate {int(bad[0])} = {y[int(bad[0])]:.3g} "
             f"is at the boundary of (0, 1)"
         )
 
@@ -546,9 +517,6 @@ def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
     def neg_entropy(u):
         return np.sum(xlogx(u) - u, axis=-1)
 
-    def check_boundary(t, y):
-        _require_positive(y, t, "prediction", "kl")
-
     return GBregmanDivergence(
         gen=Generator(neg_entropy),
         mapping=identity_mapping(),
@@ -558,7 +526,7 @@ def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
         name="kl",
         params={"dim": dim, "simplex": simplex},
         direct_eval=_kl_direct,
-        check_boundary=check_boundary,
+        check_boundary=_require_positive,
         separable=not simplex,
     )
 
@@ -568,7 +536,6 @@ def make_reverse_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
     :func:`make_kl` reversed."""
     div = make_kl(dim, simplex).reverse()
     div.name = "reverse_kl"
-    div._check_boundary = lambda t, y: _require_positive(t, y, "label", "reverse_kl")
     return div
 
 
@@ -671,12 +638,11 @@ def make_gaussian_canonical(
             ratio = sy / st
             return (my - mt) ** 2 / (2.0 * st) - 0.5 * (1.0 - ratio + np.log(ratio))
 
-    def check_boundary(t, y):
-        for which, p in (("label", t), ("prediction", y)):
+    def check_boundary(t, y, name, roles):
+        for which, p in zip(roles, (t, y)):
             if p[1] < TINY:
                 raise BoundaryError(
-                    f"gaussian_canonical: {which} coordinate 1 (variance) = "
-                    f"{p[1]:.3g} must be > 0"
+                    f"{name}: {which} coordinate 1 (variance) = {p[1]:.3g} must be > 0"
                 )
 
     domain = Domain.box(
@@ -720,9 +686,6 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         # The y - t terms of the two KL kernels cancel.
         return _kl_direct(T, Y) + _kl_direct(1.0 - T, 1.0 - Y)
 
-    def check_boundary(t, y):
-        _require_interior_unit(y, t, "prediction", "bernoulli_kl")
-
     return GBregmanDivergence(
         gen=Generator(value),
         mapping=identity_mapping(),
@@ -732,7 +695,7 @@ def make_bernoulli_kl() -> GBregmanDivergence:
         name="bernoulli_kl",
         params={},
         direct_eval=direct,
-        check_boundary=check_boundary,
+        check_boundary=_require_interior_unit,
         separable=True,
     )
 

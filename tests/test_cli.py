@@ -519,6 +519,18 @@ class TestErrorHandling:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_out_of_memory_named_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def exhausted(spec, out_dir):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (2**40,)")
+
+        monkeypatch.setitem(cli.COMMANDS, "sweep", exhausted)
+        out = tmp_path / "out"
+        assert main(["sweep", "--spec", str(SPEC_DIR / "alpha_sweep.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("bvd: sweep ran out of memory: Unable to allocate 8.00 TiB "
+                       "for an array with shape (2**40,)\n")
+        assert not out.exists()
+
     def test_null_means_absent(self, tmp_path):
         # null in each optional field writes the same bytes as leaving it out.
         shipped = SPEC_DIR / "kl_simplex_decompose.json"

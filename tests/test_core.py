@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bvd import BoundaryError, CallableLoss, ConvexityError, Domain, WeightedEnsemble, core, decompose
+from bvd import BoundaryError, CallableLoss, Domain, WeightedEnsemble, core, decompose
 from bvd import make_ensemble
 from bvd import CentroidResult, DecompositionReport, SeparabilityVerdict
 from bvd.uniqueness import ClassificationResult
@@ -353,9 +354,9 @@ class TestPairExpectation:
         preds = make_ensemble(rng.uniform(0.1, 0.9, (8, 3)), np.ones(8))
         pair_expectation(loss, labels, preds)
         assert sum(mapped) == (6 + 8) * 3
-        # A product wider than one block takes the three-point form: every
-        # label and prediction is mapped twice (its direct vector and its
-        # mapped coordinates) and the reference point c four times more,
+        # A product wider than one block takes the three-point identity:
+        # every label and prediction is mapped twice (its direct vector and
+        # its mapped coordinates) and the reference point c four times more,
         # whatever the block budget.
         for rows in (4, 1):
             mapped.clear()
@@ -364,11 +365,11 @@ class TestPairExpectation:
             assert sum(mapped) == (2 * (6 + 8) + 4) * 3
 
     def test_kl_pair_peak_memory(self, rng):
-        """A KL product wider than one block holds at most two and a half
-        blocks of ``BLOCK_FLOATS`` floats at once: the three-point form's
-        direct vectors (logs per point, one buffer reused in place and
-        ``Y - T``), then log Y and its difference from log c; the (nt, ny)
-        matrices are small here."""
+        """A KL expectation wider than one block holds at most two and a
+        half blocks of ``BLOCK_FLOATS`` floats at once: log Y and its
+        difference from log c for the three-point identity's inner term,
+        then its direct vectors (logs per point, one buffer reused in place
+        and ``Y - T``)."""
         import tracemalloc
 
         d, nt, ny = 1000, 16, 64
@@ -403,11 +404,11 @@ class TestPairExpectation:
             return batch(T, Y)
 
         # One-row blocks, then blocks of 3, 3 and 1 rows. A g-Bregman
-        # divergence runs no blocks under either budget: its three-point
-        # product makes two direct-vector calls, the nt labels against c
-        # and c against the ny predictions, and gives the one-block values
-        # up to float noise.
-        three_point = isinstance(loss, GBregmanDivergence)
+        # divergence runs no blocks of the product under either budget: the
+        # three-point identity evaluates the nt labels against c, in blocks
+        # of the budget's rows x ny labels, and c against the ny
+        # predictions, and gives the one-block values up to float noise.
+        identity = isinstance(loss, GBregmanDivergence)
         runs = []
         for rows, sizes in ((1, [1] * nt), (3, [3, 3, 1])):
             monkeypatch.setattr(core, "BLOCK_FLOATS", rows * ny * d)
@@ -417,12 +418,13 @@ class TestPairExpectation:
             monkeypatch.setattr(loss, "eval_batch", batch)
             got_report = decompose(loss, labels, preds).to_json()
             runs.append(repr(got) + json.dumps(got_report))
-            if not three_point:
+            if not identity:
                 assert repr(got) == whole
                 assert calls == sizes
                 assert json.dumps(got_report) == report
                 continue
-            assert calls == [nt, 1]
+            per = rows * ny
+            assert calls == [min(per, nt - i) for i in range(0, nt, per)] + [1]
             assert abs(got - float(whole)) <= 1e-13 * (1 + abs(float(whole)))
             want = json.loads(report)
             scale = 1 + abs(want["expected_loss"])
@@ -467,12 +469,11 @@ class TestPairExpectation:
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def _three_point(monkeypatch, loss, T, Y, used=None):
-    """``support_product`` under a one-row budget, which a g-Bregman
-    divergence answers with its three-point product."""
+def _wide(monkeypatch, fn, *args):
+    """``fn(*args)`` under a one-float budget, which makes every product wide."""
     with monkeypatch.context() as patch:
         patch.setattr(core, "BLOCK_FLOATS", 1)
-        return core.support_product(loss, T, Y, used)
+        return fn(*args)
 
 
 def _log_map_mahalanobis():
@@ -481,7 +482,7 @@ def _log_map_mahalanobis():
         "domain": {"dim": 3, "lower": [0.01] * 3, "upper": [10.0] * 3}}})
 
 
-# (loss, sampler) pairs the three-point product must reproduce cell by cell.
+# (loss, sampler) pairs whose wide expectations the identity must reproduce.
 THREE_POINT_CASES = {
     **{f"{name}_d{d}": (partial(make_entry, name, d), partial(sample_points, name))
        for name, dims in GBREGMAN_FAMILIES for d in dims},
@@ -490,112 +491,115 @@ THREE_POINT_CASES = {
     "g_mahalanobis_log": (_log_map_mahalanobis, lambda rng, n, d: rng.uniform(0.2, 5.0, (n, d))),
 }
 
+REPORT_TERMS = ("expected_loss", "intrinsic_noise", "bias", "variance", "gap")
 
-class TestThreePointProduct:
-    """Products wider than one block of a g-Bregman divergence come from
-    D(t, y) = D(t, c) + D(c, y) - (g(t) - g(c)) . (f(y) - f(c)) at the last
-    column c; every cell is the direct form's up to float noise."""
+
+def assert_reports_close(got, want):
+    """Same central points and multipliers; every term within 1e-13 (1 + E)."""
+    for field in ("central_label", "central_prediction", "multipliers", "method"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    scale = 1 + abs(want.expected_loss)
+    for term in REPORT_TERMS:
+        assert abs(getattr(got, term) - getattr(want, term)) <= 1e-13 * scale, term
+
+
+class TestThreePointIdentity:
+    """g-Bregman expectations wider than one block come from
+    E D(T, Y) = E D(T, c) + E D(c, Y) - (E g(T) - g(c)) . (E f(Y) - f(c)),
+    within float noise of the support product."""
 
     @staticmethod
-    def assert_close(got, direct):
-        assert np.isfinite(got).all()
-        err = np.abs(got - direct) / (1 + np.abs(direct))
-        assert err.max() <= 1e-13, err.max()
+    def assert_close(got, want):
+        assert abs(got - want) <= 1e-13 * (1 + abs(want)), (got, want)
 
     @pytest.mark.parametrize("name", list(THREE_POINT_CASES))
-    def test_cells_match_the_direct_form(self, rng, monkeypatch, name):
+    def test_matches_the_product(self, rng, monkeypatch, name):
         build, sample = THREE_POINT_CASES[name]
         loss = build()
         assert isinstance(loss, GBregmanDivergence)
         for _ in range(20):
-            T, Y = sample(rng, 6, loss.dim), sample(rng, 9, loss.dim)
-            direct = loss.eval_batch(T[:, None], Y[None])
-            self.assert_close(_three_point(monkeypatch, loss, T, Y), direct)
+            labels = make_ensemble(sample(rng, 6, loss.dim), rng.random(6) + 0.1)
+            preds = make_ensemble(sample(rng, 9, loss.dim), rng.random(9) + 0.1)
+            c = preds.points[-1]
+            assert core.wide_inner_term(loss, labels, preds, c) is None  # one block
+            assert _wide(monkeypatch, core.wide_inner_term, loss, labels, preds, c) is not None
+            self.assert_close(_wide(monkeypatch, pair_expectation, loss, labels, preds),
+                              pair_expectation(loss, labels, preds))
+            assert_reports_close(_wide(monkeypatch, decompose, loss, labels, preds),
+                                 decompose(loss, labels, preds))
 
     @pytest.mark.parametrize("scale", [1e4, 1e6])
     def test_large_scale_tight_points(self, monkeypatch, scale):
-        # K = scale * I, points 1e-8 apart: the potentials are ~1e7 times
-        # the cells, and differences from c keep them out of the sums.
+        # K = scale * I, points 1e-8 apart: f = 2 K y is orders of magnitude
+        # larger than its differences from f(c), which are taken before the
+        # sums.
         loss = catalog("mahalanobis", K=scale * np.eye(3))
         rng = np.random.default_rng(1)
         for _ in range(50):
             centres = rng.uniform(-5.0, 5.0, (2, 3))
-            T = centres[0] + 1e-8 * rng.standard_normal((6, 3))
+            labels = make_ensemble(centres[0] + 1e-8 * rng.standard_normal((6, 3)), np.ones(6))
             Y = centres[rng.integers(2)] + 1e-8 * rng.standard_normal((9, 3))
-            direct = loss.eval_batch(T[:, None], Y[None])
-            self.assert_close(_three_point(monkeypatch, loss, T, Y), direct)
-
-    def test_takes_two_direct_vectors(self, rng, monkeypatch):
-        loss = catalog("kl", dim=3)
-        T, Y = sample_points("kl", rng, 6, 3), sample_points("kl", rng, 9, 3)
-        shapes = []
-        batch = loss.eval_batch
-
-        def recording(T, Y):
-            shapes.append(np.broadcast_shapes(T.shape, Y.shape)[:-1])
-            return batch(T, Y)
-
-        monkeypatch.setattr(loss, "eval_batch", recording)
-        _three_point(monkeypatch, loss, T, Y)
-        assert shapes == [(6,), (9,)]
-
-    def test_unused_cells_are_nan(self, rng, monkeypatch):
-        loss = catalog("sq_euclidean", dim=2)
-        T, Y = rng.uniform(-3, 3, (4, 2)), rng.uniform(-3, 3, (5, 2))
-        used = rng.random((4, 5)) < 0.5
-        got = _three_point(monkeypatch, loss, T, Y, used)
-        assert np.array_equal(np.isnan(got), ~used)
-        self.assert_close(got[used], loss.eval_batch(T[:, None], Y[None])[used])
+            preds = make_ensemble(Y, np.ones(9))
+            self.assert_close(_wide(monkeypatch, pair_expectation, loss, labels, preds),
+                              pair_expectation(loss, labels, preds))
+            assert_reports_close(_wide(monkeypatch, decompose, loss, labels, preds),
+                                 decompose(loss, labels, preds))
 
     def test_caller_arrays_unchanged(self, rng, monkeypatch):
         # The identity map returns its input, so g(t) - g(c) must not be
         # formed in place.
-        for loss, sample in ((catalog("sq_euclidean", dim=3), partial(sample_points, "sq_euclidean")),
-                             (catalog("kl", dim=3), partial(sample_points, "kl")),
-                             (catalog("reverse_kl", dim=3), partial(sample_points, "reverse_kl"))):
-            T, Y = sample(rng, 6, 3), sample(rng, 9, 3)
-            T0, Y0 = T.copy(), Y.copy()
-            _three_point(monkeypatch, loss, T, Y)
-            assert np.array_equal(T, T0) and np.array_equal(Y, Y0)
+        for name in ("sq_euclidean", "kl", "reverse_kl"):
+            loss = catalog(name, dim=3)
+            labels = make_ensemble(sample_points(name, rng, 6, 3), np.ones(6))
+            preds = make_ensemble(sample_points(name, rng, 9, 3), np.ones(9))
+            T0, Y0 = labels.points.copy(), preds.points.copy()
+            _wide(monkeypatch, pair_expectation, loss, labels, preds)
+            _wide(monkeypatch, decompose, loss, labels, preds)
+            assert np.array_equal(labels.points, T0) and np.array_equal(preds.points, Y0)
 
     def test_kl_labels_sharing_a_zero_coordinate(self, rng, monkeypatch):
-        # t* is 0 where every label is, so f(t*) = log t* is not finite: the
-        # t* column goes through the direct form, the rest does not.
+        # t* is 0 where every label is, so f(t*) = log t* is not finite; the
+        # identity at c = y* never maps t*, and each needed cell is evaluated
+        # once: n labels against t* and y*, t* against y*, y* against m
+        # predictions.
         kl = catalog("kl", dim=3, simplex=True)
-        L = np.column_stack([np.zeros(5), _simplex(rng, 5, 2)])
-        labels = make_ensemble(L, rng.random(5) + 0.1)
-        preds = make_ensemble(_simplex(rng, 7, 3), rng.random(7) + 0.1)
-        whole = decompose(kl, labels, preds)
-        shapes = []
+        n, m = 5, 7
+        L = np.column_stack([np.zeros(n), _simplex(rng, n, 2)])
+        labels = make_ensemble(L, rng.random(n) + 0.1)
+        preds = make_ensemble(_simplex(rng, m, 3), rng.random(m) + 0.1)
+        whole, pair = decompose(kl, labels, preds), pair_expectation(kl, labels, preds)
+        cells = []
         batch = kl.eval_batch
 
-        def recording(T, Y):
-            shapes.append(np.broadcast_shapes(T.shape, Y.shape)[:-1])
+        def counting(T, Y):
+            cells.append(np.prod(np.broadcast_shapes(T.shape, Y.shape)[:-1]))
             return batch(T, Y)
 
-        monkeypatch.setattr(kl, "eval_batch", recording)
-        monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
-        wide = decompose(kl, labels, preds)
-        # Two direct vectors, then one cell of the t* column per label row.
-        assert shapes[:2] == [(7,), (9,)] and shapes[2:] == [(1, 1)] * 5
-        scale = 1 + abs(whole.expected_loss)
-        for term in ("expected_loss", "intrinsic_noise", "bias", "variance", "gap"):
-            assert abs(getattr(wide, term) - getattr(whole, term)) <= 1e-13 * scale, term
+        monkeypatch.setattr(kl, "eval_batch", counting)
+        wide = _wide(monkeypatch, decompose, kl, labels, preds)
+        assert sum(cells) == 2 * n + 1 + m
+        assert_reports_close(wide, whole)
+        self.assert_close(_wide(monkeypatch, pair_expectation, kl, labels, preds), pair)
 
     def test_reverse_kl_predictions_sharing_a_zero_coordinate(self, rng, monkeypatch):
-        # y* = c is 0 where every prediction is, so g(c) = log c is not
-        # finite and the whole product goes through the blocks.
+        # y* and c are 0 where every prediction is, so g(y*) = log y* is not
+        # finite: the identity does not apply and the product gives the
+        # one-block bytes.
         rkl = catalog("reverse_kl", dim=3, simplex=True)
         labels = make_ensemble(_simplex(rng, 5, 3), rng.random(5) + 0.1)
         P = np.column_stack([_simplex(rng, 7, 2), np.zeros(7)])
         preds = make_ensemble(P, rng.random(7) + 0.1)
-        whole = json.dumps(decompose(rkl, labels, preds).to_json())
-        monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
-        assert json.dumps(decompose(rkl, labels, preds).to_json()) == whole
+        whole = decompose(rkl, labels, preds)
+        wide = _wide(monkeypatch, decompose, rkl, labels, preds)
+        assert json.dumps(wide.to_json()) == json.dumps(whole.to_json())
+        assert _wide(monkeypatch, core.wide_inner_term, rkl, labels, preds,
+                     whole.central_prediction, 2) is None
+        assert (repr(_wide(monkeypatch, pair_expectation, rkl, labels, preds))
+                == repr(pair_expectation(rkl, labels, preds)))
 
     def test_non_finite_pair_is_named(self, monkeypatch):
-        # The used infinite cell is in a column the three-point form leaves
-        # to the direct form, which names it as kl.eval does.
+        # log of a prediction's zero leaves the term not finite, so the
+        # product names the pair, as kl.eval does.
         kl = catalog("kl", dim=2)
         labels = make_ensemble([[0.2, 0.4], [0.3, 0.3]], [1, 1])
         preds = make_ensemble([[0.0, 0.5], [0.1, 0.3]], [1, 1])
@@ -608,34 +612,101 @@ class TestThreePointProduct:
             assert str(exc.value) == str(caught.value)
 
     def test_non_finite_pair_without_boundary_check_is_named(self, monkeypatch):
-        # A log-map Mahalanobis has no boundary check: the first used
-        # non-finite pair in row order is named, as in one block.
+        # A log-map Mahalanobis has no boundary check: the first non-finite
+        # pair in row order is named, as in one block.
         loss = _log_map_mahalanobis()
         loss.domain = Domain.box(np.zeros(3), 10.0 * np.ones(3))
-        T = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        Y = np.array([[1.0, 1.0, 1.0], [2.0, 3.0, 1.0]])
+        labels = make_ensemble([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [2.0, 2.0, 2.0]], np.ones(3))
+        preds = make_ensemble([[1.0, 1.0, 1.0], [2.0, 3.0, 1.0]], np.ones(2))
         with pytest.raises(BoundaryError) as caught:
-            core.support_product(loss, T, Y)
+            pair_expectation(loss, labels, preds)
         with pytest.raises(BoundaryError) as exc:
-            _three_point(monkeypatch, loss, T, Y)
+            _wide(monkeypatch, pair_expectation, loss, labels, preds)
         assert str(exc.value) == str(caught.value)
         assert "label=[0. 1. 1.], prediction=[1. 1. 1.]" in str(exc.value)
 
-    def test_clamp_is_relative_and_only_on_used_cells(self, rng, monkeypatch):
-        # Equal points at d = 1000 with terms near 6000: the three-point
-        # diagonal is float noise around zero, clamped to it.
-        loss = catalog("sq_euclidean", dim=1000)
-        Y = rng.uniform(-3, 3, (4, 1000))
-        got = _three_point(monkeypatch, loss, Y.copy(), Y)
-        assert np.all(got >= 0) and np.all(np.diagonal(got) <= 1e-13 * 6000)
-        # A direct form inconsistent with the maps: the three-point cells
-        # go negative. Unused, they are left alone; used, they raise.
-        wrong = GBregmanDivergence(loss.gen, loss.map, loss.domain, *loss.dual_pair(),
-                                   direct_eval=lambda T, Y: np.zeros(np.broadcast_shapes(
-                                       T.shape, Y.shape)[:-1]))
-        T = Y[:2] + 1.0
-        used = np.zeros((2, 4), dtype=bool)
-        used[:, -1] = True  # the column of c, where the inner product is 0
-        assert np.array_equal(_three_point(monkeypatch, wrong, T, Y, used)[:, -1], [0.0, 0.0])
-        with pytest.raises(ConvexityError, match="times its scale"):
-            _three_point(monkeypatch, wrong, T, Y)
+    def test_derived_dual_runs_no_newton(self, rng, monkeypatch):
+        # f = grad A o g is closed form, so a dual derived by Newton
+        # inversion takes the identity without inverting anything.
+        from bvd import divergences
+        from bvd.divergences import Generator
+
+        kl = catalog("kl", dim=3)
+        derived = GBregmanDivergence(Generator(kl.gen.value, gradient=np.log), kl.map,
+                                     kl.domain, direct_eval=kl.eval_batch)
+        assert not derived.dual_is_closed_form
+        inversions = []
+        newton = divergences.newton_invert
+        monkeypatch.setattr(divergences, "newton_invert",
+                            lambda *args, **kw: inversions.append(1) or newton(*args, **kw))
+        labels = make_ensemble(sample_points("kl", rng, 6, 3), rng.random(6) + 0.1)
+        preds = make_ensemble(sample_points("kl", rng, 9, 3), rng.random(9) + 0.1)
+        assert _wide(monkeypatch, core.wide_inner_term, derived, labels, preds,
+                     preds.points[-1]) is not None
+        self.assert_close(_wide(monkeypatch, pair_expectation, derived, labels, preds),
+                          pair_expectation(kl, labels, preds))
+        assert inversions == []
+
+    @pytest.mark.parametrize("name", ["kl_simplex", "sq_euclidean"])
+    def test_wide_answers_match_a_chunked_formula(self, name):
+        # d = 1000 with 48 x 80 pairs, wide at the default budget. The
+        # reference sums the pairs' direct forms, 8 labels at a time.
+        rng = np.random.default_rng(3)
+        d, n, m = 1000, 48, 80
+        if name == "sq_euclidean":
+            loss = catalog("sq_euclidean", dim=d)
+            T, Y = rng.uniform(-3, 3, (n, d)), rng.uniform(-3, 3, (m, d))
+
+            def direct(t, y):
+                return np.sum((t - y) ** 2, axis=-1)
+        else:
+            loss = catalog("kl", dim=d, simplex=True)
+            T, Y = _simplex(rng, n, d), _simplex(rng, m, d)
+
+            def direct(t, y):
+                return np.sum(t * (np.log(t) - np.log(y)) + y - t, axis=-1)
+        labels, preds = make_ensemble(T, rng.random(n) + 0.1), make_ensemble(Y, rng.random(m) + 0.1)
+        assert n * m * d > core.BLOCK_FLOATS
+        lw, pw = labels.weights, preds.weights
+        want = sum(lw[i : i + 8] @ direct(T[i : i + 8, None], Y[None]) @ pw for i in range(0, n, 8))
+        self.assert_close(pair_expectation(loss, labels, preds), want)
+        r = decompose(loss, labels, preds)
+        t_star, y_star = r.central_label, r.central_prediction
+        self.assert_close(r.expected_loss, want)
+        self.assert_close(r.intrinsic_noise, lw @ direct(T, t_star))
+        self.assert_close(r.bias, direct(t_star, y_star))
+        self.assert_close(r.variance, pw @ direct(y_star, Y))
+
+    def test_answers_do_not_depend_on_the_blas_thread_count(self):
+        # The benchmark's wide shapes: KL and reverse KL on the simplex and
+        # sq_euclidean at d = 1000, 16 labels and 64 predictions.
+        code = textwrap.dedent(
+            """
+            import json
+            import numpy as np
+            from bvd import catalog, decompose, make_ensemble
+            from bvd.core import pair_expectation
+
+            rng = np.random.default_rng(0)
+            d, n, m = 1000, 16, 64
+            for name in ("kl", "reverse_kl", "sq_euclidean"):
+                if name == "sq_euclidean":
+                    loss = catalog(name, dim=d)
+                    T, Y = rng.uniform(-3, 3, (n, d)), rng.uniform(-3, 3, (m, d))
+                else:
+                    loss = catalog(name, dim=d, simplex=True)
+                    T, Y = rng.dirichlet(np.full(d, 2.0), n), rng.dirichlet(np.full(d, 2.0), m)
+                labels = make_ensemble(T, rng.random(n) + 0.1)
+                preds = make_ensemble(Y, rng.random(m) + 0.1)
+                print(json.dumps(decompose(loss, labels, preds).to_json()))
+            print(repr(pair_expectation(loss, labels, preds)))
+            """
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

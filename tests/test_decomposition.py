@@ -573,8 +573,8 @@ class TestBorderedProduct:
         if name == "lagrange":
             assert report.method == "lagrange"
         # Two blocks of 3 of the n + 2 = 6 rows of the bordered product. A
-        # g-Bregman divergence takes its three-point product instead, which
-        # gives the one-block terms up to float noise.
+        # g-Bregman divergence takes the three-point identity in expectation
+        # instead, which gives the one-block terms up to float noise.
         monkeypatch.setattr(core, "BLOCK_FLOATS", 3 * (m + 2) * d)
         blocked, want = self.composed(loss, labels, preds, solver)
         if isinstance(loss, GBregmanDivergence):

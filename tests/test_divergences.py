@@ -9,7 +9,6 @@ import scipy.stats
 from bvd import BoundaryError, Domain, catalog
 from bvd.core import ConvexityError
 from bvd.divergences import (
-    CLAMP_TOL,
     GBregmanDivergence,
     Generator,
     _clamp,
@@ -362,6 +361,32 @@ class TestBoundariesAndErrors:
         with pytest.raises(BoundaryError, match="variance"):
             div.eval([0.0, 0.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "div, t, y, message",
+        [
+            (catalog("kl", dim=2), [0.0, 1.0], [0.5, 0.5],
+             "label coordinate 0 = 0 is at the domain boundary (needs > 0)"),
+            (catalog("bernoulli_kl"), [0.0], [0.5], "label coordinate 0 = 0 is at the boundary of (0, 1)"),
+            (catalog("gaussian_canonical", var_min=0.0), [0.0, 0.0], [0.0, 1.0],
+             "label coordinate 1 (variance) = 0 must be > 0"),
+        ],
+        ids=["kl", "bernoulli_kl", "gaussian_canonical"],
+    )
+    def test_reversed_boundary_names_its_own_argument(self, div, t, y, message):
+        # The zero is the reversed divergence's label and the forward one's
+        # prediction; each error names its own divergence and argument.
+        with pytest.raises(BoundaryError) as exc:
+            div.reverse().eval(t, y)
+        assert str(exc.value) == f"reverse({div.name}): {message}"
+        with pytest.raises(BoundaryError) as exc:
+            div.eval(y, t)
+        assert str(exc.value) == f"{div.name}: {message.replace('label', 'prediction')}"
+
+    def test_reverse_kl_boundary_message(self):
+        with pytest.raises(BoundaryError) as exc:
+            catalog("reverse_kl", dim=2).eval([0.5, 0.0], [0.5, 0.5])
+        assert str(exc.value) == "reverse_kl: label coordinate 1 = 0 is at the domain boundary (needs > 0)"
+
     def test_shared_zero_coordinates_stay_finite(self):
         # Coordinates where both arguments vanish contribute nothing; the
         # boundary error fires only when the opposing argument is positive.
@@ -412,18 +437,6 @@ class TestBoundariesAndErrors:
         got = _clamp(np.array(vals))
         np.testing.assert_array_equal(got, want)
         assert not np.signbit(got[np.isfinite(got) & (got == 0)]).any()
-
-    def test_clamp_scales_by_its_terms(self):
-        # The noise bound is CLAMP_TOL times the summed magnitude of the
-        # terms a value was built from, cell by cell.
-        a, b = np.array([3.0, -5.0]), np.array([[2.0], [-4.0]])
-        vals = -0.5 * CLAMP_TOL * (np.abs(a) + np.abs(b))
-        got = _clamp(vals, a, b)
-        np.testing.assert_array_equal(got, np.zeros((2, 2)))
-        assert not np.signbit(got).any()
-        vals[1, 0] = -2 * CLAMP_TOL * (3.0 + 4.0)
-        with pytest.raises(ConvexityError, match=f"{vals[1, 0]:.3e}, below .* scale 7$"):
-            _clamp(vals, a, b)
 
     def test_non_symmetric_matrix_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):

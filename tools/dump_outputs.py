@@ -4,11 +4,9 @@
     python3 tools/dump_outputs.py --root DIR --seed 7 --rounds 2 > DIR.txt
 
 Imports ``DIR/src`` and ``DIR/bench/workloads.py`` (without writing byte
-code there) with one BLAS thread, since the last digits of wide products
-depend on the thread count. For each of ``--rounds`` rounds of the
-``ensembles_small``, ``ensembles_wide`` and ``oracle`` workloads at
-``--seed``, it prints one line per operation: the workload, the operation's
-kind, and ``json.dumps`` of its result's ``to_json()`` or the exception it
+code there). For each of ``--rounds`` rounds of the ``ensembles_small``,
+``ensembles_wide`` and ``oracle`` workloads at ``--seed``, it prints one
+line per operation: the workload, the operation's kind, and ``json.dumps`` of its result's ``to_json()`` or the exception it
 raised. Then it runs each ``DIR/demos/specs/*.json`` through
 ``bvd.cli.main`` into a temporary directory and prints the exit code and
 the sha256 of each file written. Two checkouts give the same answers when
@@ -16,19 +14,13 @@ the sha256 of each file written. Two checkouts give the same answers when
 """
 
 import argparse
-import os
+import contextlib
+import hashlib
+import io
+import json
 import sys
-
-# Fixed before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import contextlib  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import tempfile
+from pathlib import Path
 
 WORKLOADS = ("ensembles_small", "ensembles_wide", "oracle")
 
