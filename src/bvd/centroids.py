@@ -15,6 +15,7 @@ exact for a loss; each label-side solve is the prediction-side solve of
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 
@@ -264,31 +265,52 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     bounds the work: a grid whose evaluation would exceed it raises
     ``ValueError`` before any evaluation. A search in which no candidate
     has a finite objective raises ``ValueError`` too.
+
+    It is the one-job case of the lockstep search that runs all centroids of
+    :func:`~bvd.decomposition.decompose_generic` or :func:`~bvd.uniqueness.classify_loss`.
     """
-    if side not in ("first_arg", "second_arg"):
-        raise ValueError("side must be 'first_arg' or 'second_arg'")
-    if side == "second_arg":
-        loss = loss.reverse()
-    domain = loss.domain
-    domain.require_points(ens.points, "ensemble point")
-    if not domain.is_bounded:
-        raise ValueError("brute-force search needs a bounded box domain")
-    d = domain.dim
+    res = _brute_force_batch(loss, [(ens, side)])[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _brute_force_batch(loss: LossFunction, jobs: list) -> list:
+    """:func:`brute_force_centroid` of ``loss`` for each (ensemble, side) of
+    ``jobs``, in lockstep: per job its result or the exception it raises."""
+    domain, d = loss.domain, loss.dim  # which loss.reverse() keeps, with separability
+    separable = loss.separable and domain.n_constraints == 0
+    n_problems, m = (d, 1) if separable else (1, d - domain.n_constraints)
+    n_grid = GRID_RESOLUTION**m
+    results, losses = [None] * len(jobs), {}
+    for i, (ens, side) in enumerate(jobs):
+        try:
+            if side not in ("first_arg", "second_arg"):
+                raise ValueError("side must be 'first_arg' or 'second_arg'")
+            if side not in losses:
+                losses[side] = loss.reverse() if side == "second_arg" else loss
+            domain.require_points(ens.points, "ensemble point")
+            if not domain.is_bounded:
+                raise ValueError("brute-force search needs a bounded box domain")
+            if n_problems * n_grid * ens.size * d > MAX_GRID_FLOATS:
+                axes = f"{n_problems} axes x " if n_problems > 1 else ""
+                raise ValueError(
+                    f"brute-force grid of {axes}{GRID_RESOLUTION}^{m} = {n_problems * n_grid} "
+                    f"points x {ens.size} support points x d = {d} exceeds {MAX_GRID_FLOATS} floats"
+                )
+        except Exception as exc:  # a lone call raises it
+            results[i] = exc
+    # The jobs of each loss object search next to each other.
+    live = sorted((i for i, r in enumerate(results) if r is None), key=lambda i: jobs[i][1])
+    if not live:
+        return results
+    enss, sides = [jobs[i][0] for i in live], [jobs[i][1] for i in live]
 
     # Each search problem b maps reduced coordinates z to the point
     # origin[b] + basis[b] @ z and is scored against its own support[b]: one
     # 1-D problem per axis for a separable loss, else one problem on the
     # null space of the equality constraints (W has full row rank).
-    separable = loss.separable and domain.n_constraints == 0
-    n_problems, m = (d, 1) if separable else (1, d - domain.n_constraints)
-    n_grid = GRID_RESOLUTION**m
-    if n_problems * n_grid * ens.size * d > MAX_GRID_FLOATS:
-        axes = f"{n_problems} axes x " if n_problems > 1 else ""
-        raise ValueError(
-            f"brute-force grid of {axes}{GRID_RESOLUTION}^{m} = {n_problems * n_grid} points "
-            f"x {ens.size} support points x d = {d} exceeds {MAX_GRID_FLOATS} floats"
-        )
-    edges = np.zeros((0, m))
+    edges, supports = np.zeros((0, m)), [ens.points[None] for ens in enss]
     if separable:
         # Problem i: coordinate i is free, the others sit at the box centre
         # in both arguments.
@@ -296,194 +318,236 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
         centre = 0.5 * (domain.lower + domain.upper)
         origin = np.where(own_axis, 0.0, centre)
         basis = np.eye(d)[:, :, None]
-        support = np.where(own_axis[:, None, :], ens.points, centre)
+        supports = [np.where(own_axis[:, None, :], S, centre) for S in supports]
         lo, hi = domain.lower[:, None], domain.upper[:, None]
     elif domain.n_constraints:
         W, b = domain.eq_lhs, domain.eq_rhs
         origin = np.linalg.lstsq(W, b, rcond=None)[0]
-        if m == 0:
-            obj = side_expectation(loss, origin, ens)
-            return CentroidResult(origin, np.zeros(0), obj, "brute_force")
         # The last d - k right singular vectors span the null space of W.
         null = np.linalg.svd(W)[2][W.shape[0]:].T
         radius = float(np.linalg.norm(domain.upper - domain.lower)
                        + np.linalg.norm(0.5 * (domain.lower + domain.upper) - origin))
         pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
         edges = np.array([null[i] - null[j] for i, j in pairs])
-        origin, basis, support = origin[None], null[None], ens.points[None]
+        origin, basis = origin[None], null[None]
         lo, hi = np.full((1, m), -radius), np.full((1, m), radius)
     else:
-        origin, basis, support = np.zeros((1, d)), np.eye(d)[None], ens.points[None]
+        origin, basis = np.zeros((1, d)), np.eye(d)[None]
         lo, hi = domain.lower[None], domain.upper[None]
-    chosen, non_unique = _search(loss, ens, domain.without_equalities(),
-                                 origin, basis, support, lo, hi, edges)
-    point = np.diagonal(chosen).copy() if separable else chosen[0]
-    obj = side_expectation(loss, point, ens)
-    return CentroidResult(point, np.zeros(0), obj, "brute_force", non_unique)
+    try:
+        with np.errstate(all="ignore"):
+            found = [(origin.copy(), False) for _ in live] if m == 0 else _search(
+                [(losses.get(s), sides.count(s)) for s in ("first_arg", "second_arg")],
+                enss, supports, domain, origin, basis, lo, hi, edges)
+    except Exception as exc:  # an evaluation raised: each job gets what it raises alone
+        return [r or (exc if len(live) == 1 else _brute_force_batch(loss, [job])[0])
+                for r, job in zip(results, jobs)]
+    for i, side, ens, job in zip(live, sides, enss, found):
+        try:
+            if isinstance(job, Exception):
+                raise job
+            point = np.diagonal(job[0]).copy() if separable else job[0][0]
+            obj = side_expectation(losses[side], point, ens)
+            results[i] = CentroidResult(point, np.zeros(0), obj, "brute_force", job[1])
+        except Exception as exc:  # a lone call raises it
+            results[i] = exc
+    return results
 
 
-def _search(loss, ens, box, origin, basis, support, lo, hi, edges):
+def _search(groups, enss, supports, domain, origin, basis, lo, hi, edges):
     """The grid, restart, pattern-search and tie steps of
-    :func:`brute_force_centroid` on a batch of problems: problem b scores
-    the point origin[b] + basis[b] @ z, for reduced coordinates z in the
-    box ``lo[b]``, ``hi[b]``, against ``support[b]`` weighted by
-    ``ens.weights``. ``edges`` holds extra pattern directions in reduced
-    coordinates, one per row. Returns each problem's chosen point, one row
-    per problem, and whether any problem has distinct tied minimizers.
-    """
-    n_problems, m = lo.shape
-    d = box.dim
-    block = max(1, core.BLOCK_FLOATS // (ens.size * d))
+    :func:`brute_force_centroid` for a batch of jobs. Job s's problem b
+    scores origin[b] + basis[b] @ z, z in the box lo[b], hi[b], against
+    supports[s][b] weighted by enss[s].weights, under its loss in
+    ``groups`` ((loss, number of jobs) pairs in job order); ``edges`` are
+    extra pattern directions in z. Per job: its points, one per problem,
+    and whether some problem's tied minimizers are distinct; or a
+    ``ValueError`` when it has no finite candidate."""
+    n_jobs, (n_problems, m), d = len(enss), lo.shape, domain.dim
+    sizes, weights = [ens.size for ens in enss], [ens.weights for ens in enss]
+    # Problem q = s * n_problems + b is scored against Y[q]: its support padded
+    # to the largest by repeating its last point, columns dropped before weighting.
+    pad = [np.minimum(np.arange(max(sizes)), n - 1) for n in sizes]
+    Y = np.concatenate([S[:, cols] for S, cols in zip(supports, pad)])
+    chunk = max(1, core.BLOCK_FLOATS // (Y.shape[1] * d))
+    bounds = list(itertools.accumulate((k for _, k in groups), initial=0))
+    box_lo, box_hi = domain.lower - 1e-12, domain.upper + 1e-12  # as box.feasible(tol=1e-12)
 
-    def objective_batch(n, rows):
-        """Objective at rows 0..n-1, where ``rows(i, j)`` gives the points
-        and problems of rows i..j-1, evaluated ``block`` rows at a time."""
+    def objective_batch(n, rows, starts):
+        """Objective, inf where infeasible or not finite, at the rows ``rows(i, j)``
+        gives; job s owns the rows from starts[s] on. One ``eval_batch`` per loss and chunk."""
         vals = np.full(n, np.inf)
-        for i in range(0, n, block):
-            X, prob = rows(i, min(i + block, n))
-            feasible = box.feasible(X, tol=1e-12)
-            if np.any(feasible):
-                Y = support[prob[feasible]] if n_problems > 1 else support
-                with np.errstate(all="ignore"):
-                    raw = loss.eval_batch(X[feasible][:, None, :], Y)
-                raw = np.where(np.isfinite(raw), raw, np.inf)
-                if raw.shape[0] == 1 and n > block:
+        for i in range(0, n, chunk):
+            X, q = rows(i, min(i + chunk, n))
+            inside = (X >= box_lo) & (X <= box_hi)  # a reduction per row costs more
+            ok = np.arange(len(X)) if inside.all() else np.flatnonzero(inside.all(axis=1))
+            cut, parts = np.searchsorted(ok, [t - i for t in starts]).tolist(), []
+            for (loss, _), first, last in zip(groups, bounds, bounds[1:]):
+                if cut[first] == cut[last]:
+                    continue
+                sel = ok[cut[first] : cut[last]]
+                raw = loss.eval_batch(X.take(sel, 0)[:, None, :],
+                                      Y if len(Y) == 1 else Y.take(q.take(sel), 0))
+                for s in range(first, last):
                     # numpy sums a lone row by a dot product, which rounds
-                    # differently from the matrix-vector product that the
-                    # same row gets among others in an unsplit batch.
-                    weighted = (np.vstack([raw, raw]) @ ens.weights)[:1]
-                else:
-                    weighted = raw @ ens.weights
-                vals[i : i + X.shape[0]][feasible] = weighted
-        return vals
+                    # unlike the matrix-vector product of several rows.
+                    piece = raw[cut[s] - cut[first] : cut[s + 1] - cut[first], : sizes[s]]
+                    if len(piece):
+                        parts.append((np.vstack([piece, piece]) @ weights[s])[:1]
+                                     if len(piece) == 1 else piece @ weights[s])
+            if parts:
+                vals[i : i + len(X)][ok] = np.concatenate(parts)
+        # The weights are positive: a non-finite loss gives a non-finite sum.
+        return np.where(np.isfinite(vals), vals, np.inf)
 
     # Each problem's candidates are its grid points in C order (local index
-    # below n_grid), then the ensemble's support points, which are natural
+    # below n_grid), then its job's support points, which are natural
     # candidates (medians and modes sit on atoms) and are included exactly.
     # Only their objective values are kept; points are rebuilt from the
-    # flat index, problem-major.
+    # flat index, job-major, then problem-major.
     n_grid = GRID_RESOLUTION**m
-    per = n_grid + ens.size
+    per = n_grid + np.array(sizes)
+    offset = np.concatenate([[0], np.cumsum(n_problems * per)])
     axes = np.linspace(lo, hi, GRID_RESOLUTION, axis=-1)
-    Z_support = np.einsum("bnd,bdk->bnk", support - origin[:, None, :], basis)
+    Z_support = np.concatenate([np.einsum("bnd,bdk->bnk", S - origin[:, None, :], basis)[:, cols]
+                                for S, cols in zip(supports, pad)])
 
     def candidates(idx):
-        prob, local = np.divmod(np.asarray(idx), per)
-        Z = np.empty((local.size, m))
+        s = np.searchsorted(offset, idx, side="right") - 1
+        b, local = np.divmod(idx - offset[s], per[s])
+        q = s * n_problems + b
+        Z = np.empty((idx.size, m))
         on_grid = local < n_grid
         cells = np.unravel_index(local[on_grid], (GRID_RESOLUTION,) * m)
-        Z[on_grid] = np.stack([axes[prob[on_grid], a, c] for a, c in enumerate(cells)], axis=-1)
-        Z[~on_grid] = Z_support[prob[~on_grid], local[~on_grid] - n_grid]
-        if n_problems == 1:  # the full grid: skip gathering one basis per row
-            return origin[0] + Z @ basis[0].T, prob
-        return origin[prob] + np.einsum("rk,rdk->rd", Z, basis[prob]), prob
+        Z[on_grid] = np.stack([axes[b[on_grid], a, c] for a, c in enumerate(cells)], axis=-1)
+        Z[~on_grid] = Z_support[q[~on_grid], local[~on_grid] - n_grid]
+        if n_problems > 1:
+            return origin[b] + np.einsum("rk,rdk->rd", Z, basis[b]), q
+        # The full grid: one basis for all rows. A matrix product rounds a
+        # lone row differently, so every call multiplies two rows or more.
+        return origin[0] + (np.vstack([Z, Z]) @ basis[0].T)[: idx.size], q
 
-    vals = objective_batch(n_problems * per, lambda i, j: candidates(np.arange(i, j)))
-    vals = vals.reshape(n_problems, per)
+    vals = objective_batch(offset[-1], lambda i, j: candidates(np.arange(i, j)), offset.tolist())
 
     # Restarts come from a prefix of the stable ascending order of each
-    # problem's vals, long enough for the tie window below; it grows only
-    # when duplicate candidates use it up.
-    windows, prob, X, V = [], [], [], []
-    for b, v in enumerate(vals):
-        order = _stable_prefix(v, max(N_RESTARTS, 4 * GRID_RESOLUTION))
-        window = order[: 4 * GRID_RESOLUTION]
-        X_window = candidates(b * per + window)[0]
-        windows.append((v[window], X_window))
-        starts = []
-        pos = 0
-        while len(starts) < N_RESTARTS:
+    # problem's vals, long enough for the tie window below; it grows only when
+    # duplicates use it up. They are found on Python floats: numpy costs more.
+    window = 4 * GRID_RESOLUTION
+    bases = [offset[s] + b * per[s] for s in range(n_jobs) for b in range(n_problems)]
+    vs = [vals[k : k + per[q // n_problems]] for q, k in enumerate(bases)]
+    orders = [_stable_prefix(v, max(N_RESTARTS, window)) for v in vs]
+    X_windows = np.split(
+        candidates(np.concatenate([k + order[:window] for k, order in zip(bases, orders)]))[0],
+        np.cumsum([min(order.size, window) for order in orders])[:-1])
+    n_starts, prob, X, V = [], [], [], []
+    for q, (k, v, order, X_window) in enumerate(zip(bases, vs, orders, X_windows)):
+        points, values, picked, pos = X_window.tolist(), v[order[:window]].tolist(), [], 0
+        while len(picked) < N_RESTARTS:
             if pos == order.size:
                 if order.size == v.size:
                     break
                 order = _stable_prefix(v, 2 * order.size)
-            idx = order[pos]
-            x = X_window[pos] if pos < window.size else candidates([b * per + idx])[0][0]
+            if pos == len(points):
+                points += candidates(k + order[pos : pos + 1])[0].tolist()
+                values.append(float(v[order[pos]]))
+            x, value = points[pos], values[pos]
             pos += 1
-            if not np.isfinite(v[idx]):
+            if not value < np.inf:
                 break
-            if any(np.max(np.abs(x - s)) < 1e-12 for s in starts):
-                continue
-            starts.append(x)
-            V.append(float(v[idx]))
-        if not starts:
-            raise ValueError("no candidate with a finite objective for brute-force search")
-        prob += [b] * len(starts)
-        X += starts
+            if not any(max(abs(a - c) for a, c in zip(x, s)) < 1e-12 for s in picked):
+                picked.append(x)
+                V.append(value)
+        n_starts.append(len(picked))
+        prob += [q] * len(picked)
+        X += picked
+    prob, X, V = np.array(prob, dtype=int), np.array(X).reshape(-1, d), np.array(V)
 
-    # Pattern search on every (problem, start) row at once. Each row begins
-    # with its grid spacing as its step; the stencil's centre (all zeros)
-    # wins ties, so a row moves only to a strictly better point, and a row
-    # that does not move halves its step. Rows stop once their step is
-    # below 1e-11 in the reduced coordinates, all of them after 1000
+    # Pattern search on every (job, problem, start) row at once. Each row
+    # begins with its grid spacing as its step; the stencil's centre (all
+    # zeros) wins ties, so a row moves only to a strictly better point, and
+    # a row that does not move halves its step. Rows stop once their step
+    # is below 1e-11 in the reduced coordinates, all of them after 1000
     # passes. Rows move in full coordinates, by the stencil mapped through
     # their problem's basis. Each pass evaluates the stencil at
     # PATTERN_LEVELS successive halvings of every row's step and replays
     # that rule on them: a row takes the first level with a strictly
     # better point, after halving once per level before it. So it visits
     # the points it would visit one level per pass, in fewer passes.
-    stencil = np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * m, indexing="ij"), -1).reshape(-1, m)
-    centre = stencil.shape[0] // 2
-    stencil = np.vstack([stencil, edges])
+    stencil = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=m)) + list(edges))
+    centre = 3**m // 2
     spacing = (hi - lo) / (GRID_RESOLUTION - 1)
     moves = np.einsum("bsk,bdk->bsd", stencil[None, :, :] * spacing[:, None, :], basis)
-    prob, X, V = np.array(prob), np.array(X), np.array(V)
-    reach = spacing.max(axis=1)[prob]
+    halvings = 0.5 ** np.arange(PATTERN_LEVELS + 1)
+    n_trials = PATTERN_LEVELS * stencil.shape[0]
     start_X, start_V = X.copy(), V.copy()
-    scale = np.ones(len(prob))
-    halvings = 0.5 ** np.arange(PATTERN_LEVELS)
-    for _ in range(1000):
-        active = np.flatnonzero(scale * reach >= 1e-11)
-        if active.size == 0:
-            break
-        level_scale = scale[active, None] * halvings
-        trial = (X[active, None, None, :]
-                 + level_scale[:, :, None, None] * moves[prob[active], None, :, :])
-        trial_prob = np.repeat(prob[active], PATTERN_LEVELS * stencil.shape[0])
+    # The rows still searching, with their moves at every level (exact:
+    # steps are powers of 2); a row's X and V are written back as it stops.
+    rows, Xa, Va, scale = np.arange(len(prob)), X.copy(), V.copy(), np.ones(len(prob))
+    reach = spacing.max(axis=1)[prob % n_problems]
+    row_moves = halvings[:-1, None, None] * moves[prob % n_problems][:, None]
+    for n_pass in range(1000):
+        steps = scale * reach
+        if n_pass == 0 or steps.min() < 1e-11:
+            live = steps >= 1e-11
+            X[rows], V[rows] = Xa, Va
+            rows, Xa, Va, scale, reach, row_moves, steps = (
+                a[live] for a in (rows, Xa, Va, scale, reach, row_moves, steps))
+            if rows.size == 0:
+                break
+            trial_q = np.repeat(prob[rows], n_trials)
+            starts = [n_trials * k for k in itertools.accumulate(
+                np.bincount(prob[rows] // n_problems, minlength=n_jobs).tolist(), initial=0)]
+        trial = Xa[:, None, None, :] + scale[:, None, None, None] * row_moves
         flat = trial.reshape(-1, d)
-        tv = objective_batch(len(flat), lambda i, j: (flat[i:j], trial_prob[i:j]))
-        tv = tv.reshape(active.size, PATTERN_LEVELS, -1)
-        best_v = tv.min(axis=2)
-        # A level whose step is below the threshold is never reached.
-        better = (best_v < tv[:, :, centre]) & (level_scale * reach[active, None] >= 1e-11)
-        moved = better.any(axis=1)
-        first = np.where(moved, better.argmax(axis=1), PATTERN_LEVELS)
-        idx, level = active[moved], first[moved]
-        X[idx] = trial[moved, level, np.argmin(tv[moved, level], axis=1)]
-        V[idx] = best_v[moved, level]
-        scale[active] *= 0.5**first
+        tv = objective_batch(len(flat), lambda i, j: (flat[i:j], trial_q[i:j]), starts)
+        tv = tv.reshape(rows.size, PATTERN_LEVELS, -1)
+        best_v = np.minimum.reduce(tv, axis=2)
+        better = best_v < tv[:, :, centre]
+        if steps.min() * halvings[-2] < 1e-11:
+            # A level whose step is below the threshold is never reached.
+            better &= steps[:, None] * halvings[:-1] >= 1e-11
+        first = np.where(better.any(axis=1), better.argmax(axis=1), PATTERN_LEVELS)
+        moved = np.flatnonzero(first < PATTERN_LEVELS)  # indices beat a boolean mask
+        level = first[moved]
+        Xa[moved] = trial[moved, level, np.argmin(tv[moved, level], axis=1)]
+        Va[moved] = best_v[moved, level]
+        scale *= halvings[first]
+    X[rows], V[rows] = Xa, Va
 
-    chosen = np.empty((n_problems, d))
-    non_unique = False
-    for b, (window_vals, X_window) in enumerate(windows):
-        mine = prob == b
-        cand_X = list(start_X[mine]) + list(X[mine])
-        cand_V = [float(v) for v in start_V[mine]] + [float(v) for v in V[mine]]
+    chosen, non_unique = np.empty((n_jobs, n_problems, d)), [False] * n_jobs
+    ends = list(itertools.accumulate(n_starts))
+    for q, (a, b, v, order, X_window) in enumerate(zip([0] + ends, ends, vs, orders, X_windows)):
+        if a == b:
+            continue
+        window_vals = v[order[:window]]
         # Keep every evaluated point tied with the best (flat minimizers
         # show up as scattered grid candidates), capped to keep clustering
         # cheap.
-        f_best = float(np.min(cand_V))
+        f_best = min(start_V[a:b].min(), V[a:b].min())
         tie = window_vals <= f_best + TIE_TOL
-        cand_X += list(X_window[tie])
-        cand_V += [float(v) for v in window_vals[tie]]
-
-        tied = [(p, v) for p, v in zip(cand_X, cand_V) if v <= f_best + TIE_TOL]
+        cand_X = np.concatenate([start_X[a:b], X[a:b], X_window[tie]])
+        cand_V = np.concatenate([start_V[a:b], V[a:b], window_vals[tie]])
+        points, cand_V = cand_X[cand_V <= f_best + TIE_TOL], cand_V[cand_V <= f_best + TIE_TOL]
+        near = (np.max(np.abs(points[:, None] - points[None]), axis=2) <= DISTINCT_TOL).tolist()
+        key, cand_V = points.tolist(), cand_V.tolist()
         # Cluster ties that describe the same minimizer; within a cluster
         # keep the best objective (support atoms beat refined
         # approximations of themselves), across clusters pick the
         # lexicographically smallest.
-        clusters: list[tuple[np.ndarray, float]] = []
-        for p, v in tied:
-            for ci, (cp, cv) in enumerate(clusters):
-                if np.max(np.abs(p - cp)) <= DISTINCT_TOL:
-                    if v < cv or (v == cv and tuple(p) < tuple(cp)):
-                        clusters[ci] = (p, v)
+        clusters: list[int] = []
+        for i, v_i in enumerate(cand_V):
+            for ci, c in enumerate(clusters):
+                if near[i][c]:
+                    if v_i < cand_V[c] or (v_i == cand_V[c] and key[i] < key[c]):
+                        clusters[ci] = i
                     break
             else:
-                clusters.append((p, v))
-        chosen[b] = min(clusters, key=lambda c: tuple(c[0]))[0]
-        non_unique = non_unique or len(clusters) > 1
-    return chosen, non_unique
+                clusters.append(i)
+        chosen[q // n_problems, q % n_problems] = points[min(clusters, key=key.__getitem__)]
+        non_unique[q // n_problems] |= len(clusters) > 1
+    return [(chosen[s], non_unique[s]) if all(n_starts[s * n_problems : (s + 1) * n_problems])
+            else ValueError("no candidate with a finite objective for brute-force search")
+            for s in range(n_jobs)]
 
 
 def _stable_prefix(vals: np.ndarray, k: int) -> np.ndarray:

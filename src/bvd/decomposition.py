@@ -20,7 +20,7 @@ from .divergences import (  # noqa: F401 (gaussian_log_partition is re-exported)
     Generator,
     gaussian_log_partition,
 )
-from .centroids import SOLVERS, CentroidResult, brute_force_centroid, central_point
+from .centroids import SOLVERS, CentroidResult, _brute_force_batch, central_point
 
 TERM_FLOOR = -1e-10
 
@@ -113,10 +113,19 @@ def decompose_generic(
     """Decompose any loss using brute-force centroids.
 
     Works for arbitrary losses; the gap is reported as-is and is nonzero in
-    general (that is the point for non-divergence losses such as L1).
+    general (that is the point for non-divergence losses such as L1). The
+    two centroid searches run in lockstep; when both fail, the label side's
+    error is raised.
     """
-    t_star = brute_force_centroid(loss, labels, "second_arg")
-    y_star = brute_force_centroid(loss, preds, "first_arg")
+    centroids = _brute_force_batch(loss, [(labels, "second_arg"), (preds, "first_arg")])
+    return _generic_report(loss, labels, preds, *centroids)
+
+
+def _generic_report(loss, labels, preds, t_star, y_star) -> DecompositionReport:
+    """:func:`_report` on two searches' results; raises the first exception."""
+    for res in (t_star, y_star):
+        if isinstance(res, Exception):
+            raise res
     return _report(loss, labels, preds, t_star, y_star)
 
 

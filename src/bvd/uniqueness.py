@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LossFunction, Record, make_ensemble
-from .decomposition import decompose_generic
+from .centroids import _brute_force_batch
+from .decomposition import _generic_report
 
 DEFAULT_STEP_SCALE = 1e-4
 RANK_THRESHOLD = 1e-6
@@ -275,7 +276,8 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
        (kinked losses get grids kept 10 steps away from the diagonal);
     2. decomposition-gap search over ``N_GAP_TRIALS`` random pairs of
        ensembles of 2 to ``SUPPORT_SIZE`` points, with brute-force
-       centroids.
+       centroids: every pair is drawn first, then all their centroids are
+       searched in lockstep.
 
     ``not_gbregman`` requires a reliable witness (a non-separable rank
     verdict or a gap above ``GAP_THRESHOLD`` times the expected loss);
@@ -327,13 +329,18 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
         if not verdict.separable:
             witness_found = True
 
-    for trial in range(N_GAP_TRIALS):
+    pairs, jobs = [], []
+    for _ in range(N_GAP_TRIALS):
         n = int(rng.integers(2, SUPPORT_SIZE + 1))
         labels = make_ensemble(_sample_grid(rng, lo, hi, n, domain), rng.random(n) + 0.1)
         m = int(rng.integers(2, SUPPORT_SIZE + 1))
         preds = make_ensemble(_sample_grid(rng, lo, hi, m, domain), rng.random(m) + 0.1)
+        pairs.append((labels, preds))
+        jobs += [(labels, "second_arg"), (preds, "first_arg")]
+    centroids = _brute_force_batch(loss, jobs)
+    for trial, (labels, preds) in enumerate(pairs):
         try:
-            report = decompose_generic(loss, labels, preds)
+            report = _generic_report(loss, labels, preds, *centroids[2 * trial : 2 * trial + 2])
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             failures += 1
             evidence["failures"].append(f"gap trial {trial}: {exc}")

@@ -581,6 +581,54 @@ class TestBruteForce:
         assert res.method == "brute_force"
 
 
+def _poisoned(separable):
+    """The summed |t - y|^1.5 on the unit square, infinite wherever either
+    point's first coordinate is 0.3141 (off the grid): a search whose
+    support holds such a point has no finite candidate."""
+
+    def fn(T, Y):
+        bad = (T[..., 0] == 0.3141) | (Y[..., 0] == 0.3141)
+        return np.where(bad, np.inf, np.sum(np.abs(T - Y) ** 1.5, axis=-1))
+
+    return CallableLoss(2, Domain.unit_box(2), fn, "poisoned", separable=separable)
+
+
+class TestLockstepSearch:
+    """A batch of searches on one loss gives every job the bytes, or the
+    exception, of a lone brute_force_centroid call."""
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    @pytest.mark.parametrize("kind", ["separable", "full_grid", "simplex"])
+    def test_batch_matches_lone_calls(self, monkeypatch, kind, blocked):
+        rng = np.random.default_rng(len(kind))
+        if kind == "simplex":  # a null-space search with edge directions
+            loss, bad = catalog("kl", dim=3, simplex=True), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        else:
+            loss, bad = _poisoned(kind == "separable"), [[0.3141, 0.5], [0.2, 0.7]]
+        jobs = []
+        for n in range(1, 7):  # support sizes 1 to 6, both sides
+            P = (rng.dirichlet(np.ones(3), n) if kind == "simplex"
+                 else rng.uniform(0.05, 0.95, (n, 2)))
+            jobs.append((make_ensemble(P, rng.random(n) + 0.1), ("first_arg", "second_arg")[n % 2]))
+        jobs.insert(3, (make_ensemble(bad, [1, 1]), "first_arg"))
+        jobs.append((jobs[0][0], "both"))
+        if blocked:  # the four-row blocks of test_blocks_do_not_change_answers
+            monkeypatch.setattr(core, "BLOCK_FLOATS", 4 * 6 * loss.dim)
+        batch = centroids._brute_force_batch(loss, jobs)
+        assert len(batch) == len(jobs)
+        for (ens, side), got in zip(jobs, batch):
+            try:
+                want = brute_force_centroid(loss, ens, side)
+            except ValueError as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                continue
+            assert got.point.tobytes() == want.point.tobytes()
+            assert repr(got.objective) == repr(want.objective)
+            assert got.non_unique == want.non_unique
+        assert "no candidate with a finite objective" in str(batch[3])
+        assert "side must be" in str(batch[-1])
+
+
 def _full_grid_twin(loss):
     """The same evaluator, not declared separable: the oracle's full grid."""
     return CallableLoss(loss.dim, loss.domain, loss.eval_batch, f"full({loss.name})",

@@ -679,12 +679,14 @@ class TestThreePointIdentity:
 
     def test_answers_do_not_depend_on_the_blas_thread_count(self):
         # The benchmark's wide shapes: KL and reverse KL on the simplex and
-        # sq_euclidean at d = 1000, 16 labels and 64 predictions.
+        # sq_euclidean at d = 1000, 16 labels and 64 predictions. Then the
+        # oracle's lockstep searches: a classifier run on the 3-simplex
+        # (null-space candidates) and a generic decomposition.
         code = textwrap.dedent(
             """
             import json
             import numpy as np
-            from bvd import catalog, decompose, make_ensemble
+            from bvd import catalog, classify_loss, decompose, decompose_generic, make_ensemble
             from bvd.core import pair_expectation
 
             rng = np.random.default_rng(0)
@@ -700,6 +702,11 @@ class TestThreePointIdentity:
                 preds = make_ensemble(Y, rng.random(m) + 0.1)
                 print(json.dumps(decompose(loss, labels, preds).to_json()))
             print(repr(pair_expectation(loss, labels, preds)))
+            print(json.dumps(classify_loss(catalog("kl", dim=3, simplex=True)).to_json()))
+            loss = catalog("minkowski", epsilon=1.5, dim=2)
+            labels = make_ensemble(rng.uniform(-3, 3, (5, 2)), rng.random(5) + 0.1)
+            preds = make_ensemble(rng.uniform(-3, 3, (6, 2)), rng.random(6) + 0.1)
+            print(json.dumps(decompose_generic(loss, labels, preds).to_json()))
             """
         )
         outputs = []

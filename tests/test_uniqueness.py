@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bvd import CallableLoss, Domain, catalog
+from bvd import CallableLoss, Domain, catalog, decompose_generic, make_ensemble
+from bvd import uniqueness as U
 from bvd.uniqueness import (
     N_GAP_TRIALS,
     N_SEPARABILITY_TRIALS,
@@ -275,3 +276,101 @@ class TestScaleFreeGapWitness:
     def test_counterexamples_stay_not_gbregman(self, name, params, d, scale):
         loss = _scaled(catalog(name, dim=d, **params), scale)
         assert classify_loss(loss, ClassifierConfig(seed=3)).verdict == "not_gbregman"
+
+
+def _sequential_classify(loss, seed):
+    """The classifier with one decompose_generic call per gap trial, in
+    trial order: the reference for the lockstep search of all trials."""
+    rng, domain, d = np.random.default_rng(seed), loss.domain, loss.dim
+    margin = U.INTERIOR_MARGIN * (domain.upper - domain.lower)
+    lo, hi = domain.lower + margin, domain.upper - margin
+    evidence = {"seed": seed, "grid_size": U.GRID_SIZE,
+                "n_separability_trials": N_SEPARABILITY_TRIALS, "n_gap_trials": N_GAP_TRIALS,
+                "gap_threshold": GAP_THRESHOLD, "separability": [], "gap_search": [],
+                "failures": []}
+    witness = False
+    h_ref = U.DEFAULT_STEP_SCALE * (1.0 + float(np.max(np.abs([lo, hi]))))
+    kink_margin = U.KINK_MARGIN_STEPS * h_ref
+    for trial in range(N_SEPARABILITY_TRIALS):
+        label_grid = _sample_grid(rng, lo, hi, max(U.GRID_SIZE, 2 * d), domain)
+        pred_grid = _sample_grid(rng, lo, hi, max(U.GRID_SIZE, 2 * d), domain)
+        if loss.has_diagonal_kinks:
+            for row in range(pred_grid.shape[0]):
+                for _ in range(200):
+                    if np.all(np.min(np.abs(label_grid - pred_grid[row]), axis=1) >= kink_margin):
+                        break
+                    pred_grid[row] = _sample_grid(rng, lo, hi, 1, domain)[0]
+        try:
+            verdict = separability_rank_test(loss, label_grid, pred_grid)
+        except (UnreliableHessianError, ValueError, ArithmeticError) as exc:
+            evidence["failures"].append(f"separability trial {trial}: {exc}")
+            continue
+        evidence["separability"].append(verdict.to_json())
+        witness = witness or not verdict.separable
+    for trial in range(N_GAP_TRIALS):
+        n = int(rng.integers(2, U.SUPPORT_SIZE + 1))
+        labels = make_ensemble(_sample_grid(rng, lo, hi, n, domain), rng.random(n) + 0.1)
+        m = int(rng.integers(2, U.SUPPORT_SIZE + 1))
+        preds = make_ensemble(_sample_grid(rng, lo, hi, m, domain), rng.random(m) + 0.1)
+        try:
+            report = decompose_generic(loss, labels, preds)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            evidence["failures"].append(f"gap trial {trial}: {exc}")
+            continue
+        evidence["gap_search"].append({"labels": labels.to_json(), "preds": preds.to_json(),
+                                       "gap": report.gap, "expected_loss": report.expected_loss})
+        witness = witness or abs(report.gap) > GAP_THRESHOLD * abs(report.expected_loss)
+    verdict = ("not_gbregman" if witness else "inconclusive" if evidence["failures"]
+               else "consistent_with_gbregman")
+    return U.ClassificationResult(verdict=verdict, evidence=evidence)
+
+
+def _half_nan():
+    """Squared error on [0, 1], nan wherever a point passes 0.7: the gap
+    trials whose ensembles reach past it fail, the others do not."""
+    return CallableLoss(1, Domain.unit_box(1), lambda T, Y: np.where(
+        np.maximum(T, Y)[..., 0] > 0.7, np.nan, (T - Y)[..., 0] ** 2), "half_nan")
+
+
+class TestLockstepClassifier:
+    """Searching all gap trials' centroids in lockstep changes no evidence."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name, params", [
+        ("l1", {"dim": 2}), ("minkowski", {"epsilon": 1.5, "dim": 1}),
+        ("zero_one_grid", {"levels": 3, "dim": 2}), ("kl", {"dim": 1}),
+        ("sq_euclidean", {"dim": 2}), ("kl", {"dim": 3, "simplex": True}),
+    ])
+    def test_matches_sequential_trials(self, name, params, seed):
+        loss = catalog(name, **params)
+        got = classify_loss(loss, ClassifierConfig(seed=seed))
+        assert got.to_json() == _sequential_classify(loss, seed).to_json()
+
+    def test_failure_messages_stay_in_trial_order(self):
+        got = classify_loss(_half_nan(), ClassifierConfig(seed=0))
+        assert got.to_json() == _sequential_classify(_half_nan(), 0).to_json()
+        failed = [int(f.split(":")[0].split()[-1]) for f in got.evidence["failures"]
+                  if f.startswith("gap trial")]
+        assert 0 < len(failed) < N_GAP_TRIALS and failed == sorted(failed)
+        assert len(got.evidence["gap_search"]) == N_GAP_TRIALS - len(failed)
+
+    def test_both_sides_failing_raise_the_label_side_error(self):
+        # A label at 0.3141 makes each label-side evaluation raise, a
+        # prediction at 0.2718 each prediction-side one; when both do, the
+        # lockstep search runs each side alone and the label side's error wins.
+        def fn(T, Y):
+            if np.any(T[..., 0] == 0.3141):
+                raise RuntimeError("label-side point")
+            if np.any(Y[..., 0] == 0.2718):
+                raise ArithmeticError("prediction-side point")
+            return np.sum((T - Y) ** 2, axis=-1)
+
+        loss = CallableLoss(1, Domain.unit_box(1), fn)
+        labels, preds = make_ensemble([[0.3141], [0.6]], [1, 1]), make_ensemble([[0.2718]], [1])
+        clean = make_ensemble([[0.5]], [1])
+        with pytest.raises(RuntimeError, match="label-side point"):
+            decompose_generic(loss, labels, preds)
+        with pytest.raises(RuntimeError, match="label-side point"):
+            decompose_generic(loss, labels, clean)
+        with pytest.raises(ArithmeticError, match="prediction-side point"):
+            decompose_generic(loss, clean, preds)
