@@ -110,7 +110,7 @@ def _f_mean_point(div: GBregmanDivergence, preds: WeightedEnsemble) -> CentroidR
     lam = np.zeros(0)
     if simplex and div.map.is_identity:  # f(y*) - E f(Y) = lam wherever y* > 0
         with np.errstate(invalid="ignore"):
-            lam = np.array([np.mean((f.forward(point) - mean)[point > 0])])
+            lam = np.array([(f.forward(point) - mean)[point > 0].mean()])
     return CentroidResult(point, lam, np.nan, "closed_form")
 
 
@@ -209,11 +209,8 @@ def central_point(loss: LossFunction, preds: WeightedEnsemble) -> CentroidResult
 def _simplex_family(div: GBregmanDivergence) -> bool:
     """Whether ``div`` is kl, reverse_kl or alpha (the catalog families with a
     ``simplex`` parameter; ``reverse()`` keeps ``params``) on exactly
-    :meth:`Domain.simplex`."""
-    dom = div.domain
-    bounds = ((dom.lower, 0), (dom.upper, 1), (dom.eq_lhs, 1), (dom.eq_rhs, 1))
-    return "simplex" in div.params and dom.n_constraints == 1 and all(
-        np.all(v == c) for v, c in bounds)
+    :meth:`Domain.simplex`, which the domain decides when it is built."""
+    return "simplex" in div.params and div.domain._is_simplex
 
 
 def central_label(loss: LossFunction, labels: WeightedEnsemble) -> CentroidResult:

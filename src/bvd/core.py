@@ -100,6 +100,12 @@ class Domain:
                 raise ValueError("eq_lhs must have full row rank")
             object.__setattr__(self, "eq_lhs", W)
             object.__setattr__(self, "eq_rhs", b)
+        # Derived once, outside the fields: the bounds at the default
+        # tolerance, and whether this is exactly ``Domain.simplex(dim)``.
+        object.__setattr__(self, "_within", self._shifted(FEASIBILITY_TOL))
+        object.__setattr__(self, "_is_simplex", self.n_constraints == 1 and all(
+            np.all(v == c) for v, c in ((self.lower, 0), (self.upper, 1),
+                                        (self.eq_lhs, 1), (self.eq_rhs, 1))))
 
     @property
     def n_constraints(self) -> int:
@@ -107,22 +113,23 @@ class Domain:
 
     @property
     def is_bounded(self) -> bool:
-        return (
-            self.lower is not None
-            and self.upper is not None
-            and bool(np.all(np.isfinite(self.lower)))
-            and bool(np.all(np.isfinite(self.upper)))
-        )
+        return self._within[2]
+
+    def _shifted(self, tol: float) -> tuple:
+        """(lower - tol, upper + tol), a missing bound as -inf or inf, and
+        whether both are finite, so that no non-finite value lies between."""
+        lower = (-np.inf if self.lower is None else self.lower) - tol
+        upper = (np.inf if self.upper is None else self.upper) + tol
+        return lower, upper, bool(np.isfinite(lower).all() and np.isfinite(upper).all())
 
     def feasible(self, Y: np.ndarray, tol: float = FEASIBILITY_TOL) -> np.ndarray:
         """Mask over the rows of the (..., d) array ``Y``: which lie in the
         domain within ``tol``. Rows with a non-finite coordinate never do."""
         Y = np.asarray(Y, dtype=float)
-        ok = np.isfinite(Y)
-        if self.lower is not None:
-            ok &= Y >= self.lower - tol
-        if self.upper is not None:
-            ok &= Y <= self.upper + tol
+        lower, upper, bounded = self._within if tol == FEASIBILITY_TOL else self._shifted(tol)
+        ok = (Y >= lower) & (Y <= upper)  # nan compares false
+        if not bounded:
+            ok &= np.isfinite(Y)
         ok = ok.all(axis=-1)
         if self.eq_lhs is not None:
             with np.errstate(invalid="ignore"):  # inf - inf in a row already masked
@@ -132,16 +139,16 @@ class Domain:
 
     def contains(self, y) -> bool:
         y = np.asarray(y, dtype=float)
-        return y.shape == (self.dim,) and bool(self.feasible(y[None, :])[0])
+        return y.shape == (self.dim,) and bool(self.feasible(y))
 
     def require_points(self, P: np.ndarray, what: str = "point") -> None:
         """Raise ``ValueError`` unless ``P`` is an (n, d) array of feasible
         points; the message names the dimension or the first infeasible row."""
         if P.ndim != 2 or P.shape[1] != self.dim:
             raise ValueError(f"{what} dimension: expected {self.dim}, got shape {P.shape}")
-        bad = np.flatnonzero(~self.feasible(P))
-        if bad.size:
-            raise ValueError(f"{what} {P[bad[0]].tolist()} is infeasible for this domain")
+        ok = self.feasible(P)
+        if not ok.all():
+            raise ValueError(f"{what} {P[ok.argmin()].tolist()} is infeasible for this domain")
 
     def require(self, y, what: str = "point") -> np.ndarray:
         """``y`` as a feasible 1-D point: the one-row case of :meth:`require_points`."""
@@ -233,17 +240,17 @@ class WeightedEnsemble(Record):
             raise ValueError(f"points must be a non-empty (n, d) array, got shape {pts.shape}")
         if w.shape != (pts.shape[0],):
             raise ValueError(f"{w.size} weights for {pts.shape[0]} points")
-        if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
             raise ValueError("non-finite input")
-        if np.any(w < 0):
+        lightest, total = w.min(), w.sum()
+        if lightest < 0:
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {w.sum()}; make_ensemble normalizes any not all zero")
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ValueError(f"weights sum to {total}; make_ensemble normalizes any not all zero")
         # An atom of zero weight is not in the support; dropping it keeps a
         # loss that is infinite there (log 0) out of every expectation.
-        keep = w > 0
-        if not keep.all():
-            pts, w = pts[keep], w[keep]
+        if lightest == 0:
+            pts, w = pts[w > 0], w[w > 0]
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
@@ -387,18 +394,22 @@ def support_product(loss: LossFunction, T: np.ndarray, Y: np.ndarray, used=None)
     ``BoundaryError``."""
     nt, ny = T.shape[0], Y.shape[0]
     rows = max(1, BLOCK_FLOATS // (ny * loss.dim))
-    used = np.ones((nt, ny), dtype=bool) if used is None else used
-    values = np.full((nt, ny), np.nan)
+    values, c = np.empty((nt, ny)), slice(None)
+    values.fill(np.nan)
     with np.errstate(all="ignore"):
         for i in range(0, nt, rows):
-            cols = np.flatnonzero(used[i : i + rows].any(axis=0))
-            if cols.size:
+            if used is not None:
+                cols = used[i : i + rows].any(axis=0).nonzero()[0]
+                if not cols.size:
+                    continue
                 c = slice(cols[0], cols[-1] + 1)
-                values[i : i + rows, c] = loss.eval_batch(T[i : i + rows, None, :], Y[None, c])
-    bad = used & ~np.isfinite(values)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        _not_finite(loss, T[i], Y[j])
+            values[i : i + rows, c] = loss.eval_batch(T[i : i + rows, None, :], Y[None, c])
+    finite = np.isfinite(values)
+    if not finite.all():  # unused cells may be nan: look closer
+        bad = ~finite if used is None else used & ~finite
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            _not_finite(loss, T[i], Y[j])
     return values
 
 
@@ -439,9 +450,9 @@ def pair_expectation(
     if inner is not None:
         to_c = support_product(loss, labels.points, c)[:, 0]
         from_c = support_product(loss, c, preds.points)[0]
-        return float(np.sum(labels.weights * to_c) + np.sum(preds.weights * from_c) - inner)
+        return float((labels.weights * to_c).sum() + (preds.weights * from_c).sum() - inner)
     values = support_product(loss, labels.points, preds.points)
-    return float(np.sum(labels.weights[:, None] * preds.weights[None, :] * values))
+    return float((labels.weights[:, None] * preds.weights[None, :] * values).sum())
 
 
 def side_expectation(loss: LossFunction, point: np.ndarray, ens: WeightedEnsemble) -> float:
@@ -452,4 +463,4 @@ def side_expectation(loss: LossFunction, point: np.ndarray, ens: WeightedEnsembl
     P = np.asarray(point, dtype=float).reshape(1, -1)
     _require_dim(loss, P.shape[1], "point")
     _require_dim(loss, ens.dim, "ensemble")
-    return float(np.sum(ens.weights * support_product(loss, P, ens.points)[0]))
+    return float((ens.weights * support_product(loss, P, ens.points)[0]).sum())

@@ -63,26 +63,26 @@ def _report(
     E D(T, y*) + variance minus the term. Under linear equality constraints
     noise and variance equal the potential differences with the lam . b
     correction (Banerjee et al. 2005)."""
-    n, m, c = labels.size, preds.size, [t_star.point, y_star.point]
+    n, m, c = labels.size, preds.size, np.array([t_star.point, y_star.point])
     lw, pw = labels.weights, preds.weights
     inner = wide_inner_term(loss, labels, preds, y_star.point, border=2)
     if inner is None:
         used = np.zeros((n + 2, m + 2), dtype=bool)
         used[:n, : m + 1] = used[n, m + 1] = used[n + 1, :m] = True
-        V = support_product(loss, np.vstack([labels.points, *c]),
-                            np.vstack([preds.points, *c]), used)
-        expected = float(np.sum(lw[:, None] * pw[None, :] * V[:n, :m]))
+        V = support_product(loss, np.concatenate([labels.points, c]),
+                            np.concatenate([preds.points, c]), used)
+        expected = float((lw[:, None] * pw[None, :] * V[:n, :m]).sum())
         noise_col, bias, var_row = V[:n, m], float(V[n, m + 1]), V[n + 1, :m]
     else:
         used = np.ones((n + 1, 2), dtype=bool)
         used[n, 0] = False  # D(t*, t*)
-        V = support_product(loss, np.vstack([labels.points, c[0]]), np.vstack(c), used)
+        V = support_product(loss, np.concatenate([labels.points, c[:1]]), c, used)
         noise_col, bias = V[:n, 0], float(V[n, 1])
-        var_row = support_product(loss, c[1][None, :], preds.points)[0]
-        expected = float(np.sum(lw * V[:n, 1]) + np.sum(pw * var_row)) - inner
+        var_row = support_product(loss, c[1:], preds.points)[0]
+        expected = float((lw * V[:n, 1]).sum() + (pw * var_row).sum()) - inner
     if loss._check_boundary is not None:
         loss._check_boundary(t_star.point, y_star.point)
-    noise, variance = float(np.sum(lw * noise_col)), float(np.sum(pw * var_row))
+    noise, variance = float((lw * noise_col).sum()), float((pw * var_row).sum())
     _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
     lams = [r.multipliers for r in (t_star, y_star) if r.multipliers.size]
     return DecompositionReport(

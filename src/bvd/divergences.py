@@ -234,6 +234,7 @@ class GBregmanDivergence(LossFunction):
             self._check_boundary = lambda t, y: check_boundary(
                 t, y, self.name, ("label", "prediction"))
         self.separable = separable
+        self._reverse = None
 
     # -- evaluation ---------------------------------------------------
 
@@ -313,24 +314,28 @@ class GBregmanDivergence(LossFunction):
         """The divergence with arguments interchanged: swaps {A,g} and {B,f}.
 
         ``eval_batch`` swaps this divergence's own evaluator, finite wherever
-        it is (0 log 0 included); ``eval_defining_batch`` runs on {B, f}."""
-        dual_gen, dual_map = self.dual_pair()
-        forward = self._direct_eval
-        check = self._validator
-        swapped = None if check is None else (
-            lambda t, y, name, roles: check(y, t, name, roles[::-1]))
-        return GBregmanDivergence(
-            gen=dual_gen,
-            mapping=dual_map,
-            domain=self.domain,
-            dual_gen=self.gen,
-            dual_map=self.map,
-            name=f"reverse({self.name})",
-            params=self.params,
-            direct_eval=lambda T, Y: forward(Y, T),
-            check_boundary=swapped,
-            separable=self.separable,
-        )
+        it is (0 log 0 included); ``eval_defining_batch`` runs on {B, f}.
+        Built once and returned again while this divergence keeps its name
+        and its ``params`` dict, which the reverse shares."""
+        twin = self._reverse
+        if twin is None or twin.name != f"reverse({self.name})" or twin.params is not self.params:
+            (dual_gen, dual_map), forward = self.dual_pair(), self._direct_eval
+            check = self._validator
+            swapped = None if check is None else (
+                lambda t, y, name, roles: check(y, t, name, roles[::-1]))
+            twin = self._reverse = GBregmanDivergence(
+                gen=dual_gen,
+                mapping=dual_map,
+                domain=self.domain,
+                dual_gen=self.gen,
+                dual_map=self.map,
+                name=f"reverse({self.name})",
+                direct_eval=lambda T, Y: forward(Y, T),
+                check_boundary=swapped,
+                separable=self.separable,
+            )
+            twin.params = self.params
+        return twin
 
     # -- metadata -----------------------------------------------------
 
@@ -503,7 +508,7 @@ def _kl_direct(T: np.ndarray, Y: np.ndarray) -> np.ndarray:
         buf *= T
     np.copyto(buf, 0.0, where=~pos)
     buf += Y - T
-    return np.sum(buf, axis=-1)
+    return buf.sum(axis=-1)
 
 
 def make_kl(dim: int, simplex: bool = False) -> GBregmanDivergence:
