@@ -395,23 +395,26 @@ def _quadratic_pair(K):
 
     Returns K as a float matrix with the three. K must be symmetric positive
     definite; the identity skips that O(d^3) check, is its own inverse, and
-    its forms need no matrix product: sums of squares and scalings.
+    its forms need no matrix product: sums of squares and scalings. Other
+    forms, and K's inverse, take fixed-order sums, not BLAS, so that their
+    digits do not depend on the BLAS thread count.
     """
     K = np.asarray(K, dtype=float)
     identity = K.ndim == 2 and np.array_equal(K, np.eye(K.shape[0]))
     if not identity:
         _check_positive_definite(K)
-    Kinv = K if identity else np.linalg.inv(K)
+    Kinv = K if identity else _inverse(K)
 
     def quad(M):
         def value(u):
-            return np.einsum("...i,...i->...", u if identity else u @ M, u)
+            uM = u if identity else np.einsum("...i,ij->...j", u, M)
+            return np.einsum("...i,...i->...", uM, u)
 
         return value
 
     def linear(M, c):
         def apply(x):
-            return c * x if identity else c * x @ M.T
+            return c * x if identity else np.einsum("...j,ij->...i", c * x, M)
 
         return apply
 
@@ -419,6 +422,21 @@ def _quadratic_pair(K):
     gen, dual_gen = Generator(quad(K)), Generator(lambda v: 0.25 * dual_value(v))
     dual_map = Mapping(forward=linear(K, 2.0), inverse=linear(Kinv, 0.5))
     return K, gen, dual_gen, dual_map
+
+
+def _inverse(K: np.ndarray) -> np.ndarray:
+    """The inverse of a symmetric positive definite K by Gauss-Jordan
+    elimination (no pivoting is needed), one elementwise rank-one update per
+    column: unlike LAPACK's blocked inverse, its digits do not depend on the
+    BLAS thread count."""
+    d = K.shape[0]
+    A = np.concatenate([K, np.eye(d)], axis=1)
+    for k in range(d):
+        A[k] /= A[k, k]
+        col = A[:, k].copy()
+        col[k] = 0.0
+        A -= col[:, None] * A[k]
+    return A[:, d:]
 
 
 def _check_positive_definite(K: np.ndarray):

@@ -681,12 +681,15 @@ class TestThreePointIdentity:
         # The benchmark's wide shapes: KL and reverse KL on the simplex and
         # sq_euclidean at d = 1000, 16 labels and 64 predictions. Then the
         # oracle's lockstep searches: a classifier run on the 3-simplex
-        # (null-space candidates) and a generic decomposition.
+        # (null-space candidates) and a generic decomposition. Last,
+        # mahalanobis and g_mahalanobis with a random SPD K at d = 300, whose
+        # forms and inverse of K would go through BLAS and LAPACK.
         code = textwrap.dedent(
             """
             import json
             import numpy as np
-            from bvd import catalog, classify_loss, decompose, decompose_generic, make_ensemble
+            from bvd import (catalog, catalog_from_json, classify_loss, decompose,
+                             decompose_generic, make_ensemble)
             from bvd.core import pair_expectation
 
             rng = np.random.default_rng(0)
@@ -707,6 +710,17 @@ class TestThreePointIdentity:
             labels = make_ensemble(rng.uniform(-3, 3, (5, 2)), rng.random(5) + 0.1)
             preds = make_ensemble(rng.uniform(-3, 3, (6, 2)), rng.random(6) + 0.1)
             print(json.dumps(decompose_generic(loss, labels, preds).to_json()))
+            d, n, m = 300, 16, 64
+            A = rng.standard_normal((d, d))
+            K = np.einsum("ki,kj->ij", A, A) / d + np.eye(d)  # SPD, built without BLAS
+            g_maha = catalog_from_json({"name": "g_mahalanobis", "params": {
+                "g": "log", "K": K.tolist(),
+                "domain": {"dim": d, "lower": [0.01] * d, "upper": [10.0] * d}}})
+            for loss, lo, hi in ((catalog("mahalanobis", K=K), -3, 3), (g_maha, 0.2, 5.0)):
+                for _ in range(5):
+                    labels = make_ensemble(rng.uniform(lo, hi, (n, d)), rng.random(n) + 0.1)
+                    preds = make_ensemble(rng.uniform(lo, hi, (m, d)), rng.random(m) + 0.1)
+                    print(json.dumps(decompose(loss, labels, preds).to_json()))
             """
         )
         outputs = []
