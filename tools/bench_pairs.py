@@ -14,7 +14,10 @@ every run in pair order, each side's median and quartiles (numpy's linear
 (ties count for neither), the per-kind median latencies that run.py
 prints, and, for ``--claim``, whether the change won at least nine tenths
 of the pairs with medians apart by more than the parent's quartile spread.
-The file is rewritten after every run, so an interrupted session keeps the
+Each run also records the CPU seconds of its process and its children
+(``cpu_s``) and the 1-minute load average just before it (``load_1m``), so
+pairs that ran under outside load show; they do not enter the claim. The
+file is rewritten after every run, so an interrupted session keeps the
 pairs it finished.
 """
 
@@ -25,6 +28,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +43,13 @@ def seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+def child_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    load, cpu = os.getloadavg()[0], child_cpu_s()
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -51,6 +61,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{root} {workload} seed {seed} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     out = json.loads(lines[-1])
+    out["cpu_s"], out["load_1m"] = round(child_cpu_s() - cpu, 3), round(load, 2)
     out["kinds"] = {m[1]: float(m[2]) for m in map(KIND_LINE.match, lines) if m}
     return out
 
@@ -66,6 +77,8 @@ def side_record(runs: list[dict], metrics: list[str]) -> dict:
     rec["attempted"] = [r["attempted"] for r in runs]
     rec["failed"] = [r["failed"] for r in runs]
     rec["all_correct"] = all(r["correct"] for r in runs)
+    rec["cpu_s"] = [r["cpu_s"] for r in runs]
+    rec["load_1m"] = [r["load_1m"] for r in runs]
     return rec
 
 
