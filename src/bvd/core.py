@@ -100,8 +100,7 @@ class Domain:
                 raise ValueError("eq_lhs must have full row rank")
             object.__setattr__(self, "eq_lhs", W)
             object.__setattr__(self, "eq_rhs", b)
-        # Derived once, outside the fields: the bounds at the default
-        # tolerance, and whether this is exactly ``Domain.simplex(dim)``.
+        # Worked out once and kept out of the fields (and so out of equality).
         object.__setattr__(self, "_within", self._shifted(FEASIBILITY_TOL))
         object.__setattr__(self, "_is_simplex", self.n_constraints == 1 and all(
             np.all(v == c) for v, c in ((self.lower, 0), (self.upper, 1),

@@ -425,17 +425,15 @@ def _quadratic_pair(K):
 
 
 def _inverse(K: np.ndarray) -> np.ndarray:
-    """The inverse of a symmetric positive definite K by Gauss-Jordan
-    elimination (no pivoting is needed), one elementwise rank-one update per
-    column: unlike LAPACK's blocked inverse, its digits do not depend on the
-    BLAS thread count."""
+    """K^-1 of a symmetric positive definite K by Gauss-Jordan elimination
+    without pivoting, in elementwise updates whose digits, unlike LAPACK's
+    blocked inverse, do not depend on the BLAS thread count."""
     d = K.shape[0]
     A = np.concatenate([K, np.eye(d)], axis=1)
     for k in range(d):
-        A[k] /= A[k, k]
-        col = A[:, k].copy()
-        col[k] = 0.0
-        A -= col[:, None] * A[k]
+        row = A[k] / A[k, k]
+        A -= A[:, k, None] * row
+        A[k] = row
     return A[:, d:]
 
 

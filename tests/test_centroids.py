@@ -542,6 +542,25 @@ class TestBruteForce:
         assert blocked.non_unique == whole.non_unique
         assert whole.non_unique == (name in ("l1", "zero_one_grid"))
 
+    @pytest.mark.parametrize("name, params, lo, hi", [
+        ("minkowski", {"epsilon": 1.5}, -3.0, 3.0),
+        ("sq_euclidean", {}, -3.0, 3.0),
+        ("kl", {}, 0.1, 0.9),
+    ], ids=["minkowski", "sq_euclidean", "kl"])
+    def test_lone_rows_weigh_as_in_a_block(self, monkeypatch, name, params, lo, hi):
+        # A one-float budget puts every candidate row of every pass alone in
+        # its block. numpy weighs a lone row by a dot product, which rounds
+        # unlike a block's matrix-vector product in the last bit and steers
+        # the search elsewhere; the search weighs it as a block of two.
+        rng = np.random.default_rng(7)
+        loss = catalog(name, dim=2, **params)
+        ens = make_ensemble(rng.uniform(lo, hi, (7, 2)), rng.random(7) + 0.1)
+        whole = brute_force_centroid(loss, ens, "first_arg")
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
+        lone = brute_force_centroid(loss, ens, "first_arg")
+        assert lone.point.tobytes() == whole.point.tobytes()
+        assert repr(lone.objective) == repr(whole.objective)
+
     def test_no_finite_objective_is_named(self):
         # Every point of the simplex is feasible, but no point has a finite
         # KL to both vertices.

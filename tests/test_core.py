@@ -168,28 +168,30 @@ class TestDomain:
         ids=["box", "half_bounded", "simplex"],
     )
     def test_feasible_mask_matches_per_bound_reductions(self, domain):
-        # The one combined mask equals one reduction per bound.
-        tol = core.FEASIBILITY_TOL
-        lo = np.array([0.0, -1.0]) if domain.lower is None else domain.lower
-        hi = np.array([1.0, 2.0]) if domain.upper is None else domain.upper
-        bounds = np.concatenate([lo, hi])
-        bounds = bounds[np.isfinite(bounds)]
-        values = np.concatenate([[np.nan, np.inf, -np.inf, 0.5],
-                                 *(bounds + k * tol for k in (-2, -1, 0, 1, 2))])
-        Y = np.stack(np.meshgrid(values, values, indexing="ij"), axis=-1).reshape(-1, 2)
-        with np.errstate(invalid="ignore"):
-            want = np.isfinite(Y).all(axis=-1)
-            if domain.lower is not None:
-                want &= (Y >= domain.lower - tol).all(axis=-1)
-            if domain.upper is not None:
-                want &= (Y <= domain.upper + tol).all(axis=-1)
-            if domain.eq_lhs is not None:
-                want &= np.abs(Y @ domain.eq_lhs.T - domain.eq_rhs).max(axis=-1) <= tol
-        got = domain.feasible(Y)
-        assert got.tolist() == want.tolist()
-        assert got.any() and not got.all()
-        assert domain.feasible(Y.reshape(len(values), len(values), 2)).tolist() == (
-            want.reshape(len(values), len(values)).tolist())
+        # The one combined mask equals one reduction per bound, at the
+        # default tolerance (bounds shifted when the domain is built) and
+        # at others.
+        for tol in (core.FEASIBILITY_TOL, 1e-12, 1e-6):
+            lo = np.array([0.0, -1.0]) if domain.lower is None else domain.lower
+            hi = np.array([1.0, 2.0]) if domain.upper is None else domain.upper
+            bounds = np.concatenate([lo, hi])
+            bounds = bounds[np.isfinite(bounds)]
+            values = np.concatenate([[np.nan, np.inf, -np.inf, 0.5],
+                                     *(bounds + k * tol for k in (-2, -1, 0, 1, 2))])
+            Y = np.stack(np.meshgrid(values, values, indexing="ij"), axis=-1).reshape(-1, 2)
+            with np.errstate(invalid="ignore"):
+                want = np.isfinite(Y).all(axis=-1)
+                if domain.lower is not None:
+                    want &= (Y >= domain.lower - tol).all(axis=-1)
+                if domain.upper is not None:
+                    want &= (Y <= domain.upper + tol).all(axis=-1)
+                if domain.eq_lhs is not None:
+                    want &= np.abs(Y @ domain.eq_lhs.T - domain.eq_rhs).max(axis=-1) <= tol
+            got = domain.feasible(Y, tol)
+            assert got.tolist() == want.tolist()
+            assert got.any() and not got.all()
+            assert domain.feasible(Y.reshape(len(values), len(values), 2), tol).tolist() == (
+                want.reshape(len(values), len(values)).tolist())
 
     def test_rank_deficient_constraints_rejected(self):
         with pytest.raises(ValueError, match="rank"):

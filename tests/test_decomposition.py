@@ -584,6 +584,23 @@ class TestBorderedProduct:
         else:
             assert json.dumps(blocked.to_json()) == json.dumps(want.to_json())
 
+    @pytest.mark.parametrize("block", [1, 4])
+    @pytest.mark.parametrize("name", ["minkowski", "l1", "zero_one_grid", "generic_l1"])
+    def test_block_budget_keeps_bytes(self, rng, monkeypatch, name, block):
+        # Budgets of 1 and 4 floats give one-row blocks everywhere: in the
+        # bordered product, pair_expectation and the oracle's searches. The
+        # report is the default budget's, byte for byte. (A g-Bregman
+        # divergence takes the three-point identity under a small budget.)
+        build, sample, solver = BORDERED_CASES[name]
+        loss = build()
+        d, n, m = loss.dim, 4, 5
+        labels = make_ensemble(sample(rng, n, d), rng.random(n) + 0.1)
+        preds = make_ensemble(sample(rng, m, d), rng.random(m) + 0.1)
+        run = decompose_generic if solver == "generic" else decompose
+        whole = json.dumps(run(loss, labels, preds).to_json())
+        monkeypatch.setattr(core, "BLOCK_FLOATS", block)
+        assert json.dumps(run(loss, labels, preds).to_json()) == whole
+
     def test_one_row_blocks_evaluate_only_used_cells(self, rng, monkeypatch):
         # In one-row blocks (wide inputs) each row evaluates only the columns
         # its terms use: a label row Y and t*, the t* row y*, the y* row Y.

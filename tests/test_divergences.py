@@ -190,6 +190,25 @@ class TestReversal:
                 # The twice-swapped defining form is {A, g} again.
                 assert rev2.eval_defining(t, y) == pytest.approx(a, rel=1e-9, abs=1e-12)
 
+    def test_reverse_is_built_once_and_follows_renames(self):
+        kl = catalog("kl", dim=2)
+        assert kl.reverse() is kl.reverse()
+        # A rename after construction renames the reverse and its errors.
+        kl.name = "foo"
+        rev = kl.reverse()
+        assert rev.name == "reverse(foo)"
+        with pytest.raises(BoundaryError) as exc:
+            rev.eval([0.0, 1.0], [0.5, 0.5])
+        assert str(exc.value).startswith("reverse(foo): label coordinate 0 = 0 ")
+        # reverse_kl is kl's reverse renamed; its own reverse is a new twin.
+        assert catalog("reverse_kl", dim=2).reverse().name == "reverse(reverse_kl)"
+        # The reverse shares params, also when they are set after construction.
+        sq = catalog("sq_euclidean", dim=2)
+        assert sq.reverse().to_json()["params"] == {"dim": 2, "bound": 10.0}
+        sq.reverse()
+        sq.params = {"dim": 2}
+        assert sq.reverse().params is sq.params
+
     def test_reverse_swaps_arguments_all_entries(self, rng):
         for label, name, d, div in entries_for_properties(rng):
             rev = div.reverse()
