@@ -404,7 +404,7 @@ def support_product(loss: LossFunction, T: np.ndarray, Y: np.ndarray, used=None)
                 c = slice(cols[0], cols[-1] + 1)
             values[i : i + rows, c] = loss.eval_batch(T[i : i + rows, None, :], Y[None, c])
     finite = np.isfinite(values)
-    if not finite.all():  # unused cells may be nan: look closer
+    if not finite.all():  # also where cells outside the evaluated spans stay nan
         bad = ~finite if used is None else used & ~finite
         if bad.any():
             i, j = np.argwhere(bad)[0]
