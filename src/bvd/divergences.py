@@ -315,10 +315,12 @@ class GBregmanDivergence(LossFunction):
 
         ``eval_batch`` swaps this divergence's own evaluator, finite wherever
         it is (0 log 0 included); ``eval_defining_batch`` runs on {B, f}.
-        Built once and returned again while this divergence keeps its name
-        and its ``params`` dict, which the reverse shares."""
+        Built once, and again after a change to this divergence's name,
+        ``params`` dict (which the reverse shares), domain, separability or {A, g}."""
         twin = self._reverse
-        if twin is None or twin.name != f"reverse({self.name})" or twin.params is not self.params:
+        if (twin is None or twin.name != f"reverse({self.name})" or twin.params is not self.params
+                or twin.domain is not self.domain or twin.separable != self.separable
+                or twin._dual[0] is not self.gen or twin._dual[1] is not self.map):
             (dual_gen, dual_map), forward = self.dual_pair(), self._direct_eval
             check = self._validator
             swapped = None if check is None else (

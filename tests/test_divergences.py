@@ -209,6 +209,24 @@ class TestReversal:
         sq.params = {"dim": 2}
         assert sq.reverse().params is sq.params
 
+    def test_reverse_follows_a_new_domain(self, rng):
+        from bvd import decompose, make_ensemble
+
+        def simplex_kl():
+            kl = catalog("kl", dim=3)
+            kl.domain = Domain.simplex(3)
+            return kl
+
+        labels = make_ensemble(rng.dirichlet(np.ones(3), 5), rng.random(5) + 0.1)
+        preds = make_ensemble(rng.dirichlet(np.ones(3), 9), rng.random(9) + 0.1)
+        kl = catalog("kl", dim=3)
+        decompose(kl, labels, preds)  # builds the reverse on the box
+        kl.domain = Domain.simplex(3)
+        assert kl.reverse().domain is kl.domain
+        assert decompose(kl, labels, preds).to_json() == decompose(simplex_kl(), labels, preds).to_json()
+        kl.separable = False
+        assert kl.reverse().separable is False
+
     def test_reverse_swaps_arguments_all_entries(self, rng):
         for label, name, d, div in entries_for_properties(rng):
             rev = div.reverse()
