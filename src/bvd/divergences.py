@@ -433,9 +433,9 @@ def _inverse(K: np.ndarray) -> np.ndarray:
     d = K.shape[0]
     A = np.concatenate([K, np.eye(d)], axis=1)
     for k in range(d):
-        row = A[k] / A[k, k]
-        A -= A[:, k, None] * row
-        A[k] = row
+        row = A[k, k : d + k + 1] / A[k, k]  # zero outside these columns
+        A[:, k : d + k + 1] -= A[:, k, None] * row
+        A[k, k : d + k + 1] = row
     return A[:, d:]
 
 
