@@ -258,10 +258,10 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     Candidates go through the loss in blocks of at most ``core.BLOCK_FLOATS``
     (rows x support x d) floats and only their objective values are kept,
     so memory is bounded by the block size plus a few floats per candidate;
-    the answer does not depend on the block size. ``MAX_GRID_FLOATS``
-    bounds the work: a grid whose evaluation would exceed it raises
-    ``ValueError`` before any evaluation. A search in which no candidate
-    has a finite objective raises ``ValueError`` too.
+    from about 20 support points the answer may depend on the block size.
+    ``MAX_GRID_FLOATS`` bounds the work: a grid whose evaluation would
+    exceed it raises ``ValueError`` before any evaluation. A search in which
+    no candidate has a finite objective raises ``ValueError`` too.
 
     It is the one-job case of the lockstep search that runs all centroids of
     :func:`~bvd.decomposition.decompose_generic` or :func:`~bvd.uniqueness.classify_loss`.

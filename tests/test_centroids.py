@@ -561,6 +561,22 @@ class TestBruteForce:
         assert lone.point.tobytes() == whole.point.tobytes()
         assert repr(lone.objective) == repr(whole.objective)
 
+    @pytest.mark.xfail(strict=True, reason="the matrix-vector product that weighs a block's "
+                       "rows rounds a row by the block's row count once a support has about "
+                       "20 points (ROADMAP item 16)")
+    def test_wide_supports_do_not_depend_on_the_block_budget(self, monkeypatch):
+        rng, default = np.random.default_rng(7), core.BLOCK_FLOATS
+        for name, params, lo, hi in [("minkowski", {"epsilon": 1.5}, -3.0, 3.0),
+                                     ("sq_euclidean", {}, -3.0, 3.0), ("kl", {}, 0.1, 0.9)]:
+            loss = catalog(name, dim=2, **params)
+            for size in (20, 60):
+                ens = make_ensemble(rng.uniform(lo, hi, (size, 2)), rng.random(size) + 0.1)
+                monkeypatch.setattr(core, "BLOCK_FLOATS", default)
+                whole = brute_force_centroid(loss, ens, "first_arg")
+                monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
+                lone = brute_force_centroid(loss, ens, "first_arg")
+                assert lone.point.tobytes() == whole.point.tobytes(), (name, size)
+
     def test_no_finite_objective_is_named(self):
         # Every point of the simplex is feasible, but no point has a finite
         # KL to both vertices.

@@ -572,34 +572,23 @@ class TestBorderedProduct:
         assert json.dumps(report.to_json()) == json.dumps(want.to_json())
         if name == "lagrange":
             assert report.method == "lagrange"
-        # Two blocks of 3 of the n + 2 = 6 rows of the bordered product. A
-        # g-Bregman divergence takes the three-point identity in expectation
-        # instead, which gives the one-block terms up to float noise.
-        monkeypatch.setattr(core, "BLOCK_FLOATS", 3 * (m + 2) * d)
-        blocked, want = self.composed(loss, labels, preds, solver)
-        if isinstance(loss, GBregmanDivergence):
-            scale = 1 + abs(report.expected_loss)
-            for term in ("expected_loss", "intrinsic_noise", "bias", "variance", "gap"):
-                assert abs(getattr(blocked, term) - getattr(report, term)) <= 1e-13 * scale, term
-        else:
-            assert json.dumps(blocked.to_json()) == json.dumps(want.to_json())
-
-    @pytest.mark.parametrize("block", [1, 4])
-    @pytest.mark.parametrize("name", ["minkowski", "l1", "zero_one_grid", "generic_l1"])
-    def test_block_budget_keeps_bytes(self, rng, monkeypatch, name, block):
-        # Budgets of 1 and 4 floats give one-row blocks everywhere: in the
-        # bordered product, pair_expectation and the oracle's searches. The
-        # report is the default budget's, byte for byte. (A g-Bregman
-        # divergence takes the three-point identity under a small budget.)
-        build, sample, solver = BORDERED_CASES[name]
-        loss = build()
-        d, n, m = loss.dim, 4, 5
-        labels = make_ensemble(sample(rng, n, d), rng.random(n) + 0.1)
-        preds = make_ensemble(sample(rng, m, d), rng.random(m) + 0.1)
-        run = decompose_generic if solver == "generic" else decompose
-        whole = json.dumps(run(loss, labels, preds).to_json())
-        monkeypatch.setattr(core, "BLOCK_FLOATS", block)
-        assert json.dumps(run(loss, labels, preds).to_json()) == whole
+        # Two blocks of 3 of the n + 2 = 6 rows of the bordered product, then
+        # budgets of 1 and 4 floats, which give one-row blocks everywhere: in
+        # the bordered product, pair_expectation and the oracle's searches.
+        # Other losses give the one-block report byte for byte. A g-Bregman
+        # divergence takes the three-point identity in expectation instead,
+        # which gives the one-block terms up to float noise.
+        for budget in (3 * (m + 2) * d, 1, 4):
+            monkeypatch.setattr(core, "BLOCK_FLOATS", budget)
+            blocked, want = self.composed(loss, labels, preds, solver)
+            if isinstance(loss, GBregmanDivergence):
+                scale = 1 + abs(report.expected_loss)
+                for term in ("expected_loss", "intrinsic_noise", "bias", "variance", "gap"):
+                    assert abs(getattr(blocked, term) - getattr(report, term)) <= 1e-13 * scale, \
+                        (budget, term)
+            else:
+                assert json.dumps(blocked.to_json()) == json.dumps(want.to_json()), budget
+                assert json.dumps(blocked.to_json()) == json.dumps(report.to_json()), budget
 
     def test_one_row_blocks_evaluate_only_used_cells(self, rng, monkeypatch):
         # In one-row blocks (wide inputs) each row evaluates only the columns
