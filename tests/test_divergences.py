@@ -6,7 +6,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats
 
-from bvd import BoundaryError, Domain, catalog
+from bvd import BoundaryError, Domain, catalog, decompose, make_ensemble
 from bvd.core import ConvexityError
 from bvd.divergences import (
     GBregmanDivergence,
@@ -190,7 +190,7 @@ class TestReversal:
                 # The twice-swapped defining form is {A, g} again.
                 assert rev2.eval_defining(t, y) == pytest.approx(a, rel=1e-9, abs=1e-12)
 
-    def test_reverse_is_built_once_and_follows_renames(self):
+    def test_reverse_is_built_once_and_follows_renames(self, rng):
         kl = catalog("kl", dim=2)
         assert kl.reverse() is kl.reverse()
         # A rename after construction renames the reverse and its errors.
@@ -208,22 +208,15 @@ class TestReversal:
         sq.reverse()
         sq.params = {"dim": 2}
         assert sq.reverse().params is sq.params
-
-    def test_reverse_follows_a_new_domain(self, rng):
-        from bvd import decompose, make_ensemble
-
-        def simplex_kl():
-            kl = catalog("kl", dim=3)
-            kl.domain = Domain.simplex(3)
-            return kl
-
+        # A new domain or separability after a decompose is followed too:
+        # the label side then decomposes as on a fresh loss with it.
         labels = make_ensemble(rng.dirichlet(np.ones(3), 5), rng.random(5) + 0.1)
         preds = make_ensemble(rng.dirichlet(np.ones(3), 9), rng.random(9) + 0.1)
-        kl = catalog("kl", dim=3)
-        decompose(kl, labels, preds)  # builds the reverse on the box
-        kl.domain = Domain.simplex(3)
+        kl, fresh = catalog("kl", dim=3), catalog("kl", dim=3)
+        decompose(kl, labels, preds)
+        kl.domain = fresh.domain = Domain.simplex(3)
         assert kl.reverse().domain is kl.domain
-        assert decompose(kl, labels, preds).to_json() == decompose(simplex_kl(), labels, preds).to_json()
+        assert decompose(kl, labels, preds).to_json() == decompose(fresh, labels, preds).to_json()
         kl.separable = False
         assert kl.reverse().separable is False
 
