@@ -385,26 +385,19 @@ def _not_finite(loss: LossFunction, t: np.ndarray, y: np.ndarray):
 
 
 def support_product(loss: LossFunction, T: np.ndarray, Y: np.ndarray, used=None) -> np.ndarray:
-    """The (nt, ny) matrix of loss(T[i], Y[j]) at the cells of the mask
-    ``used`` (all by default), from ``eval_batch`` in blocks of at most
-    ``BLOCK_FLOATS`` (rows x ny x d) floats, one row at least. A block
-    evaluates only the column span of its cells in ``used``, the rest stay
-    nan; the first used non-finite value, in row order, raises
-    ``BoundaryError``."""
+    """The (nt, ny) matrix of loss(T[i], Y[j]), from ``eval_batch`` in blocks
+    of whole rows, at most ``BLOCK_FLOATS`` (rows x ny x d) floats and one
+    row at least: the block size bounds memory and changes no value. Only
+    the cells of the mask ``used`` (all by default) must be finite; the
+    first used non-finite value, in row order, raises ``BoundaryError``."""
     nt, ny = T.shape[0], Y.shape[0]
     rows = max(1, BLOCK_FLOATS // (ny * loss.dim))
-    values, c = np.empty((nt, ny)), slice(None)
-    values.fill(np.nan)
+    values = np.empty((nt, ny))
     with np.errstate(all="ignore"):
         for i in range(0, nt, rows):
-            if used is not None:
-                cols = used[i : i + rows].any(axis=0).nonzero()[0]
-                if not cols.size:
-                    continue
-                c = slice(cols[0], cols[-1] + 1)
-            values[i : i + rows, c] = loss.eval_batch(T[i : i + rows, None, :], Y[None, c])
+            values[i : i + rows] = loss.eval_batch(T[i : i + rows, None, :], Y[None])
     finite = np.isfinite(values)
-    if not finite.all():  # also where cells outside the evaluated spans stay nan
+    if not finite.all():
         bad = ~finite if used is None else used & ~finite
         if bad.any():
             i, j = np.argwhere(bad)[0]

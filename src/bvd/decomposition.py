@@ -56,9 +56,9 @@ def _report(
     y_star: CentroidResult,
 ) -> DecompositionReport:
     """The decomposition at the given central points, the loss evaluated
-    once per cell used of rows [T; t*; y*] against columns [Y; t*; y*]: the
+    once per cell of rows [T; t*; y*] against columns [Y; t*; y*]: the
     expected loss, noise, bias and variance are weighted sums of cells, and
-    only those must be finite. Where :func:`~bvd.core.wide_inner_term`
+    only the cells they use must be finite. Where :func:`~bvd.core.wide_inner_term`
     applies at c = y*, the n x m cells are skipped: E D(T, Y) is
     E D(T, y*) + variance minus the term. Under linear equality constraints
     noise and variance equal the potential differences with the lam . b

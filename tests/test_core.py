@@ -321,18 +321,16 @@ class TestPairExpectation:
         preds = make_ensemble([[0.5], [1.25]], [1, 1])
         with pytest.raises(BoundaryError, match=r"label=\[1.5\], prediction=\[1.25\]"):
             pair_expectation(loss, labels, preds)
-        # Only the used cells must be finite. A block evaluates the columns
-        # its used cells span (here one block of all three rows), a block
-        # without used cells none.
+        # Only the used cells must be finite. Every cell is evaluated, in one
+        # block of all three rows and in one-row blocks alike.
         used = np.array([[1, 0], [0, 0], [0, 1]], dtype=bool)
-        with pytest.raises(BoundaryError, match=r"label=\[2.\], prediction=\[1.25\]"):
-            core.support_product(loss, labels.points, preds.points, used)
-        used[2, 1] = False
-        values = core.support_product(loss, labels.points, preds.points, used)
-        np.testing.assert_array_equal(values, [[0.0, np.nan], [0.0, np.nan], [np.inf, np.nan]])
-        monkeypatch.setattr(core, "BLOCK_FLOATS", 2)  # one-row blocks
-        values = core.support_product(loss, labels.points, preds.points, used)
-        np.testing.assert_array_equal(values, [[0.0, np.nan], [np.nan, np.nan], [np.nan, np.nan]])
+        finite_used = np.array([[1, 0], [0, 0], [0, 0]], dtype=bool)
+        for budget in (core.BLOCK_FLOATS, 2):  # then one-row blocks
+            monkeypatch.setattr(core, "BLOCK_FLOATS", budget)
+            with pytest.raises(BoundaryError, match=r"label=\[2.\], prediction=\[1.25\]"):
+                core.support_product(loss, labels.points, preds.points, used)
+            values = core.support_product(loss, labels.points, preds.points, finite_used)
+            np.testing.assert_array_equal(values, [[0.0, 0.0], [0.0, np.inf], [np.inf, np.inf]])
 
     def test_side_dimension_mismatch_is_named(self, rng):
         loss = catalog("kl", dim=3)
@@ -561,9 +559,8 @@ class TestThreePointIdentity:
 
     def test_kl_labels_sharing_a_zero_coordinate(self, rng, monkeypatch):
         # t* is 0 where every label is, so f(t*) = log t* is not finite; the
-        # identity at c = y* never maps t*, and each needed cell is evaluated
-        # once: n labels against t* and y*, t* against y*, y* against m
-        # predictions.
+        # identity at c = y* never maps t*, and each row is evaluated once:
+        # n labels and t* against t* and y*, y* against m predictions.
         kl = catalog("kl", dim=3, simplex=True)
         n, m = 5, 7
         L = np.column_stack([np.zeros(n), _simplex(rng, n, 2)])
@@ -579,7 +576,7 @@ class TestThreePointIdentity:
 
         monkeypatch.setattr(kl, "eval_batch", counting)
         wide = _wide(monkeypatch, decompose, kl, labels, preds)
-        assert sum(cells) == 2 * n + 1 + m
+        assert sum(cells) == 2 * n + 2 + m
         assert_reports_close(wide, whole)
         self.assert_close(_wide(monkeypatch, pair_expectation, kl, labels, preds), pair)
 

@@ -590,11 +590,11 @@ class TestBorderedProduct:
                 assert json.dumps(blocked.to_json()) == json.dumps(want.to_json()), budget
                 assert json.dumps(blocked.to_json()) == json.dumps(report.to_json()), budget
 
-    def test_one_row_blocks_evaluate_only_used_cells(self, rng, monkeypatch):
-        # In one-row blocks (wide inputs) each row evaluates only the columns
-        # its terms use: a label row Y and t*, the t* row y*, the y* row Y.
-        # KL wrapped as a plain callable keeps the blocks; the centroids are
-        # KL's, so the oracle does not run.
+    def test_one_row_blocks_evaluate_whole_rows(self, rng, monkeypatch):
+        # In one-row blocks (wide inputs) each block is one whole row of
+        # [T; t*; y*] against [Y; t*; y*], and the report is the unsplit
+        # report byte for byte. KL wrapped as a plain callable keeps the
+        # blocks; the centroids are KL's, so the oracle does not run.
         kl = catalog("kl", dim=2)
         loss = CallableLoss(2, kl.domain, kl.eval_batch, name="kl")
         n, m = 4, 5
@@ -612,7 +612,7 @@ class TestBorderedProduct:
         monkeypatch.setattr(loss, "eval_batch", recording)
         monkeypatch.setattr(core, "BLOCK_FLOATS", (m + 2) * 2)
         assert json.dumps(_report(loss, labels, preds, t_star, y_star).to_json()) == whole
-        assert shapes == [(1, m + 1)] * n + [(1, 1), (1, m)]
+        assert shapes == [(1, m + 2)] * (n + 2)
 
     def test_unused_infinite_cell(self):
         # Both labels are 0 on coordinate 0, so t* is too, while y* is not:
