@@ -258,7 +258,7 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     Candidates go through the loss in blocks of at most ``core.BLOCK_FLOATS``
     (rows x support x d) floats and only their objective values are kept,
     so memory is bounded by the block size plus a few floats per candidate;
-    from about 20 support points the answer may depend on the block size.
+    the block size changes no answer.
     ``MAX_GRID_FLOATS`` bounds the work: a grid whose evaluation would
     exceed it raises ``ValueError`` before any evaluation. A search in which
     no candidate has a finite objective raises ``ValueError`` too.
@@ -386,12 +386,10 @@ def _search(groups, enss, supports, domain, origin, basis, lo, hi, edges):
                 raw = loss.eval_batch(X.take(sel, 0)[:, None, :],
                                       Y if len(Y) == 1 else Y.take(q.take(sel), 0))
                 for s in range(first, last):
-                    # numpy sums a lone row by a dot product, which rounds
-                    # unlike the matrix-vector product of several rows.
+                    # A fixed-order sum per row, which BLAS's products are not:
+                    # they round a row by how many rows the block has.
                     piece = raw[cut[s] - cut[first] : cut[s + 1] - cut[first], : sizes[s]]
-                    if len(piece):
-                        parts.append((np.vstack([piece, piece]) @ weights[s])[:1]
-                                     if len(piece) == 1 else piece @ weights[s])
+                    parts.append(np.einsum("ij,j->i", piece, weights[s]))
             if parts:
                 vals[i : i + len(X)][ok] = np.concatenate(parts)
         # The weights are positive: a non-finite loss gives a non-finite sum.
@@ -420,9 +418,7 @@ def _search(groups, enss, supports, domain, origin, basis, lo, hi, edges):
         Z[~on_grid] = Z_support[q[~on_grid], local[~on_grid] - n_grid]
         if n_problems > 1:
             return origin[b] + np.einsum("rk,rdk->rd", Z, basis[b]), q
-        # The full grid: one basis for all rows. A matrix product rounds a
-        # lone row differently, so every call multiplies two rows or more.
-        return origin[0] + (np.vstack([Z, Z]) @ basis[0].T)[: idx.size], q
+        return origin[0] + np.einsum("rk,dk->rd", Z, basis[0]), q
 
     vals = objective_batch(offset[-1], lambda i, j: candidates(np.arange(i, j)), offset.tolist())
 

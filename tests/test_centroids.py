@@ -549,9 +549,9 @@ class TestBruteForce:
     ], ids=["minkowski", "sq_euclidean", "kl"])
     def test_lone_rows_weigh_as_in_a_block(self, monkeypatch, name, params, lo, hi):
         # A one-float budget puts every candidate row of every pass alone in
-        # its block. numpy weighs a lone row by a dot product, which rounds
-        # unlike a block's matrix-vector product in the last bit and steers
-        # the search elsewhere; the search weighs it as a block of two.
+        # its block. A BLAS product would weigh a lone row by a dot product,
+        # which rounds unlike a block's matrix-vector product in the last bit
+        # and steers the search elsewhere.
         rng = np.random.default_rng(7)
         loss = catalog(name, dim=2, **params)
         ens = make_ensemble(rng.uniform(lo, hi, (7, 2)), rng.random(7) + 0.1)
@@ -561,21 +561,27 @@ class TestBruteForce:
         assert lone.point.tobytes() == whole.point.tobytes()
         assert repr(lone.objective) == repr(whole.objective)
 
-    @pytest.mark.xfail(strict=True, reason="the matrix-vector product that weighs a block's "
-                       "rows rounds a row by the block's row count once a support has about "
-                       "20 points (ROADMAP item 16)")
     def test_wide_supports_do_not_depend_on_the_block_budget(self, monkeypatch):
+        # From about 20 support points a BLAS matrix-vector product rounds a
+        # row by its block's row count; the search's einsum sums do not.
         rng, default = np.random.default_rng(7), core.BLOCK_FLOATS
-        for name, params, lo, hi in [("minkowski", {"epsilon": 1.5}, -3.0, 3.0),
-                                     ("sq_euclidean", {}, -3.0, 3.0), ("kl", {}, 0.1, 0.9)]:
-            loss = catalog(name, dim=2, **params)
+        for name, params, draw in [
+            ("minkowski", {"epsilon": 1.5}, lambda n: rng.uniform(-3.0, 3.0, (n, 2))),
+            ("sq_euclidean", {}, lambda n: rng.uniform(-3.0, 3.0, (n, 2))),
+            ("kl", {}, lambda n: rng.uniform(0.1, 0.9, (n, 2))),
+            ("kl", {"simplex": True}, lambda n: rng.dirichlet(np.ones(3), n)),  # null space
+        ]:
             for size in (20, 60):
-                ens = make_ensemble(rng.uniform(lo, hi, (size, 2)), rng.random(size) + 0.1)
+                P = draw(size)
+                loss = catalog(name, dim=P.shape[1], **params)
+                ens = make_ensemble(P, rng.random(size) + 0.1)
                 monkeypatch.setattr(core, "BLOCK_FLOATS", default)
                 whole = brute_force_centroid(loss, ens, "first_arg")
-                monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
-                lone = brute_force_centroid(loss, ens, "first_arg")
-                assert lone.point.tobytes() == whole.point.tobytes(), (name, size)
+                for budget in (1, 4 * size * ens.dim):  # one-row, then four-row blocks
+                    monkeypatch.setattr(core, "BLOCK_FLOATS", budget)
+                    blocked = brute_force_centroid(loss, ens, "first_arg")
+                    assert blocked.point.tobytes() == whole.point.tobytes(), (name, size, budget)
+                    assert repr(blocked.objective) == repr(whole.objective)
 
     def test_no_finite_objective_is_named(self):
         # Every point of the simplex is feasible, but no point has a finite
@@ -641,14 +647,14 @@ class TestLockstepSearch:
         else:
             loss, bad = _poisoned(kind == "separable"), [[0.3141, 0.5], [0.2, 0.7]]
         jobs = []
-        for n in range(1, 7):  # support sizes 1 to 6, both sides
+        for n in [*range(1, 7), 5, 9, 13, 21]:  # sizes that straddle 8 too, both sides
             P = (rng.dirichlet(np.ones(3), n) if kind == "simplex"
                  else rng.uniform(0.05, 0.95, (n, 2)))
             jobs.append((make_ensemble(P, rng.random(n) + 0.1), ("first_arg", "second_arg")[n % 2]))
         jobs.insert(3, (make_ensemble(bad, [1, 1]), "first_arg"))
         jobs.append((jobs[0][0], "both"))
         if blocked:  # the four-row blocks of test_blocks_do_not_change_answers
-            monkeypatch.setattr(core, "BLOCK_FLOATS", 4 * 6 * loss.dim)
+            monkeypatch.setattr(core, "BLOCK_FLOATS", 4 * 21 * loss.dim)
         batch = centroids._brute_force_batch(loss, jobs)
         assert len(batch) == len(jobs)
         for (ens, side), got in zip(jobs, batch):
