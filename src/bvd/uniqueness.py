@@ -167,7 +167,8 @@ def separability_rank_test(
 
     For d = 1 a non-separable verdict carries a witness: the two labels
     and two predictions whose 2 x 2 minor has the largest normalized
-    determinant.
+    determinant, the first in (prediction pair, label, label) order. Its
+    search holds all L(L - 1)/2 x K x K minors at once.
     """
     T_grid = np.atleast_2d(np.asarray(label_grid, dtype=float))
     Y_grid = np.atleast_2d(np.asarray(pred_grid, dtype=float))
@@ -199,17 +200,11 @@ def separability_rank_test(
     witness = None
     if not separable and d == 1:
         scalar = blocks[:, :, 0, 0]  # (L, K)
-        best = None
-        for l1 in range(L - 1):
-            for l2 in range(l1 + 1, L):
-                dets = scalar[l1, :, None] * scalar[l2, None, :] - np.outer(
-                    scalar[l2, :], scalar[l1, :]
-                )
-                k1, k2 = np.unravel_index(np.argmax(np.abs(dets)), dets.shape)
-                val = float(dets[k1, k2])
-                if best is None or abs(val) > abs(best[0]):
-                    best = (val, int(k1), int(k2), l1, l2)
-        det, k1, k2, l1, l2 = best
+        l1s, l2s = np.triu_indices(L, 1)
+        dets = (scalar[l1s, :, None] * scalar[l2s, None, :]
+                - scalar[l2s, :, None] * scalar[l1s, None, :])
+        p, k1, k2 = np.unravel_index(np.argmax(np.abs(dets)), dets.shape)
+        det, l1, l2 = float(dets[p, k1, k2]), l1s[p], l2s[p]
         witness = {
             "labels": [float(T_grid[k1, 0]), float(T_grid[k2, 0])],
             "predictions": [float(Y_grid[l1, 0]), float(Y_grid[l2, 0])],
