@@ -14,6 +14,8 @@ every run in pair order, each side's median and quartiles (numpy's linear
 (ties count for neither), the per-kind median latencies that run.py
 prints, and, for ``--claim``, whether the change won at least nine tenths
 of the pairs with medians apart by more than the parent's quartile spread.
+Each end-to-end metric also gets a no-regression verdict against its
+``bound`` in BENCHMARK.json (see ``verdict``).
 Each run also records the CPU seconds of its process and its children
 (``cpu_s``) and the 1-minute load average just before it (``load_1m``), so
 pairs that ran under outside load show; they do not enter the claim. The
@@ -82,7 +84,22 @@ def side_record(runs: list[dict], metrics: list[str]) -> dict:
     return rec
 
 
-def workload_record(runs: dict, first: list[str], pair_seeds: list[int], better: dict) -> dict:
+def verdict(parent: dict, change: dict, direction: str, bound: float) -> str:
+    """``unresolved`` when the parent's quartile spread exceeds ``bound`` of
+    its median and not every change run beats every parent run; else
+    ``worse`` or ``better`` when the change's median is worse or better than
+    the parent's by more than ``bound`` of it; else ``within_bound``."""
+    sign = 1.0 if direction == "higher" else -1.0
+    margin = bound * abs(parent["median"])
+    beats_all = min(sign * v for v in change["runs"]) > max(sign * v for v in parent["runs"])
+    if parent["q3"] - parent["q1"] > margin and not beats_all:
+        return "unresolved"
+    gain = sign * (change["median"] - parent["median"])
+    return "worse" if gain < -margin else "better" if gain > margin else "within_bound"
+
+
+def workload_record(runs: dict, first: list[str], pair_seeds: list[int], better: dict,
+                    bounds: dict) -> dict:
     metrics = list(better)
     rec = {"pairs": len(runs["change"]), "seeds": pair_seeds[: len(runs["change"])],
            "first_side": first[: len(runs["change"])]}
@@ -97,6 +114,8 @@ def workload_record(runs: dict, first: list[str], pair_seeds: list[int], better:
         p_med, c_med = rec["parent"][m]["median"], rec["change"][m]["median"]
         pct[m] = round(100.0 * (c_med - p_med) / p_med, 1) if p_med else None
     rec["change_better_pairs"], rec["median_change_pct"] = wins, pct
+    rec["verdict"] = {m: verdict(rec["parent"][m], rec["change"][m], better[m], bounds[m])
+                      for m in metrics}
     kinds = sorted(runs["parent"][0]["kinds"]) if runs["parent"] else []
     rec["per_kind_latency_ms"] = {
         side: {k: summary([r["kinds"][k] for r in runs[side] if k in r["kinds"]]) for k in kinds}
@@ -132,6 +151,7 @@ def main() -> int:
     args = ap.parse_args()
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     first = ["parent" if k % 2 == 0 else "change" for k in range(len(args.seeds))]
     record = {
@@ -150,7 +170,8 @@ def main() -> int:
                 runs[side].append(run_once(roots[side], workload, seed, args.seconds))
                 print(f"{workload} seed {seed} {side}: "
                       f"{runs[side][-1]['metrics']['ops_per_s']['value']:.1f} ops/s", flush=True)
-            record["workloads"][workload] = workload_record(runs, first, args.seeds, better)
+            record["workloads"][workload] = workload_record(runs, first, args.seeds, better,
+                                                            bounds)
             if args.claim:
                 cw, cm = args.claim.split(":")
                 if cw in record["workloads"]:
