@@ -317,10 +317,6 @@ class LossFunction:
     # one axis at a time.
     separable: bool = False
 
-    # Optional ``(t, y) -> None`` that raises BoundaryError where evaluation
-    # cannot work, naming the offending coordinate.
-    _check_boundary: Callable | None = None
-
     def eval_batch(self, T: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -331,13 +327,16 @@ class LossFunction:
     def eval(self, t, y) -> float:
         return self._eval_scalar(self.eval_batch, t, y)
 
+    def _check_boundary(self, t: np.ndarray, y: np.ndarray) -> None:
+        """Raise ``BoundaryError`` where evaluation cannot work, naming the
+        offending coordinate; this default accepts every pair."""
+
     def _eval_scalar(self, batch: Callable, t, y) -> float:
         """``batch`` at one (label, prediction) pair: both must lie in the
         domain and pass ``_check_boundary``; a non-finite value raises."""
         t = self.domain.require(t, "label")
         y = self.domain.require(y, "prediction")
-        if self._check_boundary is not None:
-            self._check_boundary(t, y)
+        self._check_boundary(t, y)
         with np.errstate(all="ignore"):
             v = float(batch(t, y))
         if not np.isfinite(v):
@@ -379,8 +378,7 @@ def _require_dim(loss: LossFunction, dim: int, what: str) -> None:
 
 def _not_finite(loss: LossFunction, t: np.ndarray, y: np.ndarray):
     """Raise ``BoundaryError`` for a pair, from ``_check_boundary`` if it can."""
-    if loss._check_boundary is not None:
-        loss._check_boundary(t, y)
+    loss._check_boundary(t, y)
     raise BoundaryError(f"{loss.name} is not finite at label={t}, prediction={y}")
 
 

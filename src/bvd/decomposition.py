@@ -80,8 +80,7 @@ def _report(
         noise_col, bias = V[:n, 0], float(V[n, 1])
         var_row = support_product(loss, c[1:], preds.points)[0]
         expected = float((lw * V[:n, 1]).sum() + (pw * var_row).sum()) - inner
-    if loss._check_boundary is not None:
-        loss._check_boundary(t_star.point, y_star.point)
+    loss._check_boundary(t_star.point, y_star.point)
     noise, variance = float((lw * noise_col).sum()), float((pw * var_row).sum())
     _check_terms(intrinsic_noise=noise, bias=bias, variance=variance)
     lams = [r.multipliers for r in (t_star, y_star) if r.multipliers.size]

@@ -230,9 +230,6 @@ class GBregmanDivergence(LossFunction):
         self.params = dict(params or {})
         self._direct_eval = direct_eval or self.eval_defining_batch
         self._validator = check_boundary
-        if check_boundary is not None:  # reads the name at call time
-            self._check_boundary = lambda t, y: check_boundary(
-                t, y, self.name, ("label", "prediction"))
         self.separable = separable
         self._reverse = None
 
@@ -256,6 +253,10 @@ class GBregmanDivergence(LossFunction):
 
     def eval_batch(self, T, Y):
         return _clamp(self._direct_eval(np.asarray(T, float), np.asarray(Y, float)))
+
+    def _check_boundary(self, t, y):
+        if self._validator is not None:
+            self._validator(t, y, self.name, ("label", "prediction"))
 
     def eval_concise(self, t, y) -> float:
         """Mixed-coordinate form A(g(t)) - f(y) . g(t) + B(f(y))."""

@@ -314,7 +314,8 @@ class TestPairExpectation:
             assert str(exc.value) == str(caught.value)
 
     def test_non_finite_pair_without_boundary_check_is_named(self, monkeypatch):
-        # A loss with no _check_boundary names the first pair in row order.
+        # A loss whose _check_boundary accepts every pair names the first
+        # pair in row order.
         loss = CallableLoss(1, Domain.box([0.0], [2.0]),
                             lambda T, Y: np.where(T[..., 0] + Y[..., 0] >= 2.5, np.inf, 0.0))
         labels = make_ensemble([[0.5], [1.5], [2.0]], [1, 1, 1])
@@ -331,6 +332,15 @@ class TestPairExpectation:
                 core.support_product(loss, labels.points, preds.points, used)
             values = core.support_product(loss, labels.points, preds.points, finite_used)
             np.testing.assert_array_equal(values, [[0.0, 0.0], [0.0, np.inf], [np.inf, np.inf]])
+
+    def test_default_boundary_check_accepts_every_pair(self):
+        class Bare(core.LossFunction):
+            pass
+
+        box = Domain.box([0.0], [2.0])
+        for loss in (CallableLoss(1, box, lambda T, Y: T - Y), Bare(1, box)):
+            assert callable(loss._check_boundary)
+            assert loss._check_boundary(np.zeros(1), np.ones(1)) is None
 
     def test_side_dimension_mismatch_is_named(self, rng):
         loss = catalog("kl", dim=3)

@@ -1,5 +1,8 @@
 """Tests for the divergence engine and its catalog."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -416,6 +419,23 @@ class TestBoundariesAndErrors:
         with pytest.raises(BoundaryError) as exc:
             catalog("reverse_kl", dim=2).eval([0.5, 0.0], [0.5, 0.5])
         assert str(exc.value) == "reverse_kl: label coordinate 1 = 0 is at the domain boundary (needs > 0)"
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("kl", {"dim": 2}), ("reverse_kl", {"dim": 2}), ("gaussian_canonical", {}), ("bernoulli_kl", {})],
+        ids=["kl", "reverse_kl", "gaussian_canonical", "bernoulli_kl"],
+    )
+    def test_validated_divergence_is_freed_without_gc(self, name, params):
+        # The boundary check is a method, not a closure over the divergence,
+        # so reference counting alone frees it and its cached reverse.
+        gc.disable()
+        try:
+            div = catalog(name, **params)
+            refs = [weakref.ref(div), weakref.ref(div.reverse())]
+            del div
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_shared_zero_coordinates_stay_finite(self):
         # Coordinates where both arguments vanish contribute nothing; the
