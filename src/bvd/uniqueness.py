@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import LossFunction, Record, make_ensemble
 from .centroids import _brute_force_batch
 from .decomposition import _generic_report
@@ -167,8 +168,7 @@ def separability_rank_test(
 
     For d = 1 a non-separable verdict carries a witness: the two labels
     and two predictions whose 2 x 2 minor has the largest normalized
-    determinant, the first in (prediction pair, label, label) order. Its
-    search holds all L(L - 1)/2 x K x K minors at once.
+    determinant, the first in (prediction pair, label, label) order.
     """
     T_grid = np.atleast_2d(np.asarray(label_grid, dtype=float))
     Y_grid = np.atleast_2d(np.asarray(pred_grid, dtype=float))
@@ -199,12 +199,7 @@ def separability_rank_test(
 
     witness = None
     if not separable and d == 1:
-        scalar = blocks[:, :, 0, 0]  # (L, K)
-        l1s, l2s = np.triu_indices(L, 1)
-        dets = (scalar[l1s, :, None] * scalar[l2s, None, :]
-                - scalar[l2s, :, None] * scalar[l1s, None, :])
-        p, k1, k2 = np.unravel_index(np.argmax(np.abs(dets)), dets.shape)
-        det, l1, l2 = float(dets[p, k1, k2]), l1s[p], l2s[p]
+        det, k1, k2, l1, l2 = _largest_minor(blocks[:, :, 0, 0])
         witness = {
             "labels": [float(T_grid[k1, 0]), float(T_grid[k2, 0])],
             "predictions": [float(Y_grid[l1, 0]), float(Y_grid[l2, 0])],
@@ -221,6 +216,24 @@ def separability_rank_test(
         n_unreliable=n_unreliable,
         witness=witness,
     )
+
+
+def _largest_minor(scalar: np.ndarray) -> tuple[float, int, int, int, int]:
+    """``(det, k1, k2, l1, l2)`` of the 2 x 2 minor of ``scalar`` on rows
+    l1 < l2 and columns k1, k2 that ``np.argmax`` picks from the |det| of
+    the whole L(L - 1)/2 x K x K stack: the first largest, or the first NaN.
+    The stack is built in chunks of row pairs, at most ``core.BLOCK_FLOATS``
+    floats and one pair at least; a later chunk wins by the same rule."""
+    l1s, l2s = np.triu_indices(scalar.shape[0], 1)
+    pairs = max(1, core.BLOCK_FLOATS // scalar.shape[1] ** 2)
+    best = None
+    for start in range(0, l1s.size, pairs):
+        a, b = l1s[start : start + pairs], l2s[start : start + pairs]
+        dets = scalar[a, :, None] * scalar[b, None, :] - scalar[b, :, None] * scalar[a, None, :]
+        p, k1, k2 = np.unravel_index(np.argmax(np.abs(dets)), dets.shape)
+        if best is None or np.argmax([abs(best[0]), abs(dets[p, k1, k2])]) == 1:
+            best = (float(dets[p, k1, k2]), int(k1), int(k2), int(a[p]), int(b[p]))
+    return best
 
 
 @dataclass(frozen=True)

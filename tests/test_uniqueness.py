@@ -1,9 +1,11 @@
 """Tests for mixed-derivative separability and the empirical classifier."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bvd import CallableLoss, Domain, catalog, decompose_generic, make_ensemble
+from bvd import CallableLoss, Domain, catalog, core, decompose_generic, make_ensemble
 from bvd import uniqueness as U
 from bvd.uniqueness import (
     N_GAP_TRIALS,
@@ -145,6 +147,62 @@ class TestSeparability:
         pts = np.linspace(0.0, 1e-3, 6)[:, None]
         with pytest.raises(UnreliableHessianError, match="withheld"):
             separability_rank_test(loss, pts, pts, step=1e-4)
+
+
+def _stack_minor(scalar):
+    """Reference witness search: np.argmax over the whole L(L - 1)/2 x K x K
+    stack of 2 x 2 minors of ``scalar``."""
+    l1s, l2s = np.triu_indices(scalar.shape[0], 1)
+    dets = (scalar[l1s, :, None] * scalar[l2s, None, :]
+            - scalar[l2s, :, None] * scalar[l1s, None, :])
+    p, k1, k2 = np.unravel_index(np.argmax(np.abs(dets)), dets.shape)
+    return float(dets[p, k1, k2]), int(k1), int(k2), int(l1s[p]), int(l2s[p])
+
+
+class TestWitnessSearch:
+    @pytest.mark.parametrize("budget", [1, core.BLOCK_FLOATS], ids=["one_pair", "default"])
+    def test_chunks_match_the_whole_stack(self, rng, monkeypatch, budget):
+        # Exact ties, all-zero stacks and NaNs: every chunking picks the
+        # stack's first largest |det|, or its first NaN.
+        monkeypatch.setattr(core, "BLOCK_FLOATS", budget)
+        for i in range(400):
+            L, K = rng.integers(2, 9, 2)
+            scalar = [rng.normal(size=(L, K)), rng.integers(-2, 3, (L, K)).astype(float),
+                      np.zeros((L, K)), rng.integers(-1, 2, (L, K)).astype(float)][i % 4]
+            if i % 4 == 3:
+                scalar[rng.random((L, K)) < 0.2] = np.nan
+            assert repr(U._largest_minor(scalar)) == repr(_stack_minor(scalar))
+
+    @pytest.mark.parametrize("budget", [1, core.BLOCK_FLOATS], ids=["one_pair", "default"])
+    def test_minkowski_witness_matches_the_whole_stack(self, monkeypatch, budget):
+        monkeypatch.setattr(core, "BLOCK_FLOATS", budget)
+        loss = catalog("minkowski", epsilon=1.5, dim=1)
+        T_grid = np.linspace(0.0, 1.0, 12)[:, None]
+        Y_grid = np.linspace(2.0, 3.5, 10)[:, None]
+        v = separability_rank_test(loss, T_grid, Y_grid)
+        T = np.repeat(T_grid[None], 10, axis=0).reshape(-1, 1)  # pair (l, k)
+        Y = np.repeat(Y_grid[:, None], 12, axis=1).reshape(-1, 1)
+        det, k1, k2, l1, l2 = _stack_minor(U._mixed_hessians(loss, T, Y, None)[0].reshape(10, 12))
+        assert v.witness == {"labels": [T_grid[k1, 0], T_grid[k2, 0]],
+                             "predictions": [Y_grid[l1, 0], Y_grid[l2, 0]], "determinant": det}
+
+    @pytest.mark.parametrize("labels_below", [True, False], ids=["labels_below", "labels_above"])
+    def test_hundred_point_grids_stay_small(self, labels_below):
+        # The whole stack of 4950 x 100 x 100 minors would take 763 MB.
+        loss = catalog("minkowski", epsilon=1.5, dim=1)
+        low, high = np.linspace(0.0, 1.0, 100)[:, None], np.linspace(2.0, 3.0, 100)[:, None]
+        T_grid, Y_grid = (low, high) if labels_below else (high, low)
+        tracemalloc.start()
+        try:
+            v = separability_rank_test(loss, T_grid, Y_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        (t1, t2), (y1, y2) = v.witness["labels"], v.witness["predictions"]
+        want = (minkowski_mixed(1.5, t1, y1) * minkowski_mixed(1.5, t2, y2)
+                - minkowski_mixed(1.5, t2, y1) * minkowski_mixed(1.5, t1, y2))
+        assert v.witness["determinant"] == pytest.approx(want, abs=1e-3)
 
 
 class TestClassifier:
