@@ -160,7 +160,7 @@ def _stack_minor(scalar):
 
 
 class TestWitnessSearch:
-    @pytest.mark.parametrize("budget", [1, core.BLOCK_FLOATS], ids=["one_pair", "default"])
+    @pytest.mark.parametrize("budget", [1, 100, core.BLOCK_FLOATS], ids=["one_pair", "few_pairs", "default"])
     def test_chunks_match_the_whole_stack(self, rng, monkeypatch, budget):
         # Exact ties, all-zero stacks and NaNs: every chunking picks the
         # stack's first largest |det|, or its first NaN.

@@ -9,8 +9,11 @@ code there). For each of ``--rounds`` rounds of the ``ensembles_small``,
 line per operation: the workload, the operation's kind, and ``json.dumps`` of its result's ``to_json()`` or the exception it
 raised. Then it runs each ``DIR/demos/specs/*.json`` through
 ``bvd.cli.main`` into a temporary directory and prints the exit code and
-the sha256 of each file written. Two checkouts give the same answers when
-``cmp`` finds their outputs identical.
+the sha256 of each file written. Last it runs each of ``DIR/demos/01``-``05``
+in a fresh interpreter on ``DIR/src`` and prints every line of its stdout,
+then its exit code, each line prefixed with the demo's name. Two
+checkouts give the same answers when ``cmp`` finds their outputs
+identical.
 """
 
 import argparse
@@ -18,6 +21,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -58,6 +63,14 @@ def main() -> int:
             for path in sorted(Path(out).iterdir()):
                 print("spec", spec_path.name, path.name,
                       hashlib.sha256(path.read_bytes()).hexdigest())
+
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for demo in sorted((root / "demos").glob("0[1-5]_*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                              env=env, cwd=root)
+        for line in proc.stdout.splitlines():
+            print("demo", demo.name, line)
+        print("demo", demo.name, "exit", proc.returncode)
     return 0
 
 
