@@ -8,9 +8,10 @@ g-mean and f-mean (rescaled to sum 1 for kl, reverse_kl and alpha on the
 simplex); with other linear equality constraints they follow from a Newton
 solve on the Lagrange multipliers. A grid search refined by a batched
 multi-start pattern search provides an independent check and handles
-arbitrary losses. :func:`central_prediction` picks the cheapest that is
-exact for a loss; each label-side solve is the prediction-side solve of
-``loss.reverse()``.
+arbitrary losses. Each solver has a point step (objective nan; the oracle's
+runs (loss, ensemble) jobs in lockstep), which the public solver scores.
+:func:`central_prediction` picks the cheapest that is exact for a loss;
+each label-side solve is the prediction-side solve of ``loss.reverse()``.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     ``side`` names the free argument: ``"first_arg"`` minimizes
     E loss(x, P) over x (central prediction when P are predictions),
     ``"second_arg"`` minimizes E loss(P, x) (central label), which is the
-    ``"first_arg"`` search on ``loss.reverse()``.
+    ``"first_arg"`` search on ``loss.reverse()``; another ``side`` raises ``ValueError``.
 
     The search evaluates a ``GRID_RESOLUTION``-point grid per axis of the
     loss's bounded domain (plus the ensemble's own support points, which
@@ -263,29 +264,33 @@ def brute_force_centroid(loss: LossFunction, ens: WeightedEnsemble, side: str) -
     exceed it raises ``ValueError`` before any evaluation. A search in which
     no candidate has a finite objective raises ``ValueError`` too.
 
-    It is the one-job case of the lockstep search that runs all centroids of
-    :func:`~bvd.decomposition.decompose_generic` or :func:`~bvd.uniqueness.classify_loss`.
+    It scores the one-job case of the lockstep search (unscored points) that
+    :func:`~bvd.decomposition.decompose_generic` and :func:`~bvd.uniqueness.classify_loss` run.
     """
-    res = _brute_force_batch(loss, [(ens, side)])[0]
+    if side not in ("first_arg", "second_arg"):
+        raise ValueError("side must be 'first_arg' or 'second_arg'")
+    loss = loss.reverse() if side == "second_arg" else loss
+    res = _brute_force_batch([(loss, ens)])[0]
     if isinstance(res, Exception):
         raise res
-    return res
+    return _scored(loss, res, ens)
 
 
-def _brute_force_batch(loss: LossFunction, jobs: list) -> list:
-    """:func:`brute_force_centroid` of ``loss`` for each (ensemble, side) of
-    ``jobs``, in lockstep: per job its result or the exception it raises."""
-    domain, d = loss.domain, loss.dim  # which loss.reverse() keeps, with separability
-    separable = loss.separable and domain.n_constraints == 0
+def _brute_force_batch(jobs: list) -> list:
+    """The point step of :func:`brute_force_centroid` (objective nan), in
+    lockstep, over the first argument of each (loss, ensemble) of ``jobs``:
+    per job its point or the exception a lone search raises. The losses are
+    a loss and its reverse, which share the domain object and separability."""
+    if not jobs:
+        return []
+    domain, d = jobs[0][0].domain, jobs[0][0].dim
+    separable = jobs[0][0].separable and domain.n_constraints == 0
     n_problems, m = (d, 1) if separable else (1, d - domain.n_constraints)
     n_grid = GRID_RESOLUTION**m
-    results, losses = [None] * len(jobs), {}
-    for i, (ens, side) in enumerate(jobs):
+    # The jobs of each loss object search together, in order of first appearance.
+    results, groups = [None] * len(jobs), {}
+    for i, (loss, ens) in enumerate(jobs):
         try:
-            if side not in ("first_arg", "second_arg"):
-                raise ValueError("side must be 'first_arg' or 'second_arg'")
-            if side not in losses:
-                losses[side] = loss.reverse() if side == "second_arg" else loss
             domain.require_points(ens.points, "ensemble point")
             if not domain.is_bounded:
                 raise ValueError("brute-force search needs a bounded box domain")
@@ -297,11 +302,12 @@ def _brute_force_batch(loss: LossFunction, jobs: list) -> list:
                 )
         except Exception as exc:  # a lone call raises it
             results[i] = exc
-    # The jobs of each loss object search next to each other.
-    live = sorted((i for i, r in enumerate(results) if r is None), key=lambda i: jobs[i][1])
+        else:
+            groups.setdefault(id(loss), []).append(i)
+    live = [i for group in groups.values() for i in group]
     if not live:
         return results
-    enss, sides = [jobs[i][0] for i in live], [jobs[i][1] for i in live]
+    enss = [jobs[i][1] for i in live]
 
     # Each search problem b maps reduced coordinates z to the point
     # origin[b] + basis[b] @ z and is scored against its own support[b]: one
@@ -334,20 +340,15 @@ def _brute_force_batch(loss: LossFunction, jobs: list) -> list:
     try:
         with np.errstate(all="ignore"):
             found = [(origin.copy(), False) for _ in live] if m == 0 else _search(
-                [(losses.get(s), sides.count(s)) for s in ("first_arg", "second_arg")],
+                [(jobs[group[0]][0], len(group)) for group in groups.values()],
                 enss, supports, domain, origin, basis, lo, hi, edges)
     except Exception as exc:  # an evaluation raised: each job gets what it raises alone
-        return [r or (exc if len(live) == 1 else _brute_force_batch(loss, [job])[0])
+        return [r or (exc if len(live) == 1 else _brute_force_batch([job])[0])
                 for r, job in zip(results, jobs)]
-    for i, side, ens, job in zip(live, sides, enss, found):
-        try:
-            if isinstance(job, Exception):
-                raise job
-            point = np.diagonal(job[0]).copy() if separable else job[0][0]
-            obj = side_expectation(losses[side], point, ens)
-            results[i] = CentroidResult(point, np.zeros(0), obj, "brute_force", job[1])
-        except Exception as exc:  # a lone call raises it
-            results[i] = exc
+    for i, job in zip(live, found):
+        results[i] = job if isinstance(job, Exception) else CentroidResult(
+            np.diagonal(job[0]).copy() if separable else job[0][0], np.zeros(0), np.nan,
+            "brute_force", job[1])
     return results
 
 

@@ -52,8 +52,8 @@ def _report(
     loss: LossFunction,
     labels: WeightedEnsemble,
     preds: WeightedEnsemble,
-    t_star: CentroidResult,
-    y_star: CentroidResult,
+    t_star: CentroidResult | Exception,
+    y_star: CentroidResult | Exception,
 ) -> DecompositionReport:
     """The decomposition at the given central points, the loss evaluated
     once per cell of rows [T; t*; y*] against columns [Y; t*; y*]: the
@@ -62,7 +62,11 @@ def _report(
     applies at c = y*, the n x m cells are skipped: E D(T, Y) is
     E D(T, y*) + variance minus the term. Under linear equality constraints
     noise and variance equal the potential differences with the lam . b
-    correction (Banerjee et al. 2005)."""
+    correction (Banerjee et al. 2005). A search's exception in place of a
+    central point is raised, the label side's first."""
+    for res in (t_star, y_star):
+        if isinstance(res, Exception):
+            raise res
     n, m, c = labels.size, preds.size, np.array([t_star.point, y_star.point])
     lw, pw = labels.weights, preds.weights
     inner = wide_inner_term(loss, labels, preds, y_star.point, border=2)
@@ -116,16 +120,8 @@ def decompose_generic(
     two centroid searches run in lockstep; when both fail, the label side's
     error is raised.
     """
-    centroids = _brute_force_batch(loss, [(labels, "second_arg"), (preds, "first_arg")])
-    return _generic_report(loss, labels, preds, *centroids)
-
-
-def _generic_report(loss, labels, preds, t_star, y_star) -> DecompositionReport:
-    """:func:`_report` on two searches' results; raises the first exception."""
-    for res in (t_star, y_star):
-        if isinstance(res, Exception):
-            raise res
-    return _report(loss, labels, preds, t_star, y_star)
+    return _report(loss, labels, preds,
+                   *_brute_force_batch([(loss.reverse(), labels), (loss, preds)]))
 
 
 def decompose_gbregman(

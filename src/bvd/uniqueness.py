@@ -25,7 +25,7 @@ import numpy as np
 from . import core
 from .core import LossFunction, Record, make_ensemble
 from .centroids import _brute_force_batch
-from .decomposition import _generic_report
+from .decomposition import _report
 
 DEFAULT_STEP_SCALE = 1e-4
 RANK_THRESHOLD = 1e-6
@@ -337,18 +337,18 @@ def classify_loss(loss: LossFunction, config: ClassifierConfig | None = None) ->
         if not verdict.separable:
             witness_found = True
 
-    pairs, jobs = [], []
+    pairs, jobs, rev = [], [], loss.reverse()
     for _ in range(N_GAP_TRIALS):
         n = int(rng.integers(2, SUPPORT_SIZE + 1))
         labels = make_ensemble(_sample_grid(rng, lo, hi, n, domain), rng.random(n) + 0.1)
         m = int(rng.integers(2, SUPPORT_SIZE + 1))
         preds = make_ensemble(_sample_grid(rng, lo, hi, m, domain), rng.random(m) + 0.1)
         pairs.append((labels, preds))
-        jobs += [(labels, "second_arg"), (preds, "first_arg")]
-    centroids = _brute_force_batch(loss, jobs)
+        jobs += [(rev, labels), (loss, preds)]
+    centroids = _brute_force_batch(jobs)
     for trial, (labels, preds) in enumerate(pairs):
         try:
-            report = _generic_report(loss, labels, preds, *centroids[2 * trial : 2 * trial + 2])
+            report = _report(loss, labels, preds, *centroids[2 * trial : 2 * trial + 2])
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             failures += 1
             evidence["failures"].append(f"gap trial {trial}: {exc}")

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from bvd import CallableLoss, Domain, InfeasibleMeanError, catalog, centroids, core, make_ensemble
+from bvd import (CallableLoss, Domain, InfeasibleMeanError, catalog, centroids, classify_loss, core,
+                 decompose_generic, make_ensemble)
 from bvd.centroids import (
     brute_force_centroid,
     central_label,
@@ -635,8 +636,8 @@ def _poisoned(separable):
 
 
 class TestLockstepSearch:
-    """A batch of searches on one loss gives every job the bytes, or the
-    exception, of a lone brute_force_centroid call."""
+    """A batch of searches on a loss and its reverse gives every job the
+    bytes, or the exception, of a lone brute_force_centroid call."""
 
     @pytest.mark.parametrize("blocked", [False, True])
     @pytest.mark.parametrize("kind", ["separable", "full_grid", "simplex"])
@@ -646,28 +647,59 @@ class TestLockstepSearch:
             loss, bad = catalog("kl", dim=3, simplex=True), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
         else:
             loss, bad = _poisoned(kind == "separable"), [[0.3141, 0.5], [0.2, 0.7]]
-        jobs = []
+        rev, jobs = loss.reverse(), []
         for n in [*range(1, 7), 5, 9, 13, 21]:  # sizes that straddle 8 too, both sides
             P = (rng.dirichlet(np.ones(3), n) if kind == "simplex"
                  else rng.uniform(0.05, 0.95, (n, 2)))
-            jobs.append((make_ensemble(P, rng.random(n) + 0.1), ("first_arg", "second_arg")[n % 2]))
-        jobs.insert(3, (make_ensemble(bad, [1, 1]), "first_arg"))
-        jobs.append((jobs[0][0], "both"))
+            jobs.append(((loss, rev)[n % 2], make_ensemble(P, rng.random(n) + 0.1)))
+        jobs.insert(3, (loss, make_ensemble(bad, [1, 1])))
         if blocked:  # the four-row blocks of test_blocks_do_not_change_answers
             monkeypatch.setattr(core, "BLOCK_FLOATS", 4 * 21 * loss.dim)
-        batch = centroids._brute_force_batch(loss, jobs)
+        batch = centroids._brute_force_batch(jobs)
         assert len(batch) == len(jobs)
-        for (ens, side), got in zip(jobs, batch):
+        for (job_loss, ens), got in zip(jobs, batch):
             try:
-                want = brute_force_centroid(loss, ens, side)
+                want = brute_force_centroid(loss, ens, "first_arg" if job_loss is loss
+                                            else "second_arg")
             except ValueError as exc:
                 assert type(got) is type(exc) and str(got) == str(exc)
                 continue
             assert got.point.tobytes() == want.point.tobytes()
-            assert repr(got.objective) == repr(want.objective)
+            assert np.isnan(got.objective)
+            assert repr(side_expectation(job_loss, got.point, ens)) == repr(want.objective)
             assert got.non_unique == want.non_unique
         assert "no candidate with a finite objective" in str(batch[3])
-        assert "side must be" in str(batch[-1])
+        assert centroids._brute_force_batch([]) == []
+        with pytest.raises(ValueError, match="side must be 'first_arg' or 'second_arg'"):
+            brute_force_centroid(loss, jobs[0][1], "both")
+
+    def test_power_mean_side_must_be_named(self):
+        div = catalog("kl", dim=3, simplex=True)
+        ens = make_ensemble([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]], [1, 1])
+        with pytest.raises(ValueError, match="side must be 'first_arg' or 'second_arg'"):
+            power_mean_centroids(div, ens, "both")
+
+    def test_only_the_lone_call_scores(self, monkeypatch):
+        # The batch returns unscored points: brute_force_centroid evaluates
+        # one objective, decompose_generic and classify_loss none.
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return side_expectation(*args)
+
+        monkeypatch.setattr(centroids, "side_expectation", counting)
+        loss = catalog("l1", dim=1, bound=2.0)
+        labels = make_ensemble([[0.1], [0.7], [-0.4]], [1, 2, 1])
+        preds = make_ensemble([[0.3], [-0.2]], [1, 1])
+        counts = []
+        for run in (lambda: brute_force_centroid(loss, preds, "second_arg"),
+                    lambda: decompose_generic(loss, labels, preds),
+                    lambda: classify_loss(loss)):
+            calls.clear()
+            run()
+            counts.append(len(calls))
+        assert counts == [1, 0, 0]
 
 
 def _full_grid_twin(loss):
