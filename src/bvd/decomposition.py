@@ -194,10 +194,15 @@ def exp_family_loglik_decompose(
     negative (a log density is not a nonnegative loss); the second is the
     variance and is nonnegative by convexity. All additive constants are
     kept so the two terms sum to the expected loss to float precision.
+    A sufficient statistic whose dimension is not the parameters' raises
+    ``ValueError`` before the log-partition is evaluated.
     """
     phi = np.asarray(sufficient_stat(z), dtype=float)
-    log_h = 0.0 if log_base_measure is None else float(log_base_measure(z))
     theta = canonical_preds.points
+    if phi.shape != theta.shape[1:]:
+        raise ValueError(f"the natural parameters have dimension {theta.shape[1]} but the "
+                         f"sufficient statistic has dimension {phi.size} (shape {phi.shape})")
+    log_h = 0.0 if log_base_measure is None else float(log_base_measure(z))
     w = canonical_preds.weights
     b_vals = np.asarray(log_partition.value(theta), dtype=float)
     if not np.all(np.isfinite(b_vals)):

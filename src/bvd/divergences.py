@@ -19,6 +19,7 @@ losses (Minkowski powers, L1, 0-1 on a grid).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -189,12 +190,14 @@ class GBregmanDivergence(LossFunction):
         neither); otherwise derived here, at construction, from
         ``gen.gradient`` (f by composing grad A with g, its inverse and B by
         Newton-based inversion of grad A; Newton runs only when they are
-        called). One half alone, or neither with no gradient, raises
-        ``ValueError``.
+        called, from g at the centre of ``domain``'s box, so a later
+        ``domain`` reassignment does not move that start). One half alone,
+        or neither with no gradient, raises ``ValueError``.
     direct_eval : optional numerically-stable closed form of the defining
         expression (used for batch evaluation, e.g. to honor the
         0 log 0 = 0 convention at boundary labels); :meth:`eval_batch`
-        passes it float arrays. Defaults to :meth:`eval_defining_batch`.
+        passes it float arrays. Defaults to the defining expression of
+        :meth:`eval_defining_batch` on ``gen``, ``mapping`` and the dual map.
     check_boundary : optional validator ``(t, y, name, roles)`` raising
         BoundaryError where evaluation cannot work, naming the divergence,
         the argument by its role (``roles`` names t and y; ``reverse()``
@@ -226,9 +229,13 @@ class GBregmanDivergence(LossFunction):
         if not self._dual_closed_form and gen.gradient is None:
             raise ValueError(f"{name}: the generator has no gradient and no closed-form "
                              "dual pair {B, f} is given")
-        self._dual = (dual_gen, dual_map) if self._dual_closed_form else self._derive_dual()
+        self._dual = ((dual_gen, dual_map) if self._dual_closed_form
+                      else _derived_dual(gen, mapping, domain))
         self.params = dict(params or {})
-        self._direct_eval = direct_eval or self.eval_defining_batch
+        # Built from parts, not bound to self: reference counting alone frees
+        # a divergence and its cached reverse.
+        self._direct_eval = direct_eval or functools.partial(
+            _defining_batch, gen, mapping, self._dual[1])
         self._validator = check_boundary
         self.separable = separable
         self._reverse = None
@@ -238,15 +245,7 @@ class GBregmanDivergence(LossFunction):
     def eval_defining_batch(self, T, Y):
         """Defining expression (g(y)-g(t)) . grad A(g(y)) - A(g(y)) + A(g(t)),
         with grad A(g(y)) = f(y)."""
-        Y = np.asarray(Y, dtype=float)
-        gt = self.map.forward(np.asarray(T, dtype=float))
-        gy = self.map.forward(Y)
-        vals = (
-            np.sum((gy - gt) * self._dual[1].forward(Y), axis=-1)
-            - self.gen.value(gy)
-            + self.gen.value(gt)
-        )
-        return _clamp(vals)
+        return _defining_batch(self.gen, self.map, self._dual[1], T, Y)
 
     def eval_defining(self, t, y) -> float:
         return self._eval_scalar(self.eval_defining_batch, t, y)
@@ -277,39 +276,6 @@ class GBregmanDivergence(LossFunction):
     @property
     def dual_is_closed_form(self) -> bool:
         return self._dual_closed_form
-
-    def _derive_dual(self) -> tuple[Generator, Mapping]:
-        gen, mapping = self.gen, self.map
-
-        def f_forward(y):
-            return gen.gradient(mapping.forward(y))
-
-        def grad_a_inverse(v):
-            x0 = self._newton_start()
-            return newton_invert(gen.gradient, v, x0)
-
-        def f_inverse(v):
-            return mapping.inverse(grad_a_inverse(v))
-
-        def b_row(v):
-            u = grad_a_inverse(v)
-            return float(u @ v - gen.value(u))
-
-        def per_row(fn):
-            # fn maps one (d,) point; stack its results over leading axes.
-            def batched(v):
-                out = [np.asarray(fn(row)) for row in v.reshape(-1, v.shape[-1])]
-                return np.stack(out).reshape(v.shape[:-1] + out[0].shape)
-
-            return batched
-
-        return Generator(per_row(b_row)), Mapping(f_forward, f_inverse)
-
-    def _newton_start(self) -> np.ndarray:
-        dom = self.domain
-        lo = np.where(np.isfinite(dom.lower), dom.lower, -1.0) if dom.lower is not None else -np.ones(dom.dim)
-        hi = np.where(np.isfinite(dom.upper), dom.upper, 1.0) if dom.upper is not None else np.ones(dom.dim)
-        return self.map.forward(0.5 * (lo + hi))
 
     def reverse(self) -> "GBregmanDivergence":
         """The divergence with arguments interchanged: swaps {A,g} and {B,f}.
@@ -351,6 +317,49 @@ class GBregmanDivergence(LossFunction):
                 "dual": "closed_form" if self._dual_closed_form else "newton",
             },
         }
+
+
+def _defining_batch(gen: Generator, mapping: Mapping, f: Mapping, T, Y) -> np.ndarray:
+    """(g(y)-g(t)) . f(y) - A(g(y)) + A(g(t)) for {A, g} = (gen, mapping)."""
+    Y = np.asarray(Y, dtype=float)
+    gt = mapping.forward(np.asarray(T, dtype=float))
+    gy = mapping.forward(Y)
+    return _clamp(np.sum((gy - gt) * f.forward(Y), axis=-1) - gen.value(gy) + gen.value(gt))
+
+
+def _derived_dual(gen: Generator, mapping: Mapping, domain: Domain) -> tuple[Generator, Mapping]:
+    """{B, f} of {A, g} = (gen, mapping) from ``gen.gradient``: f = grad A o g;
+    f's inverse and B invert grad A by Newton, from g at the centre of the
+    domain's box (a missing or infinite bound read as -1 or 1)."""
+    lo = -np.ones(domain.dim) if domain.lower is None else np.where(
+        np.isfinite(domain.lower), domain.lower, -1.0)
+    hi = np.ones(domain.dim) if domain.upper is None else np.where(
+        np.isfinite(domain.upper), domain.upper, 1.0)
+    with np.errstate(all="ignore"):
+        start = mapping.forward(0.5 * (lo + hi))
+
+    def f_forward(y):
+        return gen.gradient(mapping.forward(y))
+
+    def grad_a_inverse(v):
+        return newton_invert(gen.gradient, v, start)
+
+    def f_inverse(v):
+        return mapping.inverse(grad_a_inverse(v))
+
+    def b_row(v):
+        u = grad_a_inverse(v)
+        return float(u @ v - gen.value(u))
+
+    def per_row(fn):
+        # fn maps one (d,) point; stack its results over leading axes.
+        def batched(v):
+            out = [np.asarray(fn(row)) for row in v.reshape(-1, v.shape[-1])]
+            return np.stack(out).reshape(v.shape[:-1] + out[0].shape)
+
+        return batched
+
+    return Generator(per_row(b_row)), Mapping(f_forward, f_inverse)
 
 
 def _clamp(vals: np.ndarray) -> np.ndarray:

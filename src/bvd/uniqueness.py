@@ -167,8 +167,9 @@ def separability_rank_test(
     10% of the samples fail the step-halving check.
 
     For d = 1 a non-separable verdict carries a witness: the two labels
-    and two predictions whose 2 x 2 minor has the largest normalized
-    determinant, the first in (prediction pair, label, label) order.
+    and two predictions whose 2 x 2 minor has the largest raw |det| (not
+    normalized by the entries' scale), the first in (prediction pair,
+    label, label) order.
     """
     T_grid = np.atleast_2d(np.asarray(label_grid, dtype=float))
     Y_grid = np.atleast_2d(np.asarray(pred_grid, dtype=float))

@@ -105,6 +105,21 @@ class TestFMeanPrediction:
 
 
 class TestConstrainedCentroids:
+    def test_box_domain_has_no_equalities_to_solve(self):
+        div = catalog("sq_euclidean", dim=2)
+        preds = make_ensemble([[0.2, 0.8], [0.8, 0.2]], [1, 1])
+        with pytest.raises(ValueError, match="domain has no equality constraints"):
+            constrained_central_prediction(div, preds)
+
+    def test_solution_outside_the_box_is_named(self):
+        # The normalized geometric mean of these points is about
+        # [0.83, 0.09, 0.09]: on the sum-one plane, but above the 0.6 bound.
+        div = catalog("kl", dim=3)
+        div.domain = Domain(3, np.zeros(3), 0.6 * np.ones(3), np.ones((1, 3)), np.ones(1))
+        preds = make_ensemble([[0.6, 0.39, 0.01], [0.6, 0.01, 0.39]], [1, 1])
+        with pytest.raises(ValueError, match="violates the box bounds"):
+            constrained_central_prediction(div, preds)
+
     def test_kl_simplex_geometric_mean_normalized(self):
         div = catalog("kl", dim=2, simplex=True)
         preds = make_ensemble([[0.2, 0.8], [0.8, 0.2]], [1, 1])

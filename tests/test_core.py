@@ -119,6 +119,23 @@ class TestMakeEnsemble:
 
 
 class TestDomain:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"dim": 0}, "dim must be >= 1"),
+         ({"dim": 2, "lower": [0.0]}, r"lower must have shape \(2,\)"),
+         ({"dim": 2, "eq_lhs": [[1.0, 1.0]]}, "eq_lhs and eq_rhs must be given together"),
+         ({"dim": 2, "eq_lhs": [[1.0, 1.0, 1.0]], "eq_rhs": [1.0]},
+          "equality constraint shapes inconsistent")],
+        ids=["dim", "lower_shape", "half_equality", "equality_shapes"],
+    )
+    def test_malformed_domain_is_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Domain(**kwargs)
+
+    def test_loss_on_a_domain_of_another_dimension_is_named(self):
+        with pytest.raises(ValueError, match="domain dimension mismatch"):
+            CallableLoss(3, Domain.unit_box(2), lambda T, Y: np.sum((T - Y) ** 2, axis=-1))
+
     def test_box_containment(self):
         dom = Domain.box([0, 0], [1, 1])
         assert dom.contains([0.5, 0.5])

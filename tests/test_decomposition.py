@@ -14,7 +14,7 @@ from bvd.centroids import (
     central_prediction,
     power_mean_centroids,
 )
-from bvd.divergences import GBregmanDivergence, _log_mapping, make_g_mahalanobis
+from bvd.divergences import GBregmanDivergence, Generator, _log_mapping, make_g_mahalanobis
 from bvd.decomposition import (
     _report,
     decompose,
@@ -366,6 +366,31 @@ class TestNonDecomposabilityWitnesses:
 
 
 class TestExpFamilyDecomposition:
+    def test_dimension_mismatch_is_named_before_evaluation(self):
+        calls = []
+
+        def value(u):
+            calls.append(u)
+            return gaussian_log_partition().value(u)
+
+        with pytest.raises(ValueError, match="dimension 3 but the sufficient statistic has "
+                                             "dimension 2"):
+            exp_family_loglik_decompose(Generator(value), 0.0,
+                                        make_ensemble([[1.0, -0.5, 3.0]], [1]))
+        assert calls == []
+
+    def test_non_finite_log_partition_is_named(self):
+        # A positive second natural parameter is no Gaussian.
+        with pytest.raises(ValueError, match="log-partition is not finite at some predicted"):
+            exp_family_loglik_decompose(gaussian_log_partition(), 0.0,
+                                        make_ensemble([[0.0, -0.5], [0.0, 0.5]], [1, 1]))
+        # Finite at both members, infinite at their mean 0.
+        B = Generator(lambda u: np.where(np.abs(u[..., 0]) > 0.5, u[..., 0] ** 2, np.inf))
+        with pytest.raises(ValueError, match=r"log-partition is not finite at the central "
+                                             r"parameter \[0.\]"):
+            exp_family_loglik_decompose(B, 1.0, make_ensemble([[-1.0], [1.0]], [1, 1]),
+                                        sufficient_stat=lambda s: np.array([float(s)]))
+
     def test_single_standard_normal(self):
         B = gaussian_log_partition()
         preds = make_ensemble([[0.0, -0.5]], [1])  # natural params of N(0, 1)

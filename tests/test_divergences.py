@@ -10,12 +10,14 @@ import scipy.optimize
 import scipy.stats
 
 from bvd import BoundaryError, Domain, catalog, decompose, make_ensemble
+from bvd.centroids import central_label, central_prediction
 from bvd.core import ConvexityError
 from bvd.divergences import (
     GBregmanDivergence,
     Generator,
     _clamp,
     identity_mapping,
+    make_mahalanobis,
     newton_invert,
     catalog_from_json,
 )
@@ -376,6 +378,18 @@ class TestAlphaLimits:
             assert near.eval(t, y) == pytest.approx(rkl.eval(t, y), abs=1e-3)
 
 
+def _user_built(name: str, derived_dual: bool) -> GBregmanDivergence:
+    """The catalog entry's {A, g} and domain without its evaluator: with a
+    Newton-derived dual pair (only grad A given), or with the closed-form
+    dual pair but no ``direct_eval``."""
+    entry = catalog(name, dim=2)
+    if derived_dual:
+        return GBregmanDivergence(Generator(entry.gen.value, gradient=np.log), entry.map,
+                                  entry.domain)
+    B, f = entry.dual_pair()
+    return GBregmanDivergence(entry.gen, entry.map, entry.domain, dual_gen=B, dual_map=f)
+
+
 class TestBoundariesAndErrors:
     def test_kl_boundary_prediction_names_coordinate(self):
         div = catalog("kl", dim=2)
@@ -421,16 +435,21 @@ class TestBoundariesAndErrors:
         assert str(exc.value) == "reverse_kl: label coordinate 1 = 0 is at the domain boundary (needs > 0)"
 
     @pytest.mark.parametrize(
-        "name, params",
-        [("kl", {"dim": 2}), ("reverse_kl", {"dim": 2}), ("gaussian_canonical", {}), ("bernoulli_kl", {})],
-        ids=["kl", "reverse_kl", "gaussian_canonical", "bernoulli_kl"],
+        "build",
+        [lambda: catalog("kl", dim=2), lambda: catalog("reverse_kl", dim=2),
+         lambda: catalog("gaussian_canonical"), lambda: catalog("bernoulli_kl"),
+         lambda: _user_built("kl", derived_dual=True),
+         lambda: _user_built("kl", derived_dual=False)],
+        ids=["kl", "reverse_kl", "gaussian_canonical", "bernoulli_kl", "derived_dual",
+             "no_direct_eval"],
     )
-    def test_validated_divergence_is_freed_without_gc(self, name, params):
-        # The boundary check is a method, not a closure over the divergence,
-        # so reference counting alone frees it and its cached reverse.
+    def test_validated_divergence_is_freed_without_gc(self, build):
+        # The boundary check is a method, and neither the default evaluator
+        # nor a derived dual closes over the divergence, so reference
+        # counting alone frees it and its cached reverse.
         gc.disable()
         try:
-            div = catalog(name, **params)
+            div = build()
             refs = [weakref.ref(div), weakref.ref(div.reverse())]
             del div
             assert [ref() for ref in refs] == [None, None]
@@ -467,6 +486,27 @@ class TestBoundariesAndErrors:
             catalog("nope", dim=2)
         with pytest.raises(ValueError, match="epsilon"):
             catalog("minkowski", epsilon=2.5, dim=1)
+        with pytest.raises(ValueError, match="K must be a square matrix"):
+            make_mahalanobis(np.ones((2, 3)))
+        with pytest.raises(TypeError, match="simplex must be true or false, got 'no'"):
+            catalog("kl", dim=2, simplex="no")
+
+    def _g_mahalanobis_json(self, g):
+        return {"name": "g_mahalanobis",
+                "params": {"K": [[2.0, 0.5], [0.5, 1.0]], "g": g,
+                           "domain": {"dim": 2, "lower": [-3.0, -3.0], "upper": [3.0, 3.0]}}}
+
+    def test_g_mahalanobis_json_maps(self):
+        with pytest.raises(ValueError, match="unknown g_mahalanobis map 'sqrt'"):
+            catalog_from_json(self._g_mahalanobis_json("sqrt"))
+        # With the identity map the loss is a Mahalanobis distance, whose
+        # centroid is the arithmetic mean.
+        loss = catalog_from_json(self._g_mahalanobis_json("identity"))
+        assert loss.map.is_identity
+        preds = make_ensemble([[0.5, -1.0], [2.0, 1.5], [-1.0, 0.25]], [1, 2, 1])
+        mean = preds.weights @ preds.points
+        np.testing.assert_allclose(central_prediction(loss, preds).point, mean, rtol=1e-12)
+        np.testing.assert_allclose(central_label(loss, preds).point, mean, rtol=1e-12)
 
 
     @pytest.mark.parametrize(

@@ -93,6 +93,11 @@ class TestMixedHessianFixtures:
 
 
 class TestSeparability:
+    def test_grid_of_another_dimension_is_named(self):
+        loss = catalog("sq_euclidean", dim=2)
+        with pytest.raises(ValueError, match="grid dimension mismatch"):
+            separability_rank_test(loss, np.zeros((4, 2)), np.zeros((4, 3)))
+
     def test_sq_euclidean_rank_d(self, rng):
         loss = catalog("sq_euclidean", dim=2)
         grids = rng.uniform(-3, 3, (2, 5, 2))
@@ -206,6 +211,11 @@ class TestWitnessSearch:
 
 
 class TestClassifier:
+    def test_unbounded_domain_is_named(self):
+        loss = CallableLoss(1, Domain(1), lambda T, Y: np.sum((T - Y) ** 2, axis=-1))
+        with pytest.raises(ValueError, match="classification needs a bounded domain"):
+            classify_loss(loss)
+
     def test_kl_consistent(self):
         result = classify_loss(catalog("kl", dim=2), ClassifierConfig(seed=3))
         assert result.verdict == "consistent_with_gbregman"
