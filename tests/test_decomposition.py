@@ -453,8 +453,6 @@ class TestExpFamilyDecomposition:
         # Exponential distributions: density rate * exp(-rate z) for z > 0,
         # natural parameter theta = -rate < 0, log-partition -log(-theta),
         # sufficient statistic z.
-        from bvd.divergences import Generator
-
         B = Generator(
             value=lambda u: -np.log(-u[..., 0]),
             gradient=lambda u: -1.0 / np.asarray(u, dtype=float),
